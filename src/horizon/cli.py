@@ -99,12 +99,6 @@ def _emit(out: pathlib.Path | None, name: str, text: str):
         (out / name).write_text(text)
 
 
-def _gate_exponent(system, x, p):
-    # RunConfig invariant: p is checked against the critical exponent up
-    # front; driftless systems have an infinite exponent, so any p > 1 passes.
-    check_admissibility(system, x, p)
-
-
 # -- subcommands ---------------------------------------------------------
 
 
@@ -192,12 +186,10 @@ def cmd_steer(args) -> int:
     x = _check_state(system, _parse_vector(args.x), "--x")
     y = _check_state(system, _parse_vector(args.y), "--y")
     params = EnergyParams(p=args.p, beta=args.beta)
-    _gate_exponent(system, x, args.p)
     substeps = args.substeps if args.substeps is not None else DEFAULT_CHART_SUBSTEPS
     if system.is_driftless:
         plan = cross_section(
-            system, x, y, params=params, steer_tol=args.steer_tol,
-            flow_substeps=substeps, plan_substeps=substeps,
+            system, x, y, params=params, steer_tol=args.steer_tol, flow_substeps=substeps
         )
     else:
         plan = cross_section_drift(
@@ -245,7 +237,7 @@ def cmd_geodesics(args) -> int:
     system = _load_system(args.system)
     x = _check_state(system, _parse_vector(args.x), "--x")
     y = _check_state(system, _parse_vector(args.y), "--y")
-    _gate_exponent(system, x, args.p)
+    check_admissibility(system, x, args.p)
     opts = GeodesicOptions(
         p=args.p,
         substeps=args.substeps if args.substeps is not None else 2,

@@ -10,10 +10,6 @@ no-curvature KKT block as preconditioner and a line search on the residual
 norm.  Stage (c) converges to critical points of any index, which matters
 because on compact-fiber problems most of the ladder consists of saddles;
 pure descent would collapse every seed onto the lowest cluster.
-
-Projected-gradient descent steps (the classical alternating scheme) are
-available through opts.descent_steps for minimization runs; they are off by
-default precisely to preserve saddle basins.
 """
 
 from __future__ import annotations
@@ -21,14 +17,14 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .endpoint import differential, endpoint as _endpoint, fiber_project
+from .endpoint import differential, endpoint as _endpoint
 from .errors import ConfigError, ConvergenceError, DomainEscapeError, HorizonError
-from .signals import ControlSignal, dual_map
+from .signals import ControlSignal, _abs_power, energy_of_values, gradient_density
 from .systems import ControlSystem, displacement
 
 __all__ = [
@@ -52,7 +48,8 @@ class GeodesicOptions:
     stat_tol: float = 1e-6  # relative to max(1, ||energy gradient||_q)
     max_iter: int = 40
     feas_iter: int = 30
-    descent_steps: int = 0
+    # scipy's gmres reads this as restart cycles of 20 iterations each, so 25
+    # allows up to 500 matvecs per Newton step
     gmres_iter: int = 25
     ridge: float = 1e-10
     blowup_bound: float = 1e6
@@ -118,44 +115,24 @@ class GeodesicRecord:
 # -- densities of the energy and its derivatives ------------------------------
 
 
-def _grad_density(U, p, mode):
-    if mode == "component":
-        return p * U * _abs_pow(U, p - 2.0)
-    speeds = np.linalg.norm(U, axis=1)
-    return p * _abs_pow(speeds, p - 2.0)[:, None] * U
-
-
-def _abs_pow(a, e):
-    out = np.zeros_like(a, dtype=float)
-    nz = a != 0.0
-    out[nz] = np.abs(a[nz]) ** e
-    return out
-
-
 def _hess_density_matvec(U, V, p, mode):
     """Action of the second derivative of the energy density on V (rows)."""
     if mode == "component":
-        return p * (p - 1.0) * _abs_pow(U, p - 2.0) * V
+        return p * (p - 1.0) * _abs_power(U, p - 2.0) * V
     speeds = np.linalg.norm(U, axis=1)
-    s2 = _abs_pow(speeds, p - 2.0)
-    s4 = _abs_pow(speeds, p - 4.0)
+    s2 = _abs_power(speeds, p - 2.0)
+    s4 = _abs_power(speeds, p - 4.0)
     dots = np.sum(U * V, axis=1)
     return p * s2[:, None] * V + p * (p - 2.0) * (s4 * dots)[:, None] * U
 
 
 def _hess_density_diag(U, p, mode):
     if mode == "component":
-        return p * (p - 1.0) * _abs_pow(U, p - 2.0)
+        return p * (p - 1.0) * _abs_power(U, p - 2.0)
     speeds = np.linalg.norm(U, axis=1)
-    s2 = _abs_pow(speeds, p - 2.0)
-    s4 = _abs_pow(speeds, p - 4.0)
+    s2 = _abs_power(speeds, p - 2.0)
+    s4 = _abs_power(speeds, p - 4.0)
     return p * s2[:, None] + p * (p - 2.0) * s4[:, None] * U * U
-
-
-def _energy_value(U, h, p, mode):
-    if mode == "component":
-        return float(np.sum(h[:, None] * np.abs(U) ** p))
-    return float(np.sum(h * np.linalg.norm(U, axis=1) ** p))
 
 
 def _lq_density_norm(dens, h, q):
@@ -175,7 +152,7 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
     diff = differential(system, x, u, substeps=substeps)
-    dens = np.einsum("j,kjd->kd", lam, diff.w_bar) - _grad_density(u.values, p, mode)
+    dens = np.einsum("j,kjd->kd", lam, diff.w_bar) - gradient_density(u.values, p, mode)
     q = p / (p - 1.0)
     return _lq_density_norm(dens, u.durations, q)
 
@@ -223,23 +200,22 @@ class _Workspace:
 def _feasibilize(ws, U, y, opts, log):
     """Damped minimal-L^2-norm Newton onto the fiber."""
     h_dof = np.repeat(ws.h, U.shape[1])
-    best_r = None
     for _ in range(opts.feas_iter):
         F, A, _ = ws.assemble(U)
         r = displacement(ws.system, F, y)
         rn = np.linalg.norm(r)
         log.append(rn)
         if rn <= 0.5 * opts.end_tol:
-            return U, True
+            return U
         Aw = A / h_dof[None, :]
         G = A @ Aw.T
         G = G + opts.ridge * np.trace(G) / G.shape[0] * np.eye(G.shape[0])
         try:
             a = np.linalg.solve(G, r)
         except np.linalg.LinAlgError:
-            return U, False
+            return U
         v = (Aw.T @ a).reshape(U.shape)
-        alpha, accepted = 1.0, False
+        alpha = 1.0
         for _ in range(10):
             cand = U + alpha * v
             try:
@@ -248,20 +224,18 @@ def _feasibilize(ws, U, y, opts, log):
                 alpha *= 0.5
                 continue
             if rc < (1.0 - 1e-4 * alpha) * rn:
-                U, accepted = cand, True
+                U = cand
                 break
             alpha *= 0.5
-        if not accepted:
-            return U, best_r is not None and best_r <= opts.end_tol
-        best_r = rn
-    F, _, _ = ws.assemble(U)
-    return U, np.linalg.norm(displacement(ws.system, F, y)) <= 0.5 * opts.end_tol * 10
+        else:
+            break  # no damped step reduced the residual
+    return U
 
 
 def _lambda_least_squares(ws, U, opts):
     """Weighted LS fit of the multiplier to the gradient density."""
     _, _, wbar = ws.assemble(U)
-    g = _grad_density(U, opts.p, opts.mode)
+    g = gradient_density(U, opts.p, opts.mode)
     G = np.einsum("k,kjd,kld->jl", ws.h, wbar, wbar)
     rhs = np.einsum("k,kjd,kd->j", ws.h, wbar, g)
     n = G.shape[0]
@@ -272,42 +246,9 @@ def _lambda_least_squares(ws, U, opts):
     return lam, rank_warning
 
 
-def _descent_step(ws, U, opts):
-    """One projected-gradient step mapped back through the dual map.
-
-    Kept merit-monotone in J_p + penalty * |F - y|; used only when
-    opts.descent_steps > 0 (minimization refinement), since descent drains
-    saddle basins.
-    """
-    sig = ControlSignal(ws.bps, U)
-    diff = differential(ws.system, ws.x0, sig, substeps=ws.substeps, blowup_bound=ws.blowup)
-    g_sig = ControlSignal(ws.bps, _grad_density(U, opts.p, opts.mode))
-    vert = fiber_project(diff, g_sig)
-    direction = dual_map(ControlSignal(ws.bps, vert.values), opts.p).values
-    J0 = _energy_value(U, ws.h, opts.p, opts.mode)
-    pen = 10.0 * max(1.0, J0)
-    r0 = np.linalg.norm(displacement(ws.system, diff.endpoint, ws._y_target))
-    merit0 = J0 + pen * r0
-    alpha = 1.0
-    for _ in range(12):
-        cand = U - alpha * direction
-        try:
-            rc = np.linalg.norm(
-                displacement(ws.system, ws.endpoint_only(cand), ws._y_target)
-            )
-        except DomainEscapeError:
-            alpha *= 0.5
-            continue
-        merit = _energy_value(cand, ws.h, opts.p, opts.mode) + pen * rc
-        if merit <= merit0 - 1e-4 * alpha * np.sum(ws.h[:, None] * direction * direction):
-            return cand
-        alpha *= 0.5
-    return U
-
-
 def _kkt_residual(ws, U, lam, y, opts):
     F, A, wbar = ws.assemble(U)
-    g = _grad_density(U, opts.p, opts.mode)
+    g = gradient_density(U, opts.p, opts.mode)
     dens = g - np.einsum("j,kjd->kd", lam, wbar)
     r2 = -displacement(ws.system, F, y)  # F - y in wrapped coordinates
     stat_q = _lq_density_norm(dens, ws.h, opts.q)
@@ -419,37 +360,32 @@ def solve_critical(
 ) -> GeodesicRecord:
     """Drive u_init to a critical point of J_p on the fiber over y.
 
-    Feasibilization moves minimally (perpendicular to the fiber), an optional
-    projected-gradient phase descends, and the Lagrange-Newton phase solves
-    the full stationarity system, converging to critical points of any
-    Morse index.  Raises ConvergenceError when opts.raise_on_failure and the
-    tolerances were not met.
+    Feasibilization moves minimally (perpendicular to the fiber), and the
+    Lagrange-Newton phase solves the full stationarity system, converging to
+    critical points of any Morse index.  Raises ConvergenceError when
+    opts.raise_on_failure and the tolerances were not met.
     """
     if opts is None:
         opts = GeodesicOptions() if p is None else GeodesicOptions(p=p)
     elif p is not None and opts.p != p:
-        opts = GeodesicOptions(**{**opts.__dict__, "p": p})
+        opts = replace(opts, p=p)
     if u_init is None:
         raise ConfigError("solve_critical needs an initial control signal")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
     ws = _Workspace(system, x, u_init.breakpoints, opts.substeps, opts.blowup_bound)
-    ws._y_target = y
     U = u_init.values.copy()
     diagnostics = {"feas_log": [], "kkt_log": []}
 
-    U, feas_ok = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
-    for _ in range(opts.descent_steps):
-        U = _descent_step(ws, U, opts)
-        U, feas_ok = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
+    U = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
 
     lam, rank_warning = _lambda_least_squares(ws, U, opts)
     U, lam, iters, converged = _solve_kkt_newton(ws, U, lam, y, opts, diagnostics["kkt_log"])
 
     sig = ControlSignal(ws.bps, U)
     F, _, wbar = ws.assemble(U)
-    g = _grad_density(U, opts.p, opts.mode)
+    g = gradient_density(U, opts.p, opts.mode)
     dens = g - np.einsum("j,kjd->kd", lam, wbar)
     stat_q = _lq_density_norm(dens, ws.h, opts.q)
     scale = max(1.0, _lq_density_norm(g, ws.h, opts.q))
@@ -459,7 +395,7 @@ def solve_critical(
         lam=lam,
         p=opts.p,
         mode=opts.mode,
-        energy=_energy_value(U, ws.h, opts.p, opts.mode),
+        energy=energy_of_values(U, ws.h, opts.p, opts.mode),
         stationarity_residual=stat_q,
         stationarity_scale=scale,
         endpoint_residual=end_res,
@@ -612,8 +548,8 @@ def multistart(
     if opts is None:
         opts = GeodesicOptions(p=p)
     elif opts.p != p:
-        opts = GeodesicOptions(**{**opts.__dict__, "p": p})
-    run_opts = GeodesicOptions(**{**opts.__dict__, "raise_on_failure": False})
+        opts = replace(opts, p=p)
+    run_opts = replace(opts, raise_on_failure=False)
 
     disp = displacement(system, x, y)
     scale = seed_scale if seed_scale is not None else max(float(np.linalg.norm(disp)), 0.1)

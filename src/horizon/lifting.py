@@ -184,7 +184,6 @@ def _steer(system, base, target, params, steer_tol, alpha, substeps, composed=No
             params,
             steer_tol=steer_tol,
             flow_substeps=substeps,
-            plan_substeps=substeps,
         )
     # with drift, time compression skews the anchor's drift exposure, so the
     # plan must be solved against the endpoint of the composed control

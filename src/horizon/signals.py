@@ -21,6 +21,8 @@ __all__ = [
     "constant_signal",
     "energy",
     "energy_gradient",
+    "energy_of_values",
+    "gradient_density",
     "dual_map",
     "flow_segment",
     "concatenate_rescaled",
@@ -205,13 +207,7 @@ def energy(u: ControlSignal, p: float, mode: str = "component") -> float:
         raise ConfigError("energy needs p > 1")
     if u.segments == 0:
         return 0.0
-    h = u.durations
-    if mode == "component":
-        return float(np.sum(h[:, None] * np.abs(u.values) ** p))
-    if mode == "vector":
-        speed = np.linalg.norm(u.values, axis=1)
-        return float(np.sum(h * speed**p))
-    raise ConfigError(f"unknown energy mode {mode!r}")
+    return energy_of_values(u.values, u.durations, p, mode)
 
 
 def energy_gradient(u: ControlSignal, p: float, mode: str = "component") -> ControlSignal:
@@ -222,18 +218,29 @@ def energy_gradient(u: ControlSignal, p: float, mode: str = "component") -> Cont
     """
     if u.segments == 0:
         return u
-    v = u.values
+    return ControlSignal(u.breakpoints, gradient_density(u.values, p, mode))
+
+
+def energy_of_values(values: np.ndarray, h: np.ndarray, p: float, mode: str) -> float:
+    """p-energy of the segment values (m, d) held for the durations h (m,)."""
     if mode == "component":
-        g = p * v * _safe_abs_pow(np.abs(v), p - 2.0)
-    elif mode == "vector":
-        speed = np.linalg.norm(v, axis=1)
-        g = p * v * _safe_abs_pow(speed, p - 2.0)[:, None]
-    else:
-        raise ConfigError(f"unknown energy mode {mode!r}")
-    return ControlSignal(u.breakpoints, g)
+        return float(np.sum(h[:, None] * np.abs(values) ** p))
+    if mode == "vector":
+        return float(np.sum(h * np.linalg.norm(values, axis=1) ** p))
+    raise ConfigError(f"unknown energy mode {mode!r}")
 
 
-def _safe_abs_pow(a: np.ndarray, e: float) -> np.ndarray:
+def gradient_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
+    """Energy gradient density of the segment values (m, d), row by row."""
+    if mode == "component":
+        return p * values * _abs_power(values, p - 2.0)
+    if mode == "vector":
+        speeds = np.linalg.norm(values, axis=1)
+        return p * _abs_power(speeds, p - 2.0)[:, None] * values
+    raise ConfigError(f"unknown energy mode {mode!r}")
+
+
+def _abs_power(a: np.ndarray, e: float) -> np.ndarray:
     """|a|^e with 0^e := 0 even for negative exponents."""
     out = np.zeros_like(a, dtype=float)
     nz = a != 0.0
@@ -252,7 +259,7 @@ def dual_map(z: ControlSignal, p: float) -> ControlSignal:
     if z.segments == 0:
         return z
     e = (2.0 - p) / (p - 1.0)
-    vals = z.values * _safe_abs_pow(np.abs(z.values), e)
+    vals = z.values * _abs_power(np.abs(z.values), e)
     return ControlSignal(z.breakpoints, vals)
 
 

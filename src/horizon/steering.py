@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedStepError,
 )
 from .signals import ControlSignal, EnergyParams, zero_signal
-from .systems import BracketWord, ControlSystem, _word_candidates, displacement
+from .systems import BracketWord, ControlSystem, bracket_frame, displacement
 
 __all__ = [
     "ChartFactor",
@@ -191,26 +191,6 @@ def _single_field_flow(system, x, field_index, time, substeps):
     return x
 
 
-def _controlled_frame(system, point, max_depth, rank_tol=1e-8):
-    """Greedy frame over controlled-field words only (drift never enters)."""
-    point = np.asarray(point, dtype=float)
-    selected, vecs = [], []
-    for length in range(1, max_depth + 1):
-        for word in _word_candidates(system.d, False, length):
-            vec = system.word_field(word).value(point)
-            trial = np.vstack(vecs + [vec]) if vecs else vec[None, :]
-            svals = np.linalg.svd(trial, compute_uv=False)
-            if svals[-1] > rank_tol * svals[0]:
-                selected.append(word)
-                vecs.append(vec)
-                if len(selected) == system.n:
-                    return selected
-    raise NotBracketGeneratingError(
-        f"{system.name}: controlled brackets up to depth {max_depth} span only "
-        f"{len(selected)} of {system.n} directions"
-    )
-
-
 def build_chart(
     system: ControlSystem,
     x,
@@ -224,6 +204,8 @@ def build_chart(
 
     The factor layout depends only on the words, never on the target; with
     phi = 0 every coefficient vanishes and the product is the identity.
+    Without explicit words the frame is built from controlled-field words
+    only: drift never enters a chart word.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n,):
@@ -231,7 +213,7 @@ def build_chart(
     if params is None:
         params = EnergyParams()
     if words is None:
-        words = _controlled_frame(system, x, max_depth)
+        words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
     factors = []
     for k, w in enumerate(words):
         factors.extend(_word_factors(k, w))
@@ -246,13 +228,44 @@ def build_chart(
     )
 
 
-def solve_chart_coordinates(
-    chart: SteeringChart,
-    y,
-    newton_tol: float = 1e-10,
-    max_iter: int = 60,
-    fd_scale: float = 1e-6,
-) -> np.ndarray:
+def _damped_newton(fn, phi, y, tol, max_iter):
+    """Damped Newton for fn(phi) = y with central-difference Jacobians.
+
+    Each step is halved up to ten times until it lowers |fn(phi) - y|; the
+    iteration stops at tol, after max_iter steps, or when no damping helps.
+    Returns the last accepted phi and its residual norm.
+    """
+    res = fn(phi) - y
+    best = np.linalg.norm(res)
+    for _ in range(max_iter):
+        if best <= tol:
+            break
+        J = np.empty((len(y), len(phi)))
+        for k in range(len(phi)):
+            delta = 1e-6 * max(abs(phi[k]), 1e-2)
+            ep, em = phi.copy(), phi.copy()
+            ep[k] += delta
+            em[k] -= delta
+            J[:, k] = (fn(ep) - fn(em)) / (2.0 * delta)
+        try:
+            step = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        alpha = 1.0
+        for _ in range(10):
+            cand = phi + alpha * step
+            cres = fn(cand) - y
+            cn = np.linalg.norm(cres)
+            if cn < best:
+                phi, res, best = cand, cres, cn
+                break
+            alpha *= 0.5
+        else:
+            break  # no progress at the smallest damping
+    return phi, best
+
+
+def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
     """Damped Newton inversion of the chart's composed flow.
 
     Starts from the frame coordinates of the displacement (the leading-order
@@ -261,59 +274,20 @@ def solve_chart_coordinates(
     the working radius": re-anchor closer and retry.
     """
     y = np.asarray(y, dtype=float)
-    n = chart.system.n
     target_disp = displacement(chart.system, chart.base, y)
-    scale = 1.0 + float(np.linalg.norm(target_disp))
-    tol = newton_tol * scale
+    tol = 1e-10 * (1.0 + float(np.linalg.norm(target_disp)))
 
-    phi = np.zeros(n)
-    res = chart.compose(phi) - y
-    if np.linalg.norm(res) <= tol:
+    phi = np.zeros(chart.system.n)
+    if np.linalg.norm(chart.compose(phi) - y) <= tol:
         return phi
-
-    frame = chart.frame_matrix()
-    phi = np.linalg.lstsq(frame, target_disp, rcond=None)[0]
-
-    res = chart.compose(phi) - y
-    best = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if best <= tol:
-            return phi
-        J = _fd_jacobian(chart, phi, fd_scale)
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -res, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(10):
-            cand = phi + alpha * step
-            cres = chart.compose(cand) - y
-            cn = np.linalg.norm(cres)
-            if cn < best:
-                phi, res, best = cand, cres, cn
-                break
-            alpha *= 0.5
-        else:
-            break  # no progress at the smallest damping
+    phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
+    phi, best = _damped_newton(chart.compose, phi, y, tol, max_iter=60)
     if best <= tol:
         return phi
     raise ChartRadiusError(
         f"chart Newton stalled at |residual| = {best:.3e} (tol {tol:.1e}); "
         "target likely outside the chart's working radius"
     )
-
-
-def _fd_jacobian(chart, phi, fd_scale):
-    n = len(phi)
-    J = np.empty((chart.system.n, n))
-    for k in range(n):
-        delta = fd_scale * max(abs(phi[k]), 1e-2)
-        ep = phi.copy()
-        em = phi.copy()
-        ep[k] += delta
-        em[k] -= delta
-        J[:, k] = (chart.compose(ep) - chart.compose(em)) / (2.0 * delta)
-    return J
 
 
 @dataclass
@@ -347,16 +321,59 @@ class SteeringPlan:
         )
 
 
+def _steer_on_chart(chart: SteeringChart, y, steer_tol, verify_endpoint=None) -> SteeringPlan:
+    """Plan from the chart's base to y, shared by both cross sections.
+
+    The plan's endpoint is checked by plain integration from the base, or by
+    verify_endpoint when given, and the coordinates are re-polished against
+    that endpoint when its residual exceeds steer_tol.
+    """
+    system, x = chart.system, chart.base
+
+    def reached(plan_sig):
+        if verify_endpoint is not None:
+            return verify_endpoint(plan_sig)
+        if plan_sig.segments == 0:
+            return x
+        return _endpoint(system, x, plan_sig, substeps=chart.flow_substeps)
+
+    disp = displacement(system, x, y)
+    if np.linalg.norm(disp) == 0.0:
+        phi, sig, res = np.zeros(system.n), zero_signal(system.d), 0.0
+    else:
+        # steer to the wrap-nearest representative of the target
+        y_near = x + disp
+        phi = solve_chart_coordinates(chart, y_near)
+        sig = chart.plan_signal(phi)
+        res = float(np.linalg.norm(displacement(system, reached(sig), y)))
+        if res > steer_tol:
+            phi, res = _damped_newton(
+                lambda c: reached(chart.plan_signal(c)), phi, y_near, steer_tol, max_iter=20
+            )
+            if res > steer_tol:
+                raise ChartRadiusError(
+                    f"plan refinement stalled at residual {res:.3e} (steer_tol {steer_tol:.1e})"
+                )
+            sig = chart.plan_signal(phi)
+    return SteeringPlan(
+        phi=phi,
+        T=sig.total_time,
+        sigma=sig,
+        residual=res,
+        factor_count=chart.factor_count,
+        base=x,
+        target=y,
+        alpha=chart.alpha,
+    )
+
+
 def cross_section(
     system: ControlSystem,
     x,
     y,
     params: EnergyParams | None = None,
     steer_tol: float = 1e-9,
-    max_depth: int = 4,
-    chart: SteeringChart | None = None,
     flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
-    plan_substeps: int = DEFAULT_FLOW_SUBSTEPS,
 ) -> SteeringPlan:
     """Steer a driftless system from x to y; returns the realized plan.
 
@@ -369,98 +386,8 @@ def cross_section(
         raise ConfigError(
             "cross_section requires a driftless system; use cross_section_drift"
         )
-    if params is None:
-        params = EnergyParams()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if chart is None:
-        chart = build_chart(system, x, params, max_depth=max_depth, flow_substeps=flow_substeps)
-
-    disp = displacement(system, x, y)
-    if np.linalg.norm(disp) == 0.0:
-        return SteeringPlan(
-            phi=np.zeros(system.n),
-            T=0.0,
-            sigma=zero_signal(system.d),
-            residual=0.0,
-            factor_count=chart.factor_count,
-            base=x,
-            target=y,
-        )
-
-    # steer to the wrap-nearest representative of the target
-    y_near = x + disp
-    phi = solve_chart_coordinates(chart, y_near)
-    plan_sig = chart.plan_signal(phi)
-    res = _plan_residual(system, x, y, plan_sig, plan_substeps)
-    if res > steer_tol:
-        # polish against the integrated plan endpoint
-        phi, plan_sig, res = _refine_on_plan(
-            system, chart, x, y_near, phi, steer_tol, plan_substeps
-        )
-    return SteeringPlan(
-        phi=phi,
-        T=plan_sig.total_time,
-        sigma=plan_sig,
-        residual=res,
-        factor_count=chart.factor_count,
-        base=x,
-        target=y,
-    )
-
-
-def _plan_residual(system, x, y, plan_sig, substeps, verify_endpoint=None):
-    if verify_endpoint is not None:
-        end = verify_endpoint(plan_sig)
-    elif plan_sig.segments == 0:
-        end = np.asarray(x, dtype=float)
-    else:
-        end = _endpoint(system, x, plan_sig, substeps=substeps)
-    return float(np.linalg.norm(displacement(system, end, y)))
-
-
-def _refine_on_plan(system, chart, x, y, phi, steer_tol, substeps, verify_endpoint=None, max_iter=20):
-    def H(p):
-        sig = chart.plan_signal(p)
-        if verify_endpoint is not None:
-            return verify_endpoint(sig)
-        if sig.segments == 0:
-            return np.asarray(x, dtype=float)
-        return _endpoint(system, x, sig, substeps=substeps)
-
-    res_vec = H(phi) - y
-    best = np.linalg.norm(res_vec)
-    for _ in range(max_iter):
-        if best <= steer_tol:
-            break
-        J = np.empty((system.n, len(phi)))
-        for k in range(len(phi)):
-            delta = 1e-6 * max(abs(phi[k]), 1e-2)
-            ep, em = phi.copy(), phi.copy()
-            ep[k] += delta
-            em[k] -= delta
-            J[:, k] = (H(ep) - H(em)) / (2.0 * delta)
-        try:
-            step = np.linalg.solve(J, -res_vec)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -res_vec, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(10):
-            cand = phi + alpha * step
-            cres = H(cand) - y
-            cn = np.linalg.norm(cres)
-            if cn < best:
-                phi, res_vec, best = cand, cres, cn
-                break
-            alpha *= 0.5
-        else:
-            break
-    if best > steer_tol:
-        raise ChartRadiusError(
-            f"plan refinement stalled at residual {best:.3e} (steer_tol {steer_tol:.1e})"
-        )
-    plan_sig = chart.plan_signal(phi)
-    return phi, plan_sig, best
+    chart = build_chart(system, x, params, flow_substeps=flow_substeps)
+    return _steer_on_chart(chart, np.asarray(y, dtype=float), steer_tol)
 
 
 # -- drift admissibility ------------------------------------------------------
@@ -475,8 +402,6 @@ def critical_exponent(system: ControlSystem, x, max_depth: int = 6):
     """
     if system.is_driftless:
         return float("inf")
-    from .systems import bracket_frame
-
     _, step = bracket_frame(system, x, max_depth=max_depth)
     return step / (step - 1.0)
 
@@ -486,14 +411,15 @@ def _format_bound(step: int) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def check_admissibility(system: ControlSystem, x, p: float, max_depth: int = 6) -> float:
-    """Raise AdmissibilityError unless p is below the critical bound at x."""
+def _admissible_step(system: ControlSystem, x, p: float, max_depth: int = 6):
+    """Step of the drift bracket frame at x, None for driftless systems.
+
+    Raises AdmissibilityError unless p is below the step's bound.
+    """
     if not p > 1.0:
         raise ConfigError(f"p must exceed 1, got {p}")
     if system.is_driftless:
-        return float("inf")
-    from .systems import bracket_frame
-
+        return None
     _, step = bracket_frame(system, x, max_depth=max_depth)
     bound = step / (step - 1.0)
     if p >= bound:
@@ -502,7 +428,13 @@ def check_admissibility(system: ControlSystem, x, p: float, max_depth: int = 6) 
             f"the step-{step} bracket structure requires p < {_format_bound(step)} "
             f"(= {bound:g})"
         )
-    return bound
+    return step
+
+
+def check_admissibility(system: ControlSystem, x, p: float, max_depth: int = 6) -> float:
+    """Raise AdmissibilityError unless p is below the critical bound at x."""
+    step = _admissible_step(system, x, p, max_depth)
+    return float("inf") if step is None else step / (step - 1.0)
 
 
 def cross_section_drift(
@@ -534,12 +466,9 @@ def cross_section_drift(
     y = np.asarray(y, dtype=float)
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
-    bound = check_admissibility(system, x, p)
+    sigma_step = _admissible_step(system, x, p)
 
     alpha_hi = p / (2.0 * (p - 1.0))
-    from .systems import bracket_frame
-
-    _, sigma_step = bracket_frame(system, x)
     alpha_lo = sigma_step / 2.0
     if alpha is None:
         alpha = 0.5 * (alpha_lo + alpha_hi)
@@ -550,7 +479,7 @@ def cross_section_drift(
         )
 
     try:
-        words = _controlled_frame(system, x, max_depth=2)
+        words, _ = bracket_frame(system, x, max_depth=2, controlled_only=True)
     except NotBracketGeneratingError as exc:
         raise UnsupportedStepError(
             f"{system.name}: drift steering is implemented for controlled frames of "
@@ -560,33 +489,4 @@ def cross_section_drift(
     chart = build_chart(
         system, x, EnergyParams(p=p), words=words, alpha=alpha, flow_substeps=flow_substeps
     )
-    disp = displacement(system, x, y)
-    if np.linalg.norm(disp) == 0.0:
-        return SteeringPlan(
-            phi=np.zeros(system.n),
-            T=0.0,
-            sigma=zero_signal(system.d),
-            residual=0.0,
-            factor_count=chart.factor_count,
-            base=x,
-            target=y,
-            alpha=alpha,
-        )
-    y_near = x + disp
-    phi = solve_chart_coordinates(chart, y_near)
-    plan_sig = chart.plan_signal(phi)
-    res = _plan_residual(system, x, y, plan_sig, flow_substeps, verify_endpoint)
-    if res > steer_tol:
-        phi, plan_sig, res = _refine_on_plan(
-            system, chart, x, y_near, phi, steer_tol, flow_substeps, verify_endpoint
-        )
-    return SteeringPlan(
-        phi=phi,
-        T=plan_sig.total_time,
-        sigma=plan_sig,
-        residual=res,
-        factor_count=chart.factor_count,
-        base=x,
-        target=y,
-        alpha=alpha,
-    )
+    return _steer_on_chart(chart, y, steer_tol, verify_endpoint)

@@ -387,18 +387,25 @@ def _word_candidates(d: int, with_drift: bool, length: int):
         yield BracketWord(leaves)
 
 
-def bracket_frame(system: ControlSystem, point, max_depth: int = 4, rank_tol: float = 1e-8):
+def bracket_frame(
+    system: ControlSystem,
+    point,
+    max_depth: int = 4,
+    rank_tol: float = 1e-8,
+    controlled_only: bool = False,
+):
     """Greedy frame of bracket words spanning the tangent space at a point.
 
     Words are taken in (length, lexicographic) order; a candidate is kept when
     adding its evaluated field keeps the smallest singular value of the
-    selected stack above rank_tol times the largest.  Returns (words, step)
+    selected stack above rank_tol times the largest.  Words of drift systems
+    may contain the drift unless controlled_only.  Returns (words, step)
     with step the maximal selected word length.
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (system.n,):
         raise ConfigError(f"point must have shape ({system.n},)")
-    with_drift = not system.is_driftless
+    with_drift = not (system.is_driftless or controlled_only)
     selected_words = []
     selected_vecs = []
     step = 0

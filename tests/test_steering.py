@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -13,7 +15,9 @@ from horizon import (
     displacement,
     endpoint,
     state_symbols,
+    system_from_json,
 )
+from horizon.cli import main
 from horizon.steering import (
     build_chart,
     check_admissibility,
@@ -179,3 +183,31 @@ def test_plan_norm_scales_with_drift_exponent():
     # vertical coordinate enters through a depth-2 word: |phi|^(1/2) per factor
     expected = 0.5 * (2 * alpha + p - 2 * p * alpha) / p
     assert abs(slope - expected) < 0.05
+
+
+STEP5_DRIFT_JSON = json.dumps(
+    {
+        "name": "step5_drift",
+        "n": 2,
+        "d": 2,
+        "fields": [
+            [[{"coef": 1.0, "exponents": [0, 0]}], []],
+            [[], [{"coef": 1.0, "exponents": [4, 0]}]],
+        ],
+        "drift": [[], [{"coef": 1.0, "exponents": [4, 0]}]],
+    }
+)
+
+
+def test_drift_step5_is_unsupported_not_degenerate(tmp_path, capsys):
+    # at the origin the drift frame has step 5, so p = 1.2 < 5/4 is admissible,
+    # but the controlled fields only span at bracket depth 5
+    system = system_from_json(STEP5_DRIFT_JSON)
+    assert check_admissibility(system, np.zeros(2), 1.2) == 1.25
+    with pytest.raises(UnsupportedStepError):
+        cross_section_drift(system, np.zeros(2), np.array([0.01, 0.0]), p=1.2)
+    path = tmp_path / "step5.json"
+    path.write_text(STEP5_DRIFT_JSON)
+    code = main(["steer", "--system", str(path), "--x", "0,0", "--y", "0.01,0", "--p", "1.2"])
+    assert code == 2
+    assert "step <= 2" in capsys.readouterr().err
