@@ -29,10 +29,13 @@ from .errors import (
 from .geodesics import GeodesicOptions, multistart
 from .lifting import TargetPath, continuity_report, lift_path
 from .signals import ControlSignal, EnergyParams, zero_signal
-from .steering import check_admissibility, cross_section, cross_section_drift
+from .steering import (
+    DEFAULT_FLOW_SUBSTEPS,
+    check_admissibility,
+    cross_section,
+    cross_section_drift,
+)
 from .systems import catalog_load, catalog_names, system_from_json
-
-DEFAULT_CHART_SUBSTEPS = 16
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -186,7 +189,7 @@ def cmd_steer(args) -> int:
     x = _check_state(system, _parse_vector(args.x), "--x")
     y = _check_state(system, _parse_vector(args.y), "--y")
     params = EnergyParams(p=args.p, beta=args.beta)
-    substeps = args.substeps if args.substeps is not None else DEFAULT_CHART_SUBSTEPS
+    substeps = args.substeps if args.substeps is not None else DEFAULT_FLOW_SUBSTEPS
     if system.is_driftless:
         plan = cross_section(
             system, x, y, params=params, steer_tol=args.steer_tol, flow_substeps=substeps
@@ -240,7 +243,7 @@ def cmd_geodesics(args) -> int:
     check_admissibility(system, x, args.p)
     opts = GeodesicOptions(
         p=args.p,
-        substeps=args.substeps if args.substeps is not None else 2,
+        substeps=args.substeps if args.substeps is not None else GeodesicOptions.substeps,
         stat_tol=args.stat_tol,
         end_tol=args.end_tol,
     )

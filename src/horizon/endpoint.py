@@ -5,6 +5,12 @@ Everything runs on a fixed-step RK4 grid: each signal segment is cut into
 matrix of the variational equation, and the quadrature that assembles the
 differential.  No adaptive stepping, so the three stay exactly consistent.
 Second-order terms are never assembled here.
+
+`rk4_step` is the one RK4 step function: states, the fundamental matrix and
+the adjoint frame (packed next to the state) and the steering charts'
+single-field flows all advance through it.  This module alone decides what
+an empty signal reaches (its start) and when a state has blown up
+(|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ __all__ = [
     "Trajectory",
     "EndpointDifferential",
     "RegularityReport",
+    "rk4_step",
     "integrate",
     "endpoint",
     "differential",
@@ -30,7 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_SUBSTEPS = 64
-DEFAULT_BLOWUP = 1e6
+BLOWUP_BOUND = 1e6
 
 
 @dataclass
@@ -59,11 +66,35 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _check_state(x, bound, t):
-    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > bound:
+def _check_state(x, t):
+    if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > BLOWUP_BOUND:
         raise DomainEscapeError(
-            f"trajectory left |x|_inf <= {bound:g} at t={t:.6g}", t=t, state=np.array(x)
+            f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}", t=t, state=np.array(x)
         )
+
+
+def rk4_step(f, z, h, *args):
+    """One classical RK4 step of z' = f(z, *args) with step h."""
+    k1 = f(z, *args)
+    k2 = f(z + 0.5 * h * k1, *args)
+    k3 = f(z + 0.5 * h * k2, *args)
+    k4 = f(z + h * k3, *args)
+    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _fundamental_rhs(z, system, u, n):
+    # z packs (x, vec M); the variational right-hand side is (f, A M), with A
+    # evaluated at the same stage state as f
+    x = z[:n]
+    A = system.dynamics_jacobian(x, u)
+    return np.concatenate([system.dynamics(x, u), (A @ z[n:].reshape(n, n)).ravel()])
+
+
+def _adjoint_rhs(z, system, u, n):
+    # z packs (x, vec N); the adjoint right-hand side is (f, -N A)
+    x = z[:n]
+    A = system.dynamics_jacobian(x, u)
+    return np.concatenate([system.dynamics(x, u), (-z[n:].reshape(n, n) @ A).ravel()])
 
 
 def integrate(
@@ -71,7 +102,6 @@ def integrate(
     x0,
     signal: ControlSignal,
     substeps: int = DEFAULT_SUBSTEPS,
-    blowup_bound: float = DEFAULT_BLOWUP,
     with_fundamental: bool = False,
 ) -> Trajectory:
     """RK4 integration of dx/dt = drift(x) + sum u_i X_i(x) along a signal.
@@ -95,72 +125,40 @@ def integrate(
     states = np.empty((K + 1, n))
     times[0] = 0.0
     states[0] = x0
-    _check_state(x0, blowup_bound, 0.0)
+    _check_state(x0, 0.0)
     fund = None
-    M = None
+    z = x0  # rk4_step returns new arrays, so x0 is never written
     if with_fundamental:
         fund = np.empty((K + 1, n, n))
-        M = np.eye(n)
-        fund[0] = M
+        fund[0] = np.eye(n)
+        z = np.concatenate([x0, fund[0].ravel()])
 
-    x = x0.copy()
     node = 0
     for k in range(m):
         u = signal.values[k]
         t0 = signal.breakpoints[k]
         h = (signal.breakpoints[k + 1] - t0) / substeps
         for j in range(substeps):
-            if with_fundamental:
-                x, M = _rk4_step_fund(system, x, u, h, M)
-            else:
-                x = _rk4_step(system, x, u, h)
             node += 1
+            if fund is None:
+                z = rk4_step(system.dynamics, z, h, u)
+            else:
+                z = rk4_step(_fundamental_rhs, z, h, system, u, n)
+                fund[node] = z[n:].reshape(n, n)
             times[node] = t0 + (j + 1) * h
-            states[node] = x
-            if fund is not None:
-                fund[node] = M
-            _check_state(x, blowup_bound, times[node])
+            states[node] = z[:n]
+            _check_state(states[node], times[node])
     times[-1] = signal.total_time  # exact final time
     return Trajectory(times=times, states=states, signal=signal, substeps=substeps, fundamental=fund)
 
 
-def _rk4_step(system, x, u, h):
-    k1 = system.dynamics(x, u)
-    k2 = system.dynamics(x + 0.5 * h * k1, u)
-    k3 = system.dynamics(x + 0.5 * h * k2, u)
-    k4 = system.dynamics(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_step_fund(system, x, u, h, M):
-    # joint step for (x, M); A is evaluated at the same stage states as f
-    k1 = system.dynamics(x, u)
-    K1 = system.dynamics_jacobian(x, u) @ M
-
-    x2 = x + 0.5 * h * k1
-    k2 = system.dynamics(x2, u)
-    K2 = system.dynamics_jacobian(x2, u) @ (M + 0.5 * h * K1)
-
-    x3 = x + 0.5 * h * k2
-    k3 = system.dynamics(x3, u)
-    K3 = system.dynamics_jacobian(x3, u) @ (M + 0.5 * h * K2)
-
-    x4 = x + h * k3
-    k4 = system.dynamics(x4, u)
-    K4 = system.dynamics_jacobian(x4, u) @ (M + h * K3)
-
-    x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    M_new = M + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    return x_new, M_new
-
-
-def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS, blowup_bound=DEFAULT_BLOWUP):
-    """Final state of the controlled trajectory."""
+def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
+    """Final state of the controlled trajectory; an empty signal stays at x0."""
     if signal.segments == 0:
         x0 = np.asarray(x0, dtype=float)
-        _check_state(x0, blowup_bound, 0.0)
+        _check_state(x0, 0.0)
         return x0.copy()
-    return integrate(system, x0, signal, substeps, blowup_bound).endpoint
+    return integrate(system, x0, signal, substeps).endpoint
 
 
 def _segment_quadrature_weights(substeps: int) -> np.ndarray:
@@ -232,7 +230,6 @@ def differential(
     x0,
     signal: ControlSignal,
     substeps: int = DEFAULT_SUBSTEPS,
-    blowup_bound: float = DEFAULT_BLOWUP,
 ) -> EndpointDifferential:
     """Assemble the endpoint differential by variational equation + quadrature.
 
@@ -243,9 +240,7 @@ def differential(
     """
     if signal.segments == 0:
         raise ConfigError("differential needs a signal with at least one segment")
-    traj = integrate(
-        system, x0, signal, substeps=substeps, blowup_bound=blowup_bound, with_fundamental=True
-    )
+    traj = integrate(system, x0, signal, substeps=substeps, with_fundamental=True)
     m, d, n = signal.segments, signal.d, system.n
     S = substeps
 
@@ -291,35 +286,16 @@ def adjoint_frame(
     K = len(traj.times) - 1
     out = np.empty((K + 1, n, n))
     out[K] = np.eye(n)
-    x = traj.states[-1].copy()
-    N = np.eye(n)
+    z = np.concatenate([traj.states[-1], out[K].ravel()])
     node = K
     for k in range(signal.segments - 1, -1, -1):
         u = signal.values[k]
         h = (signal.breakpoints[k + 1] - signal.breakpoints[k]) / substeps
         for _ in range(substeps):
-            x, N = _rk4_step_adjoint(system, x, u, -h, N)
+            z = rk4_step(_adjoint_rhs, z, -h, system, u, n)
             node -= 1
-            out[node] = N
+            out[node] = z[n:].reshape(n, n)
     return out
-
-
-def _rk4_step_adjoint(system, x, u, h, N):
-    k1 = system.dynamics(x, u)
-    K1 = -N @ system.dynamics_jacobian(x, u)
-    x2 = x + 0.5 * h * k1
-    k2 = system.dynamics(x2, u)
-    K2 = -(N + 0.5 * h * K1) @ system.dynamics_jacobian(x2, u)
-    x3 = x + 0.5 * h * k2
-    k3 = system.dynamics(x3, u)
-    K3 = -(N + 0.5 * h * K2) @ system.dynamics_jacobian(x3, u)
-    x4 = x + h * k3
-    k4 = system.dynamics(x4, u)
-    K4 = -(N + h * K3) @ system.dynamics_jacobian(x4, u)
-    return (
-        x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-        N + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4),
-    )
 
 
 @dataclass

@@ -38,6 +38,14 @@ __all__ = [
     "coincidence_check",
 ]
 
+# relative Tikhonov shift on the multiplier Gram and Schur matrices
+RIDGE = 1e-10
+# two converged records are one critical point when their energies agree to
+# DEDUP_ENERGY_TOL and their energy-normalized multipliers to DEDUP_LAMBDA_TOL
+# (both relative)
+DEDUP_ENERGY_TOL = 1e-3
+DEDUP_LAMBDA_TOL = 1e-2
+
 
 @dataclass
 class GeodesicOptions:
@@ -51,8 +59,6 @@ class GeodesicOptions:
     # scipy's gmres reads this as restart cycles of 20 iterations each, so 25
     # allows up to 500 matvecs per Newton step
     gmres_iter: int = 25
-    ridge: float = 1e-10
-    blowup_bound: float = 1e6
     raise_on_failure: bool = True
 
     def __post_init__(self):
@@ -163,12 +169,11 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
 class _Workspace:
     """Cached assembly of F, dF and derived quantities at the current U."""
 
-    def __init__(self, system, x0, bps, substeps, blowup):
+    def __init__(self, system, x0, bps, substeps):
         self.system = system
         self.x0 = x0
         self.bps = bps
         self.substeps = substeps
-        self.blowup = blowup
         self.h = np.diff(bps)
         self._cache_U = None
 
@@ -176,9 +181,7 @@ class _Workspace:
         if self._cache_U is not None and np.array_equal(U, self._cache_U):
             return self._F, self._A, self._wbar
         sig = ControlSignal(self.bps, U)
-        diff = differential(
-            self.system, self.x0, sig, substeps=self.substeps, blowup_bound=self.blowup
-        )
+        diff = differential(self.system, self.x0, sig, substeps=self.substeps)
         self._cache_U = U.copy()
         self._F = diff.endpoint
         self._A = diff.matrix
@@ -187,9 +190,7 @@ class _Workspace:
 
     def endpoint_only(self, U):
         sig = ControlSignal(self.bps, U)
-        return _endpoint(
-            self.system, self.x0, sig, substeps=self.substeps, blowup_bound=self.blowup
-        )
+        return _endpoint(self.system, self.x0, sig, substeps=self.substeps)
 
     def pullback(self, U, lam):
         """A(U)^T lam, used by the finite-difference curvature."""
@@ -209,7 +210,7 @@ def _feasibilize(ws, U, y, opts, log):
             return U
         Aw = A / h_dof[None, :]
         G = A @ Aw.T
-        G = G + opts.ridge * np.trace(G) / G.shape[0] * np.eye(G.shape[0])
+        G = G + RIDGE * np.trace(G) / G.shape[0] * np.eye(G.shape[0])
         try:
             a = np.linalg.solve(G, r)
         except np.linalg.LinAlgError:
@@ -239,7 +240,7 @@ def _lambda_least_squares(ws, U, opts):
     G = np.einsum("k,kjd,kld->jl", ws.h, wbar, wbar)
     rhs = np.einsum("k,kjd,kd->j", ws.h, wbar, g)
     n = G.shape[0]
-    ridge = opts.ridge * (np.trace(G) / n + 1.0)
+    ridge = RIDGE * (np.trace(G) / n + 1.0)
     lam = np.linalg.solve(G + ridge * np.eye(n), rhs)
     svals = np.linalg.svd(G, compute_uv=False)
     rank_warning = bool(svals[-1] <= 1e-10 * svals[0])
@@ -280,7 +281,7 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log):
         Hdd = Hdiag + mu
         Aw = A / Hdd[None, :]
         S = Aw @ A.T
-        S = S + opts.ridge * (np.trace(S) / n + 1.0) * np.eye(n)
+        S = S + RIDGE * (np.trace(S) / n + 1.0) * np.eye(n)
 
         def precond(z):
             a, b = z[:md], z[md:]
@@ -374,7 +375,7 @@ def solve_critical(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    ws = _Workspace(system, x, u_init.breakpoints, opts.substeps, opts.blowup_bound)
+    ws = _Workspace(system, x, u_init.breakpoints, opts.substeps)
     U = u_init.values.copy()
     diagnostics = {"feas_log": [], "kkt_log": []}
 
@@ -529,8 +530,6 @@ def multistart(
     m_seed: int = 32,
     opts: GeodesicOptions | None = None,
     workers: int | None = None,
-    dedup_energy_tol: float = 1e-3,
-    dedup_lambda_tol: float = 1e-2,
     seed_scale: float | None = None,
 ) -> MultistartReport:
     """Run solve_critical from deterministic random seeds and deduplicate.
@@ -585,9 +584,7 @@ def multistart(
         else:
             failed.append({"seed_index": idx, "reason": err or "not converged"})
 
-    records, cluster_ids, energy_clusters = _dedup(
-        converged, dedup_energy_tol, dedup_lambda_tol
-    )
+    records, cluster_ids, energy_clusters = _dedup(converged)
     return MultistartReport(
         system_name=system.name,
         x=x,
@@ -605,7 +602,7 @@ def multistart(
     )
 
 
-def _dedup(records, energy_tol, lambda_tol):
+def _dedup(records):
     """Joint (energy, normalized lambda) dedup plus energy-only clustering."""
     ordered = sorted(records, key=lambda r: (r.energy, r.seed_index))
     kept = []
@@ -613,10 +610,11 @@ def _dedup(records, energy_tol, lambda_tol):
         lam_n = rec.lam / max(rec.energy, 1e-12)
         duplicate = False
         for pos, other in enumerate(kept):
-            if abs(rec.energy - other.energy) > energy_tol * max(abs(other.energy), 1e-12):
+            if abs(rec.energy - other.energy) > DEDUP_ENERGY_TOL * max(abs(other.energy), 1e-12):
                 continue
             lam_o = other.lam / max(other.energy, 1e-12)
-            if np.linalg.norm(lam_n - lam_o) <= lambda_tol * max(np.linalg.norm(lam_o), 1e-12):
+            lam_scale = max(np.linalg.norm(lam_o), 1e-12)
+            if np.linalg.norm(lam_n - lam_o) <= DEDUP_LAMBDA_TOL * lam_scale:
                 duplicate = True
                 if rec.stationarity_residual < other.stationarity_residual:
                     kept[pos] = rec
@@ -629,7 +627,7 @@ def _dedup(records, energy_tol, lambda_tol):
     cluster_ids = []
     for rec in kept:
         for cid, cl in enumerate(energy_clusters):
-            if abs(rec.energy - cl["energy"]) <= max(10 * energy_tol * cl["energy"], 1e-9):
+            if abs(rec.energy - cl["energy"]) <= max(10 * DEDUP_ENERGY_TOL * cl["energy"], 1e-9):
                 cl["count"] += 1
                 cluster_ids.append(cid)
                 break

@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .endpoint import endpoint as _endpoint
+from .endpoint import DEFAULT_SUBSTEPS, endpoint as _endpoint
 from .errors import ChartRadiusError, ConfigError, ConvergenceError
 from .signals import ControlSignal, EnergyParams, concatenate_rescaled
 from .steering import check_admissibility, cross_section, cross_section_drift
 from .systems import ControlSystem, displacement
 
 __all__ = ["TargetPath", "LiftResult", "lift_path", "continuity_report"]
+
+# deepest midpoint subdivision of one hop before a lift gives up
+MAX_BISECT = 6
 
 
 @dataclass(frozen=True)
@@ -96,9 +99,7 @@ def lift_path(
     params: EnergyParams | None = None,
     lift_tol: float = 1e-8,
     steer_tol: float = 1e-10,
-    substeps: int = 64,
-    max_reanchors: int | None = None,
-    max_bisect: int = 6,
+    substeps: int = DEFAULT_SUBSTEPS,
     alpha: float | None = None,
 ) -> LiftResult:
     """Lift a sampled path to controls, anchored at u0.
@@ -106,6 +107,7 @@ def lift_path(
     The control for the first sample is u0 itself (bit for bit); u0 must
     actually reach the first target within lift_tol.  Systems with drift are
     gated by the admissibility check before any steering is attempted.
+    The lift re-anchors at most 4 * max(K, 1) times in all.
     """
     if params is None:
         params = EnergyParams()
@@ -118,11 +120,10 @@ def lift_path(
         raise ConfigError("anchor control must live on [0, 1]")
     if not system.is_driftless:
         check_admissibility(system, path.targets[0], params.p)
-    if max_reanchors is None:
-        max_reanchors = 4 * max(path.K, 1)
+    max_reanchors = 4 * max(path.K, 1)
 
     anchor_u = u0
-    anchor_end = _endpoint(system, x0, u0, substeps=substeps) if u0.segments else x0.copy()
+    anchor_end = _endpoint(system, x0, u0, substeps=substeps)
     first_res = float(np.linalg.norm(displacement(system, anchor_end, path.targets[0])))
     if first_res > lift_tol:
         raise ConfigError(
@@ -147,14 +148,13 @@ def lift_path(
             steer_tol,
             substeps,
             prev_control=controls[k - 1],
-            max_bisect=max_bisect,
             reanchors_left=max_reanchors - reanchors,
             alpha=alpha,
         )
         reanchors += used
         if used:
             events.append({"sample_index": k, "reanchors": used})
-        end_k = _endpoint(system, x0, u_k, substeps=substeps) if u_k.segments else x0.copy()
+        end_k = _endpoint(system, x0, u_k, substeps=substeps)
         res_k = float(np.linalg.norm(displacement(system, end_k, target)))
         if res_k > lift_tol:
             raise ConvergenceError(
@@ -203,7 +203,6 @@ def _reach_target(
     steer_tol,
     substeps,
     prev_control,
-    max_bisect,
     reanchors_left,
     alpha,
 ):
@@ -223,8 +222,6 @@ def _reach_target(
                 w = u_base
             else:
                 w = concatenate_rescaled(u_base, plan_sig, plan_sig.total_time)
-            if w.segments == 0:
-                return x0.copy()
             return _endpoint(system, x0, w, substeps=substeps)
 
         return fn if not system.is_driftless else None
@@ -238,7 +235,7 @@ def _reach_target(
                 composed=composed_endpoint_fn(u_cur),
             )
         except (ChartRadiusError, ConvergenceError):
-            if depth >= max_bisect or used >= reanchors_left:
+            if depth >= MAX_BISECT or used >= reanchors_left:
                 raise ConvergenceError(
                     "steering failed after max subdivision while lifting"
                 )
@@ -247,7 +244,7 @@ def _reach_target(
             u_mid, end_mid = hop(u_cur, end_cur, mid, depth + 1)
             return hop(u_mid, end_mid, y, depth + 1)
         u_new = concatenate_rescaled(u_cur, plan.sigma, plan.T)
-        end_new = _endpoint(system, x0, u_new, substeps=substeps) if u_new.segments else x0.copy()
+        end_new = _endpoint(system, x0, u_new, substeps=substeps)
         return u_new, end_new
 
     try:
@@ -264,11 +261,7 @@ def _reach_target(
     used += 1
     if prev_control is not anchor_u:
         anchor_u = prev_control
-        anchor_end = (
-            _endpoint(system, x0, prev_control, substeps=substeps)
-            if prev_control.segments
-            else x0.copy()
-        )
+        anchor_end = _endpoint(system, x0, prev_control, substeps=substeps)
     u_k, end_k = hop(anchor_u, anchor_end, target, 0)
     # the composed control becomes the anchor for subsequent samples
     return u_k, u_k, end_k, used

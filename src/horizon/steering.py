@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endpoint import endpoint as _endpoint
+from .endpoint import endpoint as _endpoint, rk4_step
 from .errors import (
     AdmissibilityError,
     ChartRadiusError,
@@ -131,10 +131,9 @@ class SteeringChart:
         the realized control plan so the drift acts during every factor.
         """
         if self.alpha is not None:
-            plan = self.plan_signal(phi)
-            if plan.segments == 0:
-                return self.base.copy()
-            return _endpoint(self.system, self.base, plan, substeps=self.flow_substeps)
+            return _endpoint(
+                self.system, self.base, self.plan_signal(phi), substeps=self.flow_substeps
+            )
         x = self.base.copy()
         coeffs = self.coefficients(phi)
         for f, c in zip(self.factors, coeffs):
@@ -175,19 +174,15 @@ class SteeringChart:
         return ControlSignal(bps, np.vstack(values))
 
 
+def _field_value(x, system, field_index):
+    return system.field_values(x)[field_index]
+
+
 def _single_field_flow(system, x, field_index, time, substeps):
     """RK4 flow along one controlled field for a signed time."""
     h = time / substeps
-
-    def f(pt):
-        return system.field_values(pt)[field_index]
-
     for _ in range(substeps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h * k2)
-        k4 = f(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(_field_value, x, h, system, field_index)
     return x
 
 
@@ -333,8 +328,6 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol, verify_endpoint=None) ->
     def reached(plan_sig):
         if verify_endpoint is not None:
             return verify_endpoint(plan_sig)
-        if plan_sig.segments == 0:
-            return x
         return _endpoint(system, x, plan_sig, substeps=chart.flow_substeps)
 
     disp = displacement(system, x, y)
@@ -393,48 +386,47 @@ def cross_section(
 # -- drift admissibility ------------------------------------------------------
 
 
-def critical_exponent(system: ControlSystem, x, max_depth: int = 6):
+def _format_bound(step: int) -> str:
+    fr = Fraction(step, step - 1)
+    return f"{fr.numerator}/{fr.denominator}"
+
+
+def _step_bound(system: ControlSystem, x, p: float | None = None):
+    """(sigma, sigma/(sigma-1)) for the drift bracket frame at x.
+
+    sigma is the step of the frame built to depth 6 with the drift allowed
+    inside words; driftless systems give (None, inf).  With p, raises
+    ConfigError unless p > 1 and AdmissibilityError unless p is below the
+    bound.
+    """
+    if p is not None and not p > 1.0:
+        raise ConfigError(f"p must exceed 1, got {p}")
+    if system.is_driftless:
+        return None, float("inf")
+    _, step = bracket_frame(system, x, max_depth=6)
+    bound = step / (step - 1.0)
+    if p is not None and p >= bound:
+        raise AdmissibilityError(
+            f"p={p:g} is not admissible for {system.name} at this point: "
+            f"the step-{step} bracket structure requires p < {_format_bound(step)} "
+            f"(= {bound:g})"
+        )
+    return step, bound
+
+
+def critical_exponent(system: ControlSystem, x) -> float:
     """Lower bound sigma/(sigma-1) for the critical exponent at x.
 
     Driftless systems return inf (all p in (1, inf) are admissible); with
     drift, sigma is the step of the bracket frame at x with the drift allowed
     inside words.
     """
-    if system.is_driftless:
-        return float("inf")
-    _, step = bracket_frame(system, x, max_depth=max_depth)
-    return step / (step - 1.0)
+    return _step_bound(system, x)[1]
 
 
-def _format_bound(step: int) -> str:
-    fr = Fraction(step, step - 1)
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def _admissible_step(system: ControlSystem, x, p: float, max_depth: int = 6):
-    """Step of the drift bracket frame at x, None for driftless systems.
-
-    Raises AdmissibilityError unless p is below the step's bound.
-    """
-    if not p > 1.0:
-        raise ConfigError(f"p must exceed 1, got {p}")
-    if system.is_driftless:
-        return None
-    _, step = bracket_frame(system, x, max_depth=max_depth)
-    bound = step / (step - 1.0)
-    if p >= bound:
-        raise AdmissibilityError(
-            f"p={p:g} is not admissible for {system.name} at this point: "
-            f"the step-{step} bracket structure requires p < {_format_bound(step)} "
-            f"(= {bound:g})"
-        )
-    return step
-
-
-def check_admissibility(system: ControlSystem, x, p: float, max_depth: int = 6) -> float:
+def check_admissibility(system: ControlSystem, x, p: float) -> float:
     """Raise AdmissibilityError unless p is below the critical bound at x."""
-    step = _admissible_step(system, x, p, max_depth)
-    return float("inf") if step is None else step / (step - 1.0)
+    return _step_bound(system, x, p)[1]
 
 
 def cross_section_drift(
@@ -466,7 +458,7 @@ def cross_section_drift(
     y = np.asarray(y, dtype=float)
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
-    sigma_step = _admissible_step(system, x, p)
+    sigma_step, _ = _step_bound(system, x, p)
 
     alpha_hi = p / (2.0 * (p - 1.0))
     alpha_lo = sigma_step / 2.0

@@ -6,7 +6,8 @@ import pytest
 from horizon.cli import main
 from horizon.endpoint import differential, integrate, regular_value_test
 from horizon.signals import ControlSignal
-from horizon.systems import catalog_load
+from horizon.steering import cross_section, cross_section_drift
+from horizon.systems import catalog_load, system_from_json
 
 
 @pytest.fixture
@@ -116,6 +117,39 @@ def test_steer_small_target_residual(capsys, tmp_path):
     assert doc["residual"] < 1e-6
     assert (out_dir / "plan.json").exists()
     assert (out_dir / "plan_control.csv").read_text().startswith("t_start,t_end,u_1,u_2")
+
+
+HEIS_DRIFT_JSON = json.dumps(
+    {
+        "name": "heis_drift",
+        "n": 3,
+        "d": 2,
+        "fields": [
+            [[{"coef": 1.0, "exponents": [0, 0, 0]}], [],
+             [{"coef": -0.5, "exponents": [0, 1, 0]}]],
+            [[], [{"coef": 1.0, "exponents": [0, 0, 0]}],
+             [{"coef": 0.5, "exponents": [1, 0, 0]}]],
+        ],
+        "drift": [[], [], [{"coef": 0.1, "exponents": [1, 0, 0]}]],
+    }
+)
+
+
+def test_steer_default_substeps_match_library(capsys, tmp_path):
+    # without --substeps the CLI plans with the library's chart-flow default
+    x, y = np.array([0.1, 0.0, 0.0]), np.array([0.12, 0.01, 0.005])
+    code, out, _ = run(capsys, "steer", "--system", "heisenberg",
+                       "--x", "0.1,0,0", "--y", "0.12,0.01,0.005")
+    assert code == 0
+    assert out.strip() == cross_section(catalog_load("heisenberg"), x, y).to_json()
+
+    path = tmp_path / "heis_drift.json"
+    path.write_text(HEIS_DRIFT_JSON)
+    code, out, _ = run(capsys, "steer", "--system", str(path),
+                       "--x", "0.1,0,0", "--y", "0.12,0.01,0.005", "--p", "1.5")
+    assert code == 0
+    plan = cross_section_drift(system_from_json(HEIS_DRIFT_JSON), x, y, p=1.5)
+    assert out.strip() == plan.to_json()
 
 
 def test_steer_admissibility_exit_5(capsys):

@@ -9,6 +9,7 @@ from horizon import (
     ControlSystem,
     adjoint_frame,
     catalog_load,
+    catalog_names,
     constant_signal,
     differential,
     endpoint,
@@ -19,6 +20,8 @@ from horizon import (
     zero_signal,
 )
 import sympy as sp
+
+from horizon.steering import _single_field_flow
 
 
 def random_signal(rng, d, m=6):
@@ -183,3 +186,30 @@ def test_domain_escape():
     with pytest.raises(DomainEscapeError) as exc:
         endpoint(blow, np.array([2.0]), constant_signal(np.array([1.0]), 1.0), substeps=256)
     assert exc.value.t is not None and exc.value.t < 1.0
+
+
+def test_fundamental_run_keeps_states_bitwise():
+    # the state half of the packed (x, vec M) step is the plain step
+    rng = np.random.default_rng(7)
+    for name in ("heisenberg", "unicycle", "agrachev_lee(3)"):
+        system = catalog_load(name)
+        u = random_signal(rng, system.d, m=5)
+        x0 = 0.3 * rng.normal(size=system.n)
+        plain = integrate(system, x0, u, substeps=8)
+        joint = integrate(system, x0, u, substeps=8, with_fundamental=True)
+        assert joint.states.tobytes() == plain.states.tobytes()
+
+
+def test_single_field_flow_is_one_hot_endpoint():
+    # a chart factor e^{c X_b} is the one-segment signal sign(c) e_b on [0, |c|]
+    driftless = [catalog_load(name) for name in catalog_names() if "(" not in name]
+    assert len(driftless) == 5 and all(system.is_driftless for system in driftless)
+    for system in driftless:
+        x = np.array([0.3, -0.2, 0.4])[: system.n]
+        for b in range(1, system.d + 1):
+            for c in (0.37, -0.21):
+                row = np.zeros(system.d)
+                row[b - 1] = np.sign(c)
+                sig = ControlSignal(np.array([0.0, abs(c)]), row[None, :])
+                flow = _single_field_flow(system, x, b, c, 16)
+                assert flow.tobytes() == endpoint(system, x, sig, substeps=16).tobytes()

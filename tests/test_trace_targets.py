@@ -9,6 +9,8 @@ makes that failure show in the test suite as well.
 import pathlib
 import sys
 
+import numpy as np
+
 import horizon
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -25,3 +27,24 @@ def test_tracer_patches_and_restores_every_target():
     finally:
         tracer.close()
     assert (horizon.cross_section, horizon.steering.solve_chart_coordinates) == before
+
+
+def test_tracer_counts_rk4_steps_of_traced_calls():
+    # the tracer binds integrate's signature to count RK4 steps, so a call
+    # shape it cannot bind, or a miscount, shows here
+    heis = horizon.catalog_load("heisenberg")
+    u = horizon.ControlSignal(np.array([0.0, 0.25, 0.6, 1.0]), np.ones((3, 2)))
+    steps = u.segments * 4
+    tracer = Tracer(horizon)
+    try:
+        horizon.differential(heis, np.zeros(3), u, substeps=4)
+        counts = tracer.summary()["counts"]
+        assert counts["endpoint.integrate.rk4_steps"] == steps
+        assert counts["endpoint.integrate.fund_steps"] == steps
+        horizon.endpoint(heis, np.zeros(3), u, substeps=4)
+        counts = tracer.summary()["counts"]
+        assert counts["endpoint.integrate.rk4_steps"] == 2 * steps
+        assert counts["endpoint.integrate.fund_steps"] == steps
+        assert tracer.summary()["spans"]["endpoint.integrate"][0] == 2
+    finally:
+        tracer.close()
