@@ -48,16 +48,32 @@ class _LambdifiedStack:
     """Flat list of sympy expressions compiled once, reshaped on call.
 
     Handles the constant-expression wrinkle: lambdify returns scalars for
-    constant entries, which are broadcast against the batch shape.
+    constant entries, which are broadcast against the batch shape.  A stack
+    with no free symbol is evaluated once; each call returns a fresh copy.
+
+    A point is passed as Python floats, which the generated code evaluates
+    several times faster than numpy scalars and rounds alike.  Two cases keep
+    numpy scalars, whose inf/nan semantics the blow-up check relies on: a
+    fractional power, which gives a Python float a complex value at a
+    negative base, and `**` raising on overflow or a zero base.
     """
 
     def __init__(self, coords, exprs, shape):
+        exprs = list(exprs)
         self._shape = shape
-        self._size = len(exprs)
-        self._fn = sp.lambdify(coords, list(exprs), "numpy")
+        self._fn = sp.lambdify(coords, exprs, "numpy")
+        self._floats = all(p.exp.is_integer for e in exprs for p in e.atoms(sp.Pow))
+        self._const = None
+        if not any(e.free_symbols for e in exprs):
+            self._const = self(np.zeros(len(coords)))
 
     def __call__(self, x):
-        out = self._fn(*x)
+        if self._const is not None:
+            return self._const.copy()
+        try:
+            out = self._fn(*(x.tolist() if self._floats else x))
+        except ArithmeticError:
+            out = self._fn(*x)
         return np.asarray(out, dtype=float).reshape(self._shape)
 
     def batch(self, pts):
@@ -329,9 +345,12 @@ class ControlSystem:
         return V[0] + u @ V[1:]
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
-        """State Jacobian of the right-hand side at (x, u)."""
+        """State Jacobian of the right-hand side at (x, u); u is a (d,) array."""
+        # the one BLAS call np.tensordot(u, J[1:], axes=(0, 0)) makes, without
+        # its argument handling
         J = self.field_jacobians(x)
-        return J[0] + np.tensordot(u, J[1:], axes=(0, 0))
+        n = self.n
+        return J[0] + np.dot(u.reshape(1, self.d), J[1:].reshape(self.d, n * n)).reshape(n, n)
 
     def controlled_matrix(self, x) -> np.ndarray:
         """(n, d) matrix whose columns are the controlled fields at x."""

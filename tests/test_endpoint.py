@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from horizon import (
+    ConfigError,
     ControlSignal,
     DomainEscapeError,
     SingularFiberError,
@@ -58,6 +59,9 @@ def test_zero_length_signal_returns_start():
     heis = catalog_load("heisenberg")
     x0 = np.array([0.3, -0.2, 0.5])
     assert np.allclose(endpoint(heis, x0, zero_signal(2)), x0)
+    # an empty signal checks x0 like any other
+    with pytest.raises(ConfigError, match=r"x0 must have shape \(3,\)"):
+        endpoint(heis, [1.0, 2.0], zero_signal(2))
 
 
 def test_rk4_step_halving():
@@ -186,6 +190,23 @@ def test_domain_escape():
     with pytest.raises(DomainEscapeError) as exc:
         endpoint(blow, np.array([2.0]), constant_signal(np.array([1.0]), 1.0), substeps=256)
     assert exc.value.t is not None and exc.value.t < 1.0
+    # a high power overflows inside an RK4 stage; that is a blow-up too
+    f9 = SymbolicField([x0s[0] ** 9], coords=x0s)
+    with np.errstate(over="ignore"), pytest.raises(DomainEscapeError):
+        endpoint(ControlSystem("blowup9", [f9]), np.array([1e5]), constant_signal(np.array([1.0]), 1.0), substeps=4)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6 * (1 + 1e-15)])
+def test_blowup_bound_rejects(value):
+    heis = catalog_load("heisenberg")
+    with pytest.raises(DomainEscapeError, match=r"left \|x\|_inf <= 1e\+06 at t=0"):
+        endpoint(heis, [0.0, value, 0.0], zero_signal(2))
+
+
+def test_blowup_bound_is_inclusive():
+    heis = catalog_load("heisenberg")
+    x0 = np.array([0.0, -1e6, 0.0])
+    assert np.array_equal(endpoint(heis, x0, zero_signal(2)), x0)
 
 
 def test_fundamental_run_keeps_states_bitwise():

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizon import (
     BracketWord,
@@ -176,6 +180,77 @@ def test_dynamics_and_jacobian():
         em[j] -= eps
         col = (al.dynamics(ep, u) - al.dynamics(em, u)) / (2 * eps)
         assert np.allclose(J[:, j], col, atol=1e-7)
+
+
+def _assert_matches_numpy_scalar_reference(system, x, u):
+    # the fast paths (Python-float evaluation, folded constant stacks, the
+    # reshape-dot Jacobian) must reproduce the plain numpy-scalar evaluation
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    for stack, got in (
+        (system._stack("value"), system.field_values(x)),
+        (system._stack("jac"), system.field_jacobians(x)),
+    ):
+        ref = np.asarray(stack._fn(*x), dtype=float).reshape(stack._shape)
+        assert np.array_equal(got, ref)
+    J = system.field_jacobians(x)
+    ref = J[0] + np.tensordot(u, J[1:], axes=(0, 0))
+    assert np.array_equal(system.dynamics_jacobian(x, u), ref)
+
+
+_point = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize(
+    "name", [name.replace("(k)", "(3)") for name in catalog_names()]
+)
+@settings(max_examples=40, deadline=None)
+@given(x=_point, u=_point)
+def test_catalog_evaluation_is_bitwise_numpy(name, x, u):
+    system = catalog_load(name)
+    _assert_matches_numpy_scalar_reference(system, x[: system.n], u[: system.d])
+
+
+@st.composite
+def _polynomial_system(draw):
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    term = st.fixed_dictionaries(
+        {
+            "coef": st.floats(-3.0, 3.0, allow_nan=False),
+            "exponents": st.lists(st.integers(0, 4), min_size=n, max_size=n),
+        }
+    )
+    field = st.lists(st.lists(term, max_size=3), min_size=n, max_size=n)
+    obj = {"n": n, "d": d, "fields": draw(st.lists(field, min_size=d, max_size=d))}
+    if draw(st.booleans()):
+        obj["drift"] = draw(field)
+    return system_from_json(json.dumps(obj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_polynomial_system(), x=_point, u=_point)
+def test_polynomial_evaluation_is_bitwise_numpy(system, x, u):
+    _assert_matches_numpy_scalar_reference(system, x[: system.n], u[: system.d])
+
+
+def test_field_evaluation_keeps_numpy_inf_and_nan():
+    # where Python-float arithmetic would raise or go complex, the value is
+    # the numpy one: inf for 0 ** -1 and an overflowing power, nan for a
+    # fractional power of a negative base
+    x = state_symbols(2)
+    f = SymbolicField([1 / x[0] + x[1] ** 9, x[0] ** sp.Rational(3, 2) + sp.cos(x[1])], coords=x)
+    with np.errstate(all="ignore"):
+        assert f.value([0.0, 1.0])[0] == np.inf
+        assert f.value([1.0, 1e40])[0] == np.inf
+        assert np.isnan(f.value([-1.0, 0.3])[1])
+
+
+def test_constant_stack_returns_fresh_copies():
+    heis = catalog_load("heisenberg")
+    J = heis.field_jacobians(np.zeros(3))
+    ref = J.copy()
+    J[:] = 7.0
+    assert np.array_equal(heis.field_jacobians(np.ones(3)), ref)
 
 
 def test_system_json_roundtrip():
