@@ -46,17 +46,18 @@ def _parse_vector(text: str) -> np.ndarray:
         else:
             vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
         out = np.asarray(vals, dtype=float)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot parse vector {text!r}: {exc}") from exc
     if out.ndim != 1 or out.size == 0:
         raise ConfigError(f"vector {text!r} must be a flat, nonempty list")
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"vector {text!r} has non-finite entries")
     return out
 
 
 def _load_system(spec: str):
-    path = pathlib.Path(spec)
-    if path.is_file():
-        return system_from_json(path.read_text())
+    if pathlib.Path(spec).is_file():
+        return system_from_json(_read_text(spec))
     return catalog_load(spec)
 
 
@@ -64,7 +65,10 @@ def _read_text(path_str: str) -> str:
     path = pathlib.Path(path_str)
     if not path.is_file():
         raise ConfigError(f"file not found: {path_str}")
-    return path.read_text()
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path_str} is not a text file: {exc}") from exc
 
 
 def _read_signal(path_str: str) -> ControlSignal:
@@ -72,13 +76,14 @@ def _read_signal(path_str: str) -> ControlSignal:
 
 
 def _read_target_path(path_str: str) -> TargetPath:
+    text = _read_text(path_str)
     try:
-        obj = json.loads(_read_text(path_str))
-        samples = obj["samples"]
-        targets = obj["targets"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        obj = json.loads(text)
+        samples = np.asarray(obj["samples"], dtype=float)
+        targets = np.asarray(obj["targets"], dtype=float)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad path JSON ({path_str}): {exc}") from exc
-    return TargetPath(np.asarray(samples, dtype=float), np.asarray(targets, dtype=float))
+    return TargetPath(samples, targets)
 
 
 def _check_state(system, vec, label) -> np.ndarray:
@@ -273,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--substeps", type=int, default=None,
                         help="integrator substeps per segment (default per command)")
     shared.add_argument("--seed", type=int, default=0, help="rng seed for multistart")
-    shared.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: HORIZON_WORKERS or 1)")
+    shared.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     shared.add_argument("--out", default=None, help="output directory for files")
     shared.add_argument("--steer-tol", type=float, default=1e-9, dest="steer_tol")
     shared.add_argument("--lift-tol", type=float, default=1e-8, dest="lift_tol")

@@ -15,9 +15,9 @@ pure descent would collapse every seed onto the lowest cluster.
 from __future__ import annotations
 
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -45,6 +45,11 @@ RIDGE = 1e-10
 # (both relative)
 DEDUP_ENERGY_TOL = 1e-3
 DEDUP_LAMBDA_TOL = 1e-2
+# scipy's gmres reads its maxiter as restart cycles of 20 iterations each, so
+# 25 allows up to 500 matvecs per Newton step
+GMRES_RESTARTS = 25
+# seed rotations draw their frequency from 1..SEED_BANDWIDTH
+SEED_BANDWIDTH = 5
 
 
 @dataclass
@@ -56,9 +61,6 @@ class GeodesicOptions:
     stat_tol: float = 1e-6  # relative to max(1, ||energy gradient||_q)
     max_iter: int = 40
     feas_iter: int = 30
-    # scipy's gmres reads this as restart cycles of 20 iterations each, so 25
-    # allows up to 500 matvecs per Newton step
-    gmres_iter: int = 25
     raise_on_failure: bool = True
 
     def __post_init__(self):
@@ -121,13 +123,17 @@ class GeodesicRecord:
 # -- densities of the energy and its derivatives ------------------------------
 
 
+def _speed_powers(U, p):
+    """|u_k|^(p-2) and |u_k|^(p-4) per row, for the vector-mode Hessian."""
+    speeds = np.linalg.norm(U, axis=1)
+    return _abs_power(speeds, p - 2.0), _abs_power(speeds, p - 4.0)
+
+
 def _hess_density_matvec(U, V, p, mode):
     """Action of the second derivative of the energy density on V (rows)."""
     if mode == "component":
-        return p * (p - 1.0) * _abs_power(U, p - 2.0) * V
-    speeds = np.linalg.norm(U, axis=1)
-    s2 = _abs_power(speeds, p - 2.0)
-    s4 = _abs_power(speeds, p - 4.0)
+        return _hess_density_diag(U, p, mode) * V
+    s2, s4 = _speed_powers(U, p)
     dots = np.sum(U * V, axis=1)
     return p * s2[:, None] * V + p * (p - 2.0) * (s4 * dots)[:, None] * U
 
@@ -135,9 +141,7 @@ def _hess_density_matvec(U, V, p, mode):
 def _hess_density_diag(U, p, mode):
     if mode == "component":
         return p * (p - 1.0) * _abs_power(U, p - 2.0)
-    speeds = np.linalg.norm(U, axis=1)
-    s2 = _abs_power(speeds, p - 2.0)
-    s4 = _abs_power(speeds, p - 4.0)
+    s2, s4 = _speed_powers(U, p)
     return p * s2[:, None] + p * (p - 2.0) * s4[:, None] * U * U
 
 
@@ -146,6 +150,52 @@ def _lq_density_norm(dens, h, q):
 
 
 # -- stationarity -------------------------------------------------------------
+
+
+class _Workspace:
+    """Cached assembly of F, dF and derived quantities at the current U."""
+
+    def __init__(self, system, x0, u: ControlSignal, substeps):
+        self.system = system
+        self.x0 = x0
+        self.bps = u.breakpoints
+        self.substeps = substeps
+        self.h = u.durations
+        self.h_dof = np.repeat(self.h, u.d)
+        self._cache_U = None
+
+    def assemble(self, U):
+        """(F, dF, w_bar) at U, re-assembled only when U changes."""
+        if self._cache_U is None or not np.array_equal(U, self._cache_U):
+            sig = ControlSignal(self.bps, U)
+            diff = differential(self.system, self.x0, sig, substeps=self.substeps)
+            self._cache_U = U.copy()
+            self._cached = (diff.endpoint, diff.matrix, diff.w_bar)
+        return self._cached
+
+
+class _Residual(NamedTuple):
+    R1: np.ndarray  # h-weighted stationarity density, flattened
+    r2: np.ndarray  # F - y in wrapped coordinates
+    stat: float  # L^q norm of the stationarity density
+    scale: float  # max(1, L^q norm of the energy gradient)
+    merit: float  # 1/2 (R1 . R1 / h + r2 . r2), the line-search merit
+
+
+def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
+    F, _, wbar = ws.assemble(U)
+    g = gradient_density(U, opts.p, opts.mode)
+    dens = g - np.einsum("j,kjd->kd", lam, wbar)
+    r2 = -displacement(ws.system, F, y)
+    stat_q = _lq_density_norm(dens, ws.h, opts.q)
+    scale = max(1.0, _lq_density_norm(g, ws.h, opts.q))
+    R1 = (ws.h[:, None] * dens).ravel()
+    merit = 0.5 * (np.dot(R1 / ws.h_dof, R1) + np.dot(r2, r2))
+    return _Residual(R1, r2, stat_q, scale, merit)
+
+
+def _converged(res: _Residual, opts) -> bool:
+    return bool(res.stat <= opts.stat_tol * res.scale and np.linalg.norm(res.r2) <= opts.end_tol)
 
 
 def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", substeps=2):
@@ -157,50 +207,31 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
     lam = np.asarray(lam, dtype=float)
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
-    diff = differential(system, x, u, substeps=substeps)
-    dens = np.einsum("j,kjd->kd", lam, diff.w_bar) - gradient_density(u.values, p, mode)
-    q = p / (p - 1.0)
-    return _lq_density_norm(dens, u.durations, q)
+    ws = _Workspace(system, x, u, substeps)
+    return _kkt_residual(ws, u.values, lam, y, GeodesicOptions(p=p, mode=mode)).stat
 
 
 # -- the solver ---------------------------------------------------------------
 
 
-class _Workspace:
-    """Cached assembly of F, dF and derived quantities at the current U."""
-
-    def __init__(self, system, x0, bps, substeps):
-        self.system = system
-        self.x0 = x0
-        self.bps = bps
-        self.substeps = substeps
-        self.h = np.diff(bps)
-        self._cache_U = None
-
-    def assemble(self, U):
-        if self._cache_U is not None and np.array_equal(U, self._cache_U):
-            return self._F, self._A, self._wbar
-        sig = ControlSignal(self.bps, U)
-        diff = differential(self.system, self.x0, sig, substeps=self.substeps)
-        self._cache_U = U.copy()
-        self._F = diff.endpoint
-        self._A = diff.matrix
-        self._wbar = diff.w_bar
-        return self._F, self._A, self._wbar
-
-    def endpoint_only(self, U):
-        sig = ControlSignal(self.bps, U)
-        return _endpoint(self.system, self.x0, sig, substeps=self.substeps)
-
-    def pullback(self, U, lam):
-        """A(U)^T lam, used by the finite-difference curvature."""
-        _, A, _ = self.assemble(U)
-        return A.T @ lam
+def _backtrack(trial, accept):
+    """Halving line search: the first of trial(1), trial(1/2), ..., trial(1/512)
+    that accept(alpha, result) takes, or None.  A DomainEscapeError rejects alpha."""
+    alpha = 1.0
+    for _ in range(10):
+        try:
+            cand = trial(alpha)
+        except DomainEscapeError:
+            pass
+        else:
+            if accept(alpha, cand):
+                return cand
+        alpha *= 0.5
+    return None
 
 
 def _feasibilize(ws, U, y, opts, log):
     """Damped minimal-L^2-norm Newton onto the fiber."""
-    h_dof = np.repeat(ws.h, U.shape[1])
     for _ in range(opts.feas_iter):
         F, A, _ = ws.assemble(U)
         r = displacement(ws.system, F, y)
@@ -208,7 +239,7 @@ def _feasibilize(ws, U, y, opts, log):
         log.append(rn)
         if rn <= 0.5 * opts.end_tol:
             return U
-        Aw = A / h_dof[None, :]
+        Aw = A / ws.h_dof[None, :]
         G = A @ Aw.T
         G = G + RIDGE * np.trace(G) / G.shape[0] * np.eye(G.shape[0])
         try:
@@ -216,20 +247,16 @@ def _feasibilize(ws, U, y, opts, log):
         except np.linalg.LinAlgError:
             return U
         v = (Aw.T @ a).reshape(U.shape)
-        alpha = 1.0
-        for _ in range(10):
+
+        def trial(alpha):
             cand = U + alpha * v
-            try:
-                rc = np.linalg.norm(displacement(ws.system, ws.endpoint_only(cand), y))
-            except DomainEscapeError:
-                alpha *= 0.5
-                continue
-            if rc < (1.0 - 1e-4 * alpha) * rn:
-                U = cand
-                break
-            alpha *= 0.5
-        else:
+            F = _endpoint(ws.system, ws.x0, ControlSignal(ws.bps, cand), substeps=ws.substeps)
+            return cand, np.linalg.norm(displacement(ws.system, F, y))
+
+        found = _backtrack(trial, lambda alpha, c: c[1] < (1.0 - 1e-4 * alpha) * rn)
+        if found is None:
             break  # no damped step reduced the residual
+        U = found[0]
     return U
 
 
@@ -247,32 +274,24 @@ def _lambda_least_squares(ws, U, opts):
     return lam, rank_warning
 
 
-def _kkt_residual(ws, U, lam, y, opts):
-    F, A, wbar = ws.assemble(U)
-    g = gradient_density(U, opts.p, opts.mode)
-    dens = g - np.einsum("j,kjd->kd", lam, wbar)
-    r2 = -displacement(ws.system, F, y)  # F - y in wrapped coordinates
-    stat_q = _lq_density_norm(dens, ws.h, opts.q)
-    scale = max(1.0, _lq_density_norm(g, ws.h, opts.q))
-    R1 = (ws.h[:, None] * dens).ravel()
-    return R1, r2, stat_q, scale
-
-
 def _solve_kkt_newton(ws, U, lam, y, opts, log):
+    """Lagrange-Newton iterations; returns the last (U, lam) and iteration index."""
     md = U.size
     n = len(lam)
-    h_dof = np.repeat(ws.h, U.shape[1])
     eps_mach = np.finfo(float).eps
 
-    iterations = 0
-    R1, r2, stat_q, scale = _kkt_residual(ws, U, lam, y, opts)
-    phi = 0.5 * (np.dot(R1 / h_dof, R1) + np.dot(r2, r2))
-    phi0 = phi
+    def trial(z, alpha):
+        Uc = U + alpha * z[:md].reshape(U.shape)
+        lc = lam + alpha * z[md:]
+        return Uc, lc, _kkt_residual(ws, Uc, lc, y, opts)
+
+    it = 0
+    res = _kkt_residual(ws, U, lam, y, opts)
+    phi0 = res.merit
     for it in range(opts.max_iter):
-        iterations = it
-        log.append((stat_q, np.linalg.norm(r2)))
-        if stat_q <= opts.stat_tol * scale and np.linalg.norm(r2) <= opts.end_tol:
-            return U, lam, iterations, True
+        log.append((res.stat, np.linalg.norm(res.r2)))
+        if _converged(res, opts):
+            break
 
         _, A, _ = ws.assemble(U)
         At_lam = A.T @ lam
@@ -302,52 +321,32 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log):
             dn = np.linalg.norm(du)
             if dn > 0.0:
                 eps = np.sqrt(eps_mach) * (1.0 + U_norm) / dn
-                curv = (ws.pullback(U + eps * dU, lam) - At_lam) / eps
+                curv = (ws.assemble(U + eps * dU)[1].T @ lam - At_lam) / eps
                 row1 = row1 - curv
             row1 = row1 - A.T @ dlam
             row2 = A @ du
             return np.concatenate([row1, row2])
 
-        R = np.concatenate([R1, r2])
+        R = np.concatenate([res.R1, res.r2])
         op = LinearOperator((md + n, md + n), matvec=matvec)
         M = LinearOperator((md + n, md + n), matvec=precond)
-        rtol = min(0.1, float(np.sqrt(phi / phi0))) if phi0 > 0 else 0.1
-        step, _ = gmres(op, -R, rtol=max(rtol, 1e-10), atol=0.0, maxiter=opts.gmres_iter, M=M)
+        rtol = min(0.1, float(np.sqrt(res.merit / phi0))) if phi0 > 0 else 0.1
+        step, _ = gmres(op, -R, rtol=max(rtol, 1e-10), atol=0.0, maxiter=GMRES_RESTARTS, M=M)
 
-        accepted = False
-        alpha = 1.0
-        for _ in range(10):
-            Uc = U + alpha * step[:md].reshape(U.shape)
-            lc = lam + alpha * step[md:]
-            try:
-                R1c, r2c, stat_c, scale_c = _kkt_residual(ws, Uc, lc, y, opts)
-            except DomainEscapeError:
-                alpha *= 0.5
-                continue
-            phic = 0.5 * (np.dot(R1c / h_dof, R1c) + np.dot(r2c, r2c))
-            if phic <= (1.0 - 1e-4 * alpha) * phi:
-                U, lam = Uc, lc
-                R1, r2, stat_q, scale, phi = R1c, r2c, stat_c, scale_c, phic
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            # preconditioned gradient-ish fallback: tiny damped step
+        phi = res.merit
+        found = _backtrack(lambda alpha: trial(step, alpha),
+                           lambda alpha, c: c[2].merit <= (1.0 - 1e-4 * alpha) * phi)
+        if found is None:
+            # preconditioned gradient-ish fallback: tiny step, strict decrease
             fallback = precond(-R)
-            Uc = U + 1e-3 * fallback[:md].reshape(U.shape)
-            lc = lam + 1e-3 * fallback[md:]
             try:
-                R1c, r2c, stat_c, scale_c = _kkt_residual(ws, Uc, lc, y, opts)
-                phic = 0.5 * (np.dot(R1c / h_dof, R1c) + np.dot(r2c, r2c))
+                found = trial(fallback, 1e-3)
             except DomainEscapeError:
                 break
-            if phic < phi:
-                U, lam = Uc, lc
-                R1, r2, stat_q, scale, phi = R1c, r2c, stat_c, scale_c, phic
-            else:
+            if not found[2].merit < phi:
                 break
-    converged = stat_q <= opts.stat_tol * scale and np.linalg.norm(r2) <= opts.end_tol
-    return U, lam, iterations, converged
+        U, lam, res = found
+    return U, lam, it
 
 
 def solve_critical(
@@ -375,41 +374,37 @@ def solve_critical(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    ws = _Workspace(system, x, u_init.breakpoints, opts.substeps)
+    ws = _Workspace(system, x, u_init, opts.substeps)
     U = u_init.values.copy()
     diagnostics = {"feas_log": [], "kkt_log": []}
 
     U = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
 
     lam, rank_warning = _lambda_least_squares(ws, U, opts)
-    U, lam, iters, converged = _solve_kkt_newton(ws, U, lam, y, opts, diagnostics["kkt_log"])
+    U, lam, iters = _solve_kkt_newton(ws, U, lam, y, opts, diagnostics["kkt_log"])
 
-    sig = ControlSignal(ws.bps, U)
-    F, _, wbar = ws.assemble(U)
-    g = gradient_density(U, opts.p, opts.mode)
-    dens = g - np.einsum("j,kjd->kd", lam, wbar)
-    stat_q = _lq_density_norm(dens, ws.h, opts.q)
-    scale = max(1.0, _lq_density_norm(g, ws.h, opts.q))
-    end_res = float(np.linalg.norm(displacement(system, F, y)))
+    res = _kkt_residual(ws, U, lam, y, opts)
+    converged = _converged(res, opts)
+    end_res = float(np.linalg.norm(res.r2))
     record = GeodesicRecord(
-        control=sig,
+        control=ControlSignal(ws.bps, U),
         lam=lam,
         p=opts.p,
         mode=opts.mode,
         energy=energy_of_values(U, ws.h, opts.p, opts.mode),
-        stationarity_residual=stat_q,
-        stationarity_scale=scale,
+        stationarity_residual=res.stat,
+        stationarity_scale=res.scale,
         endpoint_residual=end_res,
         speed_profile=np.linalg.norm(U, axis=1),
         iterations=iters,
-        converged=bool(converged),
+        converged=converged,
         seed_index=seed_index,
         rank_warning=rank_warning,
         diagnostics=diagnostics,
     )
     if not converged and opts.raise_on_failure:
         raise ConvergenceError(
-            f"geodesic solve stalled: stationarity {stat_q:.3e} (scale {scale:.3e}), "
+            f"geodesic solve stalled: stationarity {res.stat:.3e} (scale {res.scale:.3e}), "
             f"endpoint residual {end_res:.3e}"
         )
     return record
@@ -437,9 +432,6 @@ class MultistartReport:
     @property
     def dedup_clusters(self) -> int:
         return len(self.records)
-
-    def cluster_energies(self) -> list:
-        return [c["energy"] for c in self.energy_clusters]
 
     def to_json(self) -> str:
         payload = {
@@ -472,23 +464,11 @@ class MultistartReport:
         return "\n".join(lines) + "\n"
 
 
-def resolve_workers(workers=None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("HORIZON_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"HORIZON_WORKERS must be an integer, got {env!r}") from exc
-    return 1
-
-
-def generate_seeds(rng_seed, n_seeds, m_seed, d, scale, bandwidth=5):
+def generate_seeds(rng_seed, n_seeds, m_seed, d, scale):
     """Random piecewise-constant seed controls, amplitudes over a log range.
 
     Each seed is one rotating Fourier mode in a random 2-plane of control
-    space (random frequency up to `bandwidth`, random phase and orientation)
+    space (random frequency up to SEED_BANDWIDTH, random phase and orientation)
     plus a constant offset and white noise, rescaled to the drawn amplitude.
     The rotation carries coherent circulation, which white noise lacks, so
     the family reaches critical points of every index; the orientation flip
@@ -502,7 +482,7 @@ def generate_seeds(rng_seed, n_seeds, m_seed, d, scale, bandwidth=5):
     seeds = []
     for _ in range(n_seeds):
         amp = 10.0 ** rng.uniform(np.log10(0.5 * scale), np.log10(20.0 * scale))
-        f = int(rng.integers(1, bandwidth + 1))
+        f = int(rng.integers(1, SEED_BANDWIDTH + 1))
         phase = rng.uniform(0.0, 2.0 * np.pi)
         c = np.cos(2.0 * np.pi * f * mids + phase)
         s = np.sin(2.0 * np.pi * f * mids + phase)
@@ -529,7 +509,7 @@ def multistart(
     rng_seed: int = 0,
     m_seed: int = 32,
     opts: GeodesicOptions | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     seed_scale: float | None = None,
 ) -> MultistartReport:
     """Run solve_critical from deterministic random seeds and deduplicate.
@@ -540,8 +520,9 @@ def multistart(
     (default: distance from x to y), useful when the sought controls do not
     shrink with the displacement, as on fibers with an energy floor.
     """
-    if n_seeds < 1:
-        raise ConfigError("n_seeds must be at least 1")
+    for name, count in (("n_seeds", n_seeds), ("m_seed", m_seed), ("workers", workers)):
+        if count < 1:
+            raise ConfigError(f"{name} must be at least 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if opts is None:
@@ -560,25 +541,19 @@ def multistart(
     def run(idx):
         sig = ControlSignal(bps, seeds[idx])
         try:
-            return idx, solve_critical(
-                system, x, y, u_init=sig, opts=run_opts, seed_index=idx
-            ), None
+            return solve_critical(system, x, y, u_init=sig, opts=run_opts, seed_index=idx), None
         except HorizonError as exc:
-            return idx, None, f"{type(exc).__name__}: {exc}"
+            return None, f"{type(exc).__name__}: {exc}"
 
-    nworkers = resolve_workers(workers)
-    results = [None] * n_seeds
-    if nworkers == 1:
-        for i in range(n_seeds):
-            results[i] = run(i)
+    if workers == 1:
+        results = list(map(run, range(n_seeds)))
     else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for idx, rec, err in pool.map(run, range(n_seeds)):
-                results[idx] = (idx, rec, err)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, range(n_seeds)))
 
     converged = []
     failed = []
-    for idx, rec, err in results:
+    for idx, (rec, err) in enumerate(results):
         if rec is not None and rec.converged:
             converged.append(rec)
         else:
@@ -656,7 +631,7 @@ def coincidence_check(
     x,
     y,
     tol: float = 1e-6,
-    substeps: int | None = None,
+    substeps: int = 2,
 ) -> CoincidenceReport:
     """Check that the record's control is also J_2-stationary after rescaling.
 
@@ -666,7 +641,6 @@ def coincidence_check(
     if not record.converged:
         raise ConfigError("coincidence_check needs a converged record")
     u = record.control
-    substeps = substeps if substeps is not None else 2
     c = float(np.sum(record.speed_profile * u.durations) / np.sum(u.durations))
     if c == 0.0:
         passed = bool(np.allclose(record.lam, 0.0))

@@ -100,11 +100,6 @@ class ControlSignal:
         h = self.durations
         return float(np.sum(h[:, None] * np.abs(self.values) ** p) ** (1.0 / p))
 
-    def sup_norm(self) -> float:
-        if self.segments == 0:
-            return 0.0
-        return float(np.max(np.abs(self.values)))
-
     # -- algebra ----------------------------------------------------------
 
     def subtract(self, other: "ControlSignal") -> "ControlSignal":
@@ -142,14 +137,13 @@ class ControlSignal:
     def from_json(text: str) -> "ControlSignal":
         try:
             obj = json.loads(text)
-            bp = obj["breakpoints"]
-            vals = obj["values"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            bp = np.asarray(obj["breakpoints"], dtype=float)
+            vals = np.asarray(obj["values"], dtype=float)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ConfigError(f"bad signal JSON: {exc}") from exc
-        vals = np.asarray(vals, dtype=float)
         if vals.ndim == 1:
             vals = vals.reshape(0, 1) if vals.size == 0 else vals.reshape(len(vals), 1)
-        return ControlSignal(np.asarray(bp, dtype=float), vals)
+        return ControlSignal(bp, vals)
 
     def to_csv(self) -> str:
         """Rows t_start,t_end,u_1..u_d, one per segment."""

@@ -205,6 +205,8 @@ def build_chart(
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n,):
         raise ConfigError(f"base point must have shape ({system.n},)")
+    if flow_substeps < 1:
+        raise ConfigError(f"flow_substeps must be at least 1, got {flow_substeps}")
     if params is None:
         params = EnergyParams()
     if words is None:

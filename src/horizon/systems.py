@@ -186,18 +186,22 @@ def polynomial_field(component_terms, n: int) -> SymbolicField:
 
     component_terms: n lists, each of {"coef": float, "exponents": [int]*n}.
     """
+    if not isinstance(component_terms, list) or len(component_terms) != n:
+        raise ConfigError(f"expected a list of {n} component term lists, got {component_terms!r}")
     coords = state_symbols(n)
-    if len(component_terms) != n:
-        raise ConfigError(f"expected {n} component term lists, got {len(component_terms)}")
     exprs = []
     for comp in component_terms:
+        if not isinstance(comp, list):
+            raise ConfigError(f"component terms must be a list, got {comp!r}")
         e = sp.Integer(0)
         for term in comp:
             try:
                 coef = float(term["coef"])
-                exps = term["exponents"]
-            except (KeyError, TypeError) as exc:
+                exps = list(term["exponents"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad polynomial term {term!r}") from exc
+            if not np.isfinite(coef):
+                raise ConfigError(f"polynomial coefficient must be finite, got {coef}")
             if len(exps) != n:
                 raise ConfigError(f"term exponents {exps} need length {n}")
             if any((not isinstance(k, int)) or k < 0 for k in exps):
@@ -273,8 +277,8 @@ class ControlSystem:
         self.drift = drift
         if periodic is None:
             periodic = (False,) * self.n
-        if len(periodic) != self.n:
-            raise ConfigError("periodic flags must have length n")
+        if not isinstance(periodic, (list, tuple)) or len(periodic) != self.n:
+            raise ConfigError(f"periodic flags must be a list of length n, got {periodic!r}")
         self.periodic = tuple(bool(b) for b in periodic)
         self._stacks = {}
 
@@ -351,10 +355,6 @@ class ControlSystem:
         J = self.field_jacobians(x)
         n = self.n
         return J[0] + np.dot(u.reshape(1, self.d), J[1:].reshape(self.d, n * n)).reshape(n, n)
-
-    def controlled_matrix(self, x) -> np.ndarray:
-        """(n, d) matrix whose columns are the controlled fields at x."""
-        return self.field_values(x)[1:].T
 
     # -- bracket evaluation ------------------------------------------------
 
@@ -548,7 +548,7 @@ def system_from_json(text: str) -> ControlSystem:
         n = int(obj["n"])
         d = int(obj["d"])
         fields_spec = obj["fields"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"system JSON missing required keys: {exc}") from exc
     if n < 1 or d < 1:
         raise ConfigError("n and d must be positive")

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import pathlib
+import shlex
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horizon.cli import main
+from horizon.cli import build_parser, main
 from horizon.endpoint import differential, integrate, regular_value_test
 from horizon.signals import ControlSignal
 from horizon.steering import cross_section, cross_section_drift
@@ -207,30 +214,27 @@ def test_lift_anchor_mismatch_exit_2(capsys, tmp_path, line_control):
 
 
 def test_geodesics_deterministic_rerun(capsys, tmp_path):
+    out_dir = tmp_path / "run"
     args = ["geodesics", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.1",
             "--n-seeds", "3", "--m-seed", "8", "--seed", "4"]
     code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args, "--workers", "2")
+    code2, out2, _ = run(capsys, *args, "--workers", "2", "--out", str(out_dir))
     assert code1 == 0 and code2 == 0
     assert out1 == out2  # byte-identical across worker counts
     doc = json.loads(out1)
     assert doc["seeds_tried"] == 3
     assert doc["records"]
-
-
-def test_geodesics_env_workers(capsys, monkeypatch, tmp_path):
-    out_a = tmp_path / "a"
-    args = ["geodesics", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.1",
-            "--n-seeds", "2", "--m-seed", "8", "--seed", "9"]
-    code, base, _ = run(capsys, *args)
-    assert code == 0
-    monkeypatch.setenv("HORIZON_WORKERS", "2")
-    code, out, _ = run(capsys, *args, "--out", str(out_a))
-    assert code == 0
-    assert out == base
-    assert (out_a / "ladder.csv").read_text().startswith(
+    assert (out_dir / "ladder.csv").read_text().startswith(
         "seed,energy,endpoint_residual,stationarity_residual,speed_variation,cluster_id"
     )
+
+
+@pytest.mark.parametrize("flag", ["--m-seed", "--workers", "--n-seeds"])
+def test_geodesics_counts_below_one_exit_2(capsys, flag):
+    code, _, err = run(capsys, "geodesics", "--system", "heisenberg", "--x", "0,0,0",
+                       "--y", "0,0,0.1", "--n-seeds", "2", "--m-seed", "8", flag, "0")
+    assert code == 2
+    assert "must be at least 1" in err
 
 
 def test_geodesics_gate_on_drift_system(capsys):
@@ -239,3 +243,119 @@ def test_geodesics_gate_on_drift_system(capsys):
                        "--x", "0,0", "--y", "0.1,0.1", "--p", "2")
     assert code == 5
     assert "3/2" in err
+
+
+# -- malformed input never ends in a traceback --------------------------------
+
+
+def _system_with(**changes):
+    obj = json.loads(HEIS_DRIFT_JSON)
+    obj.update(changes)
+    return obj
+
+
+def _argv_for(tmp_path, line_control, kind, payload):
+    """endpoint/steer/lift command line that feeds `payload` in as the given input."""
+    if kind == "x":
+        return ["endpoint", "--system", "heisenberg", f"--x={payload}", "--control", line_control]
+    if kind == "steer-x":
+        return ["steer", "--system", "heisenberg", f"--x={payload}", "--y", "0,0,0.01"]
+    path = tmp_path / f"{kind}.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
+    if kind == "signal":
+        return ["endpoint", "--system", "heisenberg", "--x", "0,0,0", "--control", str(path)]
+    if kind == "path":
+        return ["lift", "--system", "heisenberg", "--x0", "0,0,0", "--path", str(path)]
+    if kind == "steer-system":
+        return ["steer", "--system", str(path), "--x", "0,0,0", "--y", "0,0,0.01"]
+    return ["endpoint", "--system", str(path), "--x", "0,0,0", "--control", line_control]
+
+
+BAD_COEF_FIELDS = _system_with()["fields"]
+BAD_COEF_FIELDS[0][0][0]["coef"] = "abc"
+NAN_COEF_FIELDS = _system_with()["fields"]
+NAN_COEF_FIELDS[0][0][0]["coef"] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("x", "[{}]"),
+        ("x", "[1e999, 0, 0]"),
+        ("steer-x", "nan,0,0"),
+        ("signal", {"breakpoints": [0.0, 1.0], "values": "abc"}),
+        ("signal", {"breakpoints": [0.0, 1.0], "values": [[{}]]}),
+        ("path", {"samples": "x", "targets": [[0.0, 0.0, 0.0]]}),
+        ("system", _system_with(fields=BAD_COEF_FIELDS)),
+        ("system", _system_with(periodic=5)),
+        ("signal", b"\xb8\xff not utf-8"),
+        ("system", b"\xb8\xff not utf-8"),
+        ("steer-system", _system_with(drift=[], fields=NAN_COEF_FIELDS)),
+    ],
+    ids=["x-dict", "x-inf", "steer-x-nan", "values-str", "values-dict", "samples-str",
+         "coef-str", "periodic-int", "signal-bytes", "system-bytes", "coef-nan"],
+)
+def test_malformed_input_exit_2(capsys, tmp_path, line_control, kind, payload):
+    code, _, err = run(capsys, *_argv_for(tmp_path, line_control, kind, payload))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=10,
+)
+NUMBER_LISTS = st.lists(st.floats() | st.integers(), max_size=3)
+
+
+def _fuzz_exit_code(kind, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        line = tmp_path / "line.json"
+        line.write_text(ControlSignal(np.array([0.0, 1.0]), np.array([[1.0, 0.0]])).to_json())
+        argv = _argv_for(tmp_path, str(line), kind, payload)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=12)))
+def test_fuzz_vector_flag(text):
+    assert _fuzz_exit_code("x", text) in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES | st.fixed_dictionaries(
+    {"breakpoints": JSON_VALUES | NUMBER_LISTS,
+     "values": JSON_VALUES | st.lists(NUMBER_LISTS, max_size=3)}))
+def test_fuzz_signal_file(payload):
+    assert _fuzz_exit_code("signal", payload) in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES | st.fixed_dictionaries(
+    {"n": JSON_VALUES, "d": JSON_VALUES, "fields": JSON_VALUES},
+    optional={"drift": JSON_VALUES, "periodic": JSON_VALUES, "name": JSON_VALUES}))
+def test_fuzz_system_file(payload):
+    assert _fuzz_exit_code("system", payload) in (0, 2, 3, 4, 5)
+
+
+# -- README examples ----------------------------------------------------------
+
+
+def test_readme_cli_examples_parse():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines if line.startswith("horizon ")]
+    assert len(examples) >= 6
+    parser = build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: horizon {' '.join(argv)}")

@@ -11,7 +11,6 @@ from horizon.geodesics import (
     generate_seeds,
     lagrange_residual,
     multistart,
-    resolve_workers,
     solve_critical,
 )
 from horizon.signals import ControlSignal
@@ -123,27 +122,21 @@ def test_coincidence_on_curved_record():
     assert rep.eta == pytest.approx(rec.lam / 2.0)
 
 
-def test_multistart_deterministic_across_workers(monkeypatch):
+def test_multistart_deterministic_across_workers():
     heis = catalog_load("heisenberg")
     kw = dict(p=2.0, n_seeds=6, rng_seed=11, m_seed=16)
     rep1 = multistart(heis, [0, 0, 0], [0, 0, 0.2], workers=1, **kw)
     rep2 = multistart(heis, [0, 0, 0], [0, 0, 0.2], workers=3, **kw)
     assert rep1.to_json() == rep2.to_json()
     assert rep1.to_csv() == rep2.to_csv()
-    monkeypatch.setenv("HORIZON_WORKERS", "2")
-    rep3 = multistart(heis, [0, 0, 0], [0, 0, 0.2], **kw)
-    assert rep3.to_json() == rep1.to_json()
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.delenv("HORIZON_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(5) == 5
-    monkeypatch.setenv("HORIZON_WORKERS", "7")
-    assert resolve_workers(None) == 7
-    monkeypatch.setenv("HORIZON_WORKERS", "zebra")
-    with pytest.raises(ConfigError):
-        resolve_workers(None)
+@pytest.mark.parametrize("bad", [{"m_seed": 0}, {"m_seed": -3}, {"workers": 0}, {"n_seeds": 0}])
+def test_multistart_rejects_counts_below_one(bad):
+    kw = dict(p=2.0, n_seeds=2, rng_seed=0, m_seed=8, workers=1)
+    kw.update(bad)
+    with pytest.raises(ConfigError, match="at least 1"):
+        multistart(catalog_load("heisenberg"), [0, 0, 0], [0, 0, 0.2], **kw)
 
 
 def test_failed_seeds_logged_not_fatal():

@@ -7,6 +7,7 @@ import sympy as sp
 from horizon import (
     AdmissibilityError,
     ChartRadiusError,
+    ConfigError,
     ControlSystem,
     EnergyParams,
     SymbolicField,
@@ -168,6 +169,23 @@ def test_drift_rejects_bad_alpha():
     hd = heis_with_drift()
     with pytest.raises(AdmissibilityError):
         cross_section_drift(hd, np.zeros(3), np.array([0.1, 0.0, 0.0]), p=1.5, alpha=0.9)
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_chart_flows_need_a_substep(substeps, capsys):
+    # a 0-substep flow is the identity, so the chart Newton could only stall
+    heis = catalog_load("heisenberg")
+    y = np.array([0.0, 0.0, 0.01])
+    with pytest.raises(ConfigError, match="flow_substeps"):
+        build_chart(heis, np.zeros(3), flow_substeps=substeps)
+    with pytest.raises(ConfigError, match="flow_substeps"):
+        cross_section(heis, np.zeros(3), y, flow_substeps=substeps)
+    with pytest.raises(ConfigError, match="flow_substeps"):
+        cross_section_drift(heis_with_drift(), np.zeros(3), y, p=1.5, flow_substeps=substeps)
+    code = main(["steer", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.01",
+                 "--substeps", str(substeps)])
+    assert code == 2
+    assert "flow_substeps" in capsys.readouterr().err
 
 
 def test_plan_norm_scales_with_drift_exponent():
