@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -267,6 +268,23 @@ def cmd_geodesics(args) -> int:
 
 # -- parser --------------------------------------------------------------
 
+# argparse reads any token that starts with "-" and is not a plain number as
+# an option, so `--y -0.01,0,0` would lack its value; such a token right after
+# a vector option is glued to it (`--y=-0.01,0,0`) before parsing
+_VECTOR_OPTIONS = ("--x", "--y", "--x0")
+_NEGATIVE_START = re.compile(r"-\.?\d")
+
+
+class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        argv = []
+        for tok in sys.argv[1:] if args is None else args:
+            if argv and argv[-1] in _VECTOR_OPTIONS and _NEGATIVE_START.match(tok):
+                argv[-1] += "=" + tok
+            else:
+                argv.append(tok)
+        return super().parse_known_args(argv, namespace)
+
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
@@ -285,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--stat-tol", type=float, default=1e-6, dest="stat_tol")
     shared.add_argument("--end-tol", type=float, default=1e-8, dest="end_tol")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="horizon",
         description="Endpoint maps, bracket steering, homotopy lifts, and L^p geodesics.",
     )

@@ -48,6 +48,12 @@ DEDUP_LAMBDA_TOL = 1e-2
 # scipy's gmres reads its maxiter as restart cycles of 20 iterations each, so
 # 25 allows up to 500 matvecs per Newton step
 GMRES_RESTARTS = 25
+# The KKT matvec takes its curvature term by a forward difference of step
+# sqrt(eps_mach) (relative), so it is accurate to about that step; a GMRES
+# forcing term below 10 * sqrt(eps_mach) = 1.49e-7 asks for digits the
+# operator does not have and only burns the budget (Eisenstat & Walker, 1996).
+FD_STEP = float(np.sqrt(np.finfo(float).eps))
+MIN_FORCING = 10.0 * FD_STEP
 # seed rotations draw their frequency from 1..SEED_BANDWIDTH
 SEED_BANDWIDTH = 5
 
@@ -89,6 +95,10 @@ class GeodesicRecord:
     converged: bool
     seed_index: int | None = None
     rank_warning: bool = False
+    # feas_log: endpoint residual per feasibilization step; kkt_log:
+    # (stationarity, endpoint residual) per KKT iteration; gmres: per KKT GMRES
+    # solve, the forcing term asked for and used, its matvecs and scipy's info
+    # (> 0: the budget ran out).  Not part of to_dict.
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -274,11 +284,11 @@ def _lambda_least_squares(ws, U, opts):
     return lam, rank_warning
 
 
-def _solve_kkt_newton(ws, U, lam, y, opts, log):
-    """Lagrange-Newton iterations; returns the last (U, lam) and iteration index."""
+def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
+    """Lagrange-Newton iterations; returns the last (U, lam), its residual and
+    the iteration index.  gmres_log gets one entry per GMRES solve."""
     md = U.size
     n = len(lam)
-    eps_mach = np.finfo(float).eps
 
     def trial(z, alpha):
         Uc = U + alpha * z[:md].reshape(U.shape)
@@ -313,14 +323,17 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log):
             return np.concatenate([du, dlam])
 
         U_norm = np.linalg.norm(U)
+        matvecs = 0
 
         def matvec(z):
+            nonlocal matvecs
+            matvecs += 1
             du, dlam = z[:md], z[md:]
             dU = du.reshape(U.shape)
             row1 = (ws.h[:, None] * _hess_density_matvec(U, dU, opts.p, opts.mode)).ravel()
             dn = np.linalg.norm(du)
             if dn > 0.0:
-                eps = np.sqrt(eps_mach) * (1.0 + U_norm) / dn
+                eps = FD_STEP * (1.0 + U_norm) / dn
                 curv = (ws.assemble(U + eps * dU)[1].T @ lam - At_lam) / eps
                 row1 = row1 - curv
             row1 = row1 - A.T @ dlam
@@ -328,10 +341,14 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log):
             return np.concatenate([row1, row2])
 
         R = np.concatenate([res.R1, res.r2])
-        op = LinearOperator((md + n, md + n), matvec=matvec)
-        M = LinearOperator((md + n, md + n), matvec=precond)
+        # an explicit dtype spares LinearOperator its probe call on a zero vector
+        op = LinearOperator((md + n, md + n), matvec=matvec, dtype=float)
+        M = LinearOperator((md + n, md + n), matvec=precond, dtype=float)
         rtol = min(0.1, float(np.sqrt(res.merit / phi0))) if phi0 > 0 else 0.1
-        step, _ = gmres(op, -R, rtol=max(rtol, 1e-10), atol=0.0, maxiter=GMRES_RESTARTS, M=M)
+        rtol_used = max(rtol, MIN_FORCING)
+        step, info = gmres(op, -R, rtol=rtol_used, atol=0.0, maxiter=GMRES_RESTARTS, M=M)
+        gmres_log.append({"rtol_asked": rtol, "rtol_used": rtol_used,
+                          "matvecs": matvecs, "info": int(info)})
 
         phi = res.merit
         found = _backtrack(lambda alpha: trial(step, alpha),
@@ -346,7 +363,7 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log):
             if not found[2].merit < phi:
                 break
         U, lam, res = found
-    return U, lam, it
+    return U, lam, res, it
 
 
 def solve_critical(
@@ -376,14 +393,13 @@ def solve_critical(
 
     ws = _Workspace(system, x, u_init, opts.substeps)
     U = u_init.values.copy()
-    diagnostics = {"feas_log": [], "kkt_log": []}
+    diagnostics = {"feas_log": [], "kkt_log": [], "gmres": []}
 
     U = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
 
     lam, rank_warning = _lambda_least_squares(ws, U, opts)
-    U, lam, iters = _solve_kkt_newton(ws, U, lam, y, opts, diagnostics["kkt_log"])
-
-    res = _kkt_residual(ws, U, lam, y, opts)
+    U, lam, res, iters = _solve_kkt_newton(
+        ws, U, lam, y, opts, diagnostics["kkt_log"], diagnostics["gmres"])
     converged = _converged(res, opts)
     end_res = float(np.linalg.norm(res.r2))
     record = GeodesicRecord(

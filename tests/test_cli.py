@@ -159,6 +159,19 @@ def test_steer_default_substeps_match_library(capsys, tmp_path):
     assert out.strip() == plan.to_json()
 
 
+def test_vector_starting_with_minus_is_a_value(capsys):
+    # `--y -0.01,0,0` reads like `--y=-0.01,0,0`, not like an unknown option
+    code, out, _ = run(capsys, "steer", "--system", "heisenberg",
+                       "--x", "0,0,0", "--y", "-0.01,0,0")
+    assert code == 0
+    code_eq, out_eq, _ = run(capsys, "steer", "--system", "heisenberg",
+                             "--x", "0,0,0", "--y=-0.01,0,0")
+    assert code_eq == 0 and out == out_eq
+    args = build_parser().parse_args(["geodesics", "--system", "heisenberg",
+                                      "--x", "-.1,0,0", "--y", "-1,0,0.5"])
+    assert (args.x, args.y) == ("-.1,0,0", "-1,0,0.5")
+
+
 def test_steer_admissibility_exit_5(capsys):
     code, _, err = run(capsys, "steer", "--system", "agrachev_lee(3)",
                        "--x", "0,0", "--y", "0.1,0.1", "--p", "1.6")

@@ -84,6 +84,22 @@ def test_ladder_matches_frozen_table():
         assert rec.speed_variation <= 1e-3
 
 
+def test_gmres_forcing_stops_at_fd_accuracy():
+    # ladder seed 5 (criterion 7) drives the forcing term to 3.7e-9, below what
+    # the finite-difference curvature matvec resolves; without a floor on it,
+    # three GMRES solves ran out of their budget and spent 1,541 matvecs
+    heis = catalog_load("heisenberg")
+    u0 = ControlSignal(np.linspace(0.0, 1.0, 65), generate_seeds(0, 8, 64, 2, 0.5)[5])
+    rec = solve_critical(heis, [0, 0, 0], [0, 0, 0.5], u_init=u0)
+    assert rec.converged
+    solves = rec.diagnostics["gmres"]
+    assert len(solves) == rec.iterations
+    assert all(s["info"] <= 0 for s in solves)
+    assert sum(s["matvecs"] for s in solves) <= 100
+    assert all(s["rtol_used"] >= 10.0 * np.sqrt(np.finfo(float).eps) for s in solves)
+    assert min(s["rtol_asked"] for s in solves) < 10.0 * np.sqrt(np.finfo(float).eps)
+
+
 def test_lagrange_residual_perturbation_scales_linearly():
     heis = catalog_load("heisenberg")
     rec = solve_critical(

@@ -48,3 +48,22 @@ def test_tracer_counts_rk4_steps_of_traced_calls():
         assert tracer.summary()["spans"]["endpoint.integrate"][0] == 2
     finally:
         tracer.close()
+
+
+def test_tracer_counts_the_solver_own_matvecs():
+    # the solver counts GMRES matvecs inside its own operator; the tracer
+    # counts them around the gmres call, and the two must agree
+    heis = horizon.catalog_load("heisenberg")
+    seed = horizon.geodesics.generate_seeds(0, 1, 16, 2, 0.5)[0]
+    u = horizon.ControlSignal(np.linspace(0.0, 1.0, 17), seed)
+    tracer = Tracer(horizon)
+    try:
+        rec = horizon.solve_critical(heis, np.zeros(3), np.array([0.0, 0.0, 0.5]), u_init=u)
+        summary = tracer.summary()
+    finally:
+        tracer.close()
+    solves = rec.diagnostics["gmres"]
+    assert solves
+    assert summary["counts"]["geodesics.gmres.matvecs"] == sum(s["matvecs"] for s in solves)
+    assert summary["counts"].get("geodesics.gmres.exhausted", 0) == sum(s["info"] > 0 for s in solves)
+    assert summary["spans"]["geodesics.gmres"][0] == len(solves)
