@@ -43,7 +43,6 @@ from .systems import (
 from .endpoint import (
     EndpointDifferential,
     Trajectory,
-    adjoint_frame,
     differential,
     endpoint,
     fiber_project,

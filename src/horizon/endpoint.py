@@ -1,16 +1,18 @@
 """Trajectory integration and the first-order endpoint differential.
 
 Everything runs on a fixed-step RK4 grid: each signal segment is cut into
-`substeps` equal steps, and the same nodes carry the state, the fundamental
-matrix of the variational equation, and the quadrature that assembles the
-differential.  No adaptive stepping, so the three stay exactly consistent.
-Second-order terms are never assembled here.
+`substeps` equal steps.  The differential is the exact tangent of that
+discrete map, not of the ODE: the same RK4 stages that advance the state
+advance its derivatives with respect to the segment's start and control, so
+the Jacobian the solver uses is the Jacobian of the map it constrains, to
+rounding.  No adaptive stepping.  Second-order terms are never assembled
+here.
 
-`rk4_step` is the one RK4 step function: states, the fundamental matrix and
-the adjoint frame (packed next to the state) and the steering charts'
-single-field flows all advance through it.  This module alone decides what
-an empty signal reaches (its start) and when a state has blown up
-(|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
+`rk4_step` is the one RK4 step function: states, their tangent blocks
+(packed next to the state) and the steering charts' single-field flows all
+advance through it.  This module alone decides what an empty signal reaches
+(its start) and when a state has blown up (|x|_inf > BLOWUP_BOUND, raised as
+DomainEscapeError).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "integrate",
     "endpoint",
     "differential",
-    "adjoint_frame",
     "regular_value_test",
     "fiber_project",
 ]
@@ -48,7 +49,9 @@ class Trajectory:
     states: np.ndarray  # (K+1, n)
     signal: ControlSignal
     substeps: int
-    fundamental: np.ndarray | None = None  # (K+1, n, n) when requested
+    # (m, n + d, n) when requested: per segment k the tangent block
+    # [P_k^T; S_k^T] of its RK4 steps (see integrate)
+    fundamental: np.ndarray | None = None
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -83,19 +86,16 @@ def rk4_step(f, z, h, *args):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _fundamental_rhs(z, system, u, n):
-    # z packs (x, vec M); the variational right-hand side is (f, A M), with A
-    # evaluated at the same stage state as f
+def _tangent_rhs(z, system, u, n):
+    # z packs (x, vec Z), Z = [P^T; S^T] of shape (n + d, n); the right-hand
+    # side is (f, Z A^T + [0; B^T]), with A and B = (X_1..X_d) evaluated at
+    # the same stage state as f
     x = z[:n]
-    A = system.dynamics_jacobian(x, u)
-    return np.concatenate([system.dynamics(x, u), (A @ z[n:].reshape(n, n)).ravel()])
-
-
-def _adjoint_rhs(z, system, u, n):
-    # z packs (x, vec N); the adjoint right-hand side is (f, -N A)
-    x = z[:n]
-    A = system.dynamics_jacobian(x, u)
-    return np.concatenate([system.dynamics(x, u), (-z[n:].reshape(n, n) @ A).ravel()])
+    V = system.field_values(x)
+    Bt = V[1:]
+    W = np.dot(z[n:].reshape(n + system.d, n), system.dynamics_jacobian(x, u).T)
+    W[n:] += Bt
+    return np.concatenate([V[0] + u @ Bt, W.ravel()])
 
 
 def integrate(
@@ -107,9 +107,12 @@ def integrate(
 ) -> Trajectory:
     """RK4 integration of dx/dt = drift(x) + sum u_i X_i(x) along a signal.
 
-    With with_fundamental=True the matrix solution of M' = A(t) M, M(0) = I
-    is propagated jointly on the same stages (A is the state Jacobian of the
-    right-hand side along the trajectory).
+    With with_fundamental=True each segment k also carries its tangent block
+    [P_k^T; S_k^T]: P_k the state transition and S_k the sensitivity to u_k,
+    both restarted from [I; 0] at the segment's start and advanced on the
+    same RK4 stages as the state.  The block is therefore the derivative of
+    the segment's RK4 steps themselves, to rounding, and the states are the
+    plain run's bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.n,):
@@ -130,25 +133,27 @@ def integrate(
     fund = None
     z = x0  # rk4_step returns new arrays, so x0 is never written
     if with_fundamental:
-        fund = np.empty((K + 1, n, n))
-        fund[0] = np.eye(n)
-        z = np.concatenate([x0, fund[0].ravel()])
+        fund = np.empty((m, n + system.d, n))
+        start = np.eye(n + system.d, n).ravel()  # [I; 0]
 
     node = 0
     for k in range(m):
         u = signal.values[k]
         t0 = signal.breakpoints[k]
         h = (signal.breakpoints[k + 1] - t0) / substeps
+        if fund is not None:
+            z = np.concatenate([z[:n], start])
         for j in range(substeps):
             node += 1
             if fund is None:
                 z = rk4_step(system.dynamics, z, h, u)
             else:
-                z = rk4_step(_fundamental_rhs, z, h, system, u, n)
-                fund[node] = z[n:].reshape(n, n)
+                z = rk4_step(_tangent_rhs, z, h, system, u, n)
             times[node] = t0 + (j + 1) * h
             states[node] = z[:n]
             _check_state(states[node], times[node])
+        if fund is not None:
+            fund[k] = z[n:].reshape(-1, n)
     times[-1] = signal.total_time  # exact final time
     return Trajectory(times=times, states=states, signal=signal, substeps=substeps, fundamental=fund)
 
@@ -158,26 +163,14 @@ def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
     return integrate(system, x0, signal, substeps).endpoint
 
 
-def _segment_quadrature_weights(substeps: int) -> np.ndarray:
-    """Composite Simpson weights on substeps+1 nodes (trapezoid fallback)."""
-    if substeps >= 2 and substeps % 2 == 0:
-        w = np.ones(substeps + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w / 3.0
-    w = np.ones(substeps + 1)
-    w[0] = w[-1] = 0.5
-    return w
-
-
 @dataclass
 class EndpointDifferential:
     """First-order differential of the endpoint map over the segment basis.
 
-    matrix has shape (n, m*d), column k*d + i holding the response to the
-    indicator of segment k, component i.  w_bar (m, n, d) holds the dual rows
-    projected onto the segment basis: w_bar[k, j] is the mean over segment k
-    of row j of N(s) B(s).
+    matrix has shape (n, m*d), column k*d + i holding the derivative of the
+    RK4 endpoint with respect to u_k[i].  w_bar (m, n, d) holds the dual rows
+    projected onto the segment basis: w_bar[k] is segment k's columns over
+    its duration h_k.
     """
 
     system: ControlSystem
@@ -187,7 +180,6 @@ class EndpointDifferential:
     trajectory: Trajectory
     matrix: np.ndarray
     w_bar: np.ndarray
-    grid_rows: np.ndarray  # (K+1, n, d) samples of N(s) B(s)
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -228,32 +220,28 @@ def differential(
     signal: ControlSignal,
     substeps: int = DEFAULT_SUBSTEPS,
 ) -> EndpointDifferential:
-    """Assemble the endpoint differential by variational equation + quadrature.
+    """The exact Jacobian of the RK4 endpoint map in the segment values.
 
-    Columns are integrals of N(s) B(s) over each segment, N(s) = M(T) M(s)^-1
-    from the jointly integrated fundamental matrix and B(s) the controlled
-    fields along the trajectory, with per-segment composite Simpson on the
-    shared RK4 nodes.
+    Segment k's columns are Psi_k S_k, where Psi_k = P_{m-1} ... P_{k+1} is
+    the transition from the segment's end to T.  One backward sweep over the
+    tangent blocks of integrate(with_fundamental=True) forms them:
+    [P_k^T; S_k^T] Psi_k^T stacks Psi_{k-1}^T on segment k's columns,
+    transposed.
     """
     if signal.segments == 0:
         raise ConfigError("differential needs a signal with at least one segment")
     traj = integrate(system, x0, signal, substeps=substeps, with_fundamental=True)
     m, d, n = signal.segments, signal.d, system.n
-    S = substeps
 
-    M_inv = np.linalg.inv(traj.fundamental)  # (K+1, n, n)
-    N = traj.fundamental[-1] @ M_inv  # (K+1, n, n) via broadcasting
-    B = system.field_values_batch(traj.states)[:, 1:, :]  # (K+1, d, n)
-    W = np.einsum("tij,tdj->tid", N, B)  # (K+1, n, d): N(s) B(s)
+    rows = np.empty((m, d, n))  # rows[k] = (Psi_k S_k)^T
+    psi_t = np.eye(n)
+    for k in range(m - 1, -1, -1):
+        G = traj.fundamental[k] @ psi_t
+        rows[k] = G[n:]
+        psi_t = G[:n]
 
-    idx = np.arange(m)[:, None] * S + np.arange(S + 1)[None, :]  # (m, S+1)
-    Wseg = W[idx]  # (m, S+1, n, d)
-    base = _segment_quadrature_weights(S)
-    steps = signal.durations / S  # (m,)
-    cols = np.einsum("s,ksnd->knd", base, Wseg) * steps[:, None, None]  # (m, n, d)
-
-    matrix = np.transpose(cols, (1, 0, 2)).reshape(n, m * d)
-    w_bar = cols / signal.durations[:, None, None]  # (m, n, d)
+    matrix = rows.reshape(m * d, n).T
+    w_bar = np.transpose(rows, (0, 2, 1)) / signal.durations[:, None, None]  # (m, n, d)
 
     return EndpointDifferential(
         system=system,
@@ -263,36 +251,7 @@ def differential(
         trajectory=traj,
         matrix=matrix,
         w_bar=w_bar,
-        grid_rows=W,
     )
-
-
-def adjoint_frame(
-    system: ControlSystem,
-    x0,
-    signal: ControlSignal,
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> np.ndarray:
-    """N(s) on the grid by backward RK4 of N' = -N A, N(T) = I.
-
-    Independent route for cross-checking differential(); the state is
-    re-integrated backward jointly from the forward endpoint.
-    """
-    traj = integrate(system, x0, signal, substeps=substeps)
-    n = system.n
-    K = len(traj.times) - 1
-    out = np.empty((K + 1, n, n))
-    out[K] = np.eye(n)
-    z = np.concatenate([traj.states[-1], out[K].ravel()])
-    node = K
-    for k in range(signal.segments - 1, -1, -1):
-        u = signal.values[k]
-        h = (signal.breakpoints[k + 1] - signal.breakpoints[k]) / substeps
-        for _ in range(substeps):
-            z = rk4_step(_adjoint_rhs, z, -h, system, u, n)
-            node -= 1
-            out[node] = z[n:].reshape(n, n)
-    return out
 
 
 @dataclass

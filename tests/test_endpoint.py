@@ -1,5 +1,10 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from horizon import (
     ConfigError,
@@ -8,7 +13,6 @@ from horizon import (
     SingularFiberError,
     SymbolicField,
     ControlSystem,
-    adjoint_frame,
     catalog_load,
     catalog_names,
     constant_signal,
@@ -18,6 +22,8 @@ from horizon import (
     integrate,
     regular_value_test,
     state_symbols,
+    system_from_json,
+    system_to_json,
     zero_signal,
 )
 import sympy as sp
@@ -117,16 +123,110 @@ def test_remainder_is_second_order():
     assert slope >= 1.9
 
 
-def test_adjoint_frame_consistency():
-    # backward adjoint integration must reproduce the forward N(s) B(s) rows
-    heis = catalog_load("heisenberg")
-    rng = np.random.default_rng(3)
-    u = random_signal(rng, 2, m=4)
-    diff = differential(heis, np.zeros(3), u, substeps=128)
-    N = adjoint_frame(heis, np.zeros(3), u, substeps=128)
-    B = heis.field_values_batch(diff.trajectory.states)[:, 1:, :]
-    W_back = np.einsum("tij,tdj->tid", N, B)
-    assert np.max(np.abs(W_back - diff.grid_rows)) <= 1e-8
+def _richardson_jacobian(system, x0, u, substeps, eps=1e-3):
+    # central differences of the RK4 endpoint at steps eps, eps/2, eps/4,
+    # extrapolated twice, one control entry at a time
+    J = np.empty((system.n, u.values.size))
+    for k in range(u.values.size):
+        D = []
+        for e in (eps, eps / 2, eps / 4):
+            step = np.zeros_like(u.values)
+            step.flat[k] = e
+            up = ControlSignal(u.breakpoints, u.values + step)
+            um = ControlSignal(u.breakpoints, u.values - step)
+            D.append((endpoint(system, x0, up, substeps) - endpoint(system, x0, um, substeps)) / (2 * e))
+        R1, R2 = (4 * D[1] - D[0]) / 3, (4 * D[2] - D[1]) / 3
+        J[:, k] = (16 * R2 - R1) / 15
+    return J
+
+
+def _jacobian_gap(system, x0, u, substeps):
+    # (max |dF - FD|, max |FD|, max |F|)
+    diff = differential(system, x0, u, substeps=substeps)
+    fd = _richardson_jacobian(system, x0, u, substeps)
+    return np.abs(diff.matrix - fd).max(), np.abs(fd).max(), np.abs(diff.endpoint).max()
+
+
+_POLY_WITH_DRIFT = json.dumps({
+    "name": "poly_drift",
+    "n": 3,
+    "d": 2,
+    "fields": [
+        [[{"coef": 1.0, "exponents": [0, 0, 0]}],
+         [{"coef": 0.5, "exponents": [1, 0, 0]}],
+         [{"coef": 1.0, "exponents": [0, 2, 0]}, {"coef": -0.4, "exponents": [1, 1, 1]}]],
+        [[{"coef": 0.7, "exponents": [0, 0, 1]}],
+         [{"coef": 1.0, "exponents": [0, 0, 0]}, {"coef": 0.3, "exponents": [2, 0, 0]}],
+         [{"coef": -1.0, "exponents": [1, 0, 0]}]],
+    ],
+    "drift": [[{"coef": 0.3, "exponents": [0, 1, 0]}], [], [{"coef": -0.2, "exponents": [1, 1, 0]}]],
+})
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 16])
+@pytest.mark.parametrize(
+    "name", ["heisenberg", "martinet", "unicycle", "grushin", "agrachev_lee(3)", "poly_drift"]
+)
+def test_differential_is_the_exact_rk4_jacobian(name, substeps):
+    # the differential is the Jacobian of the discrete map itself, at every
+    # substep count, not an approximation of the ODE's
+    system = system_from_json(_POLY_WITH_DRIFT) if name == "poly_drift" else catalog_load(name)
+    rng = np.random.default_rng(substeps)
+    for _ in range(2):
+        u = random_signal(rng, system.d, m=5)
+        x0 = 0.3 * rng.normal(size=system.n)
+        gap, scale, _ = _jacobian_gap(system, x0, u, substeps)
+        assert gap <= 1e-9 * scale
+
+
+def _monomials(n):
+    return [list(e) for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]
+
+
+@st.composite
+def _small_polynomial_system(draw):
+    # n <= 3, d <= 2, total degree <= 3, optional drift
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    term = st.fixed_dictionaries(
+        {"coef": st.integers(-8, 8).map(lambda k: k / 4), "exponents": st.sampled_from(_monomials(n))}
+    )
+    field = st.lists(st.lists(term, max_size=3), min_size=n, max_size=n)
+    obj = {"n": n, "d": d, "fields": draw(st.lists(field, min_size=d, max_size=d))}
+    if draw(st.booleans()):
+        obj["drift"] = draw(field)
+    return system_from_json(json.dumps(obj))
+
+
+@st.composite
+def _short_signal(draw, d):
+    m = draw(st.integers(1, 4))
+    durations = draw(st.lists(st.floats(0.05, 0.3), min_size=m, max_size=m))
+    values = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=m, max_size=m))
+    return ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]), np.array(values))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), system=_small_polynomial_system(), substeps=st.sampled_from([1, 2, 4]))
+def test_random_polynomial_differential_is_exact(data, system, substeps):
+    u = data.draw(_short_signal(system.d))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    try:
+        endpoint(system, x0, u, substeps)
+    except DomainEscapeError:
+        assume(False)
+    # the FD reference rounds at about eps_mach |F| / 1e-3, so a Jacobian far
+    # smaller than the endpoint is measured against the endpoint's size
+    gap, scale, size = _jacobian_gap(system, x0, u, substeps)
+    assert gap <= 1e-9 * max(scale, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(system=_small_polynomial_system(), x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_random_polynomial_json_roundtrip(system, x):
+    back = system_from_json(system_to_json(system))
+    pt = np.array(x[: system.n])
+    assert np.array_equal(back.field_values(pt), system.field_values(pt))
 
 
 def test_semigroup_identity():
@@ -210,7 +310,7 @@ def test_blowup_bound_is_inclusive():
 
 
 def test_fundamental_run_keeps_states_bitwise():
-    # the state half of the packed (x, vec M) step is the plain step
+    # the state half of the packed (x, tangent block) step is the plain step
     rng = np.random.default_rng(7)
     for name in ("heisenberg", "unicycle", "agrachev_lee(3)"):
         system = catalog_load(name)

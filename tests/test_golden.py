@@ -9,6 +9,9 @@ strings, integers and booleans must match exactly.
 Regenerate only when a change is meant to alter these results:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It lists every changed leaf of a case as old -> new before rewriting that
+case's file, and leaves the files of unchanged cases as they are.
 """
 
 import json
@@ -126,7 +129,29 @@ def test_golden(name):
     _compare(json.loads(json.dumps(CASES[name]())), want)
 
 
+def _changed_leaves(old, new, where="$"):
+    """(path, old, new) for every leaf that differs; a missing side is None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from _changed_leaves(old.get(key), new.get(key), f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from _changed_leaves(o, n, f"{where}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield where, old, new
+
+
 if __name__ == "__main__":
+    # rewrite only the files whose content changes, after listing each
+    # changed leaf as old -> new
     for name, fn in CASES.items():
-        (DATA / f"golden_{name}.json").write_text(json.dumps(fn(), indent=1, sort_keys=True) + "\n")
+        path = DATA / f"golden_{name}.json"
+        text = json.dumps(fn(), indent=1, sort_keys=True) + "\n"
+        old_text = path.read_text() if path.exists() else "null"
+        if text == old_text:
+            print(f"golden_{name}.json unchanged")
+            continue
+        for where, old, new in _changed_leaves(json.loads(old_text), json.loads(text)):
+            print(f"  {where}: {old!r} -> {new!r}")
+        path.write_text(text)
         print(f"wrote golden_{name}.json")
