@@ -8,11 +8,11 @@ the Jacobian the solver uses is the Jacobian of the map it constrains, to
 rounding.  No adaptive stepping.  Second-order terms are never assembled
 here.
 
-`rk4_step` is the one RK4 step function: states, their tangent blocks
-(packed next to the state) and the steering charts' single-field flows all
-advance through it.  This module alone decides what an empty signal reaches
-(its start) and when a state has blown up (|x|_inf > BLOWUP_BOUND, raised as
-DomainEscapeError).
+`rk4_step` is the one RK4 step function: states, the steering charts'
+single-field flows and the tangent blocks, all segments' as one batch on the
+state run's recorded stages, advance through it.  This module alone decides
+what an empty signal reaches (its start) and when a state has blown up
+(|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ class Trajectory:
     signal: ControlSignal
     substeps: int
     # (m, n + d, n) when requested: per segment k the tangent block
-    # [P_k^T; S_k^T] of its RK4 steps (see integrate)
+    # [P_k^T; S_k^T] of its RK4 steps, all segments advanced together on the
+    # recorded stage states (see integrate)
     fundamental: np.ndarray | None = None
 
     @property
@@ -86,16 +87,31 @@ def rk4_step(f, z, h, *args):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _tangent_rhs(z, system, u, n):
-    # z packs (x, vec Z), Z = [P^T; S^T] of shape (n + d, n); the right-hand
-    # side is (f, Z A^T + [0; B^T]), with A and B = (X_1..X_d) evaluated at
-    # the same stage state as f
-    x = z[:n]
-    V = system.field_values(x)
-    Bt = V[1:]
-    W = np.dot(z[n:].reshape(n + system.d, n), system.dynamics_jacobian(x, u).T)
-    W[n:] += Bt
-    return np.concatenate([V[0] + u @ Bt, W.ravel()])
+def _block_rhs(Z, lin):
+    # one RK4 stage of every segment's block Z = [P^T; S^T]: Z A^T + [0; B^T],
+    # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization
+    At, Bt = next(lin)
+    W = np.matmul(Z, At)
+    W[:, Z.shape[2]:] += Bt
+    return W
+
+
+def _tangent_blocks(system, signal, substeps, stages):
+    # the (m, n + d, n) blocks from [I; 0] on the recorded stage states: one
+    # Jacobian and one field evaluation at every stage point, then 4 * substeps
+    # batched matmuls
+    m, n, d = signal.segments, system.n, system.d
+    per = 4 * substeps  # stage points per segment
+    X = np.array(stages).reshape(m * per, n)
+    U = np.repeat(signal.values, per, axis=0)
+    At = system.dynamics_jacobian(X, U).reshape(m, per, n, n).transpose(1, 0, 3, 2)
+    Bt = system.field_values_batch(X)[:, 1:].reshape(m, per, d, n).transpose(1, 0, 2, 3)
+    lin = zip(At, Bt)  # stage linearizations of all segments, in stage order
+    h = (np.diff(signal.breakpoints) / substeps)[:, None, None]
+    Z = np.repeat(np.eye(n + d, n)[None], m, axis=0)
+    for _ in range(substeps):
+        Z = rk4_step(_block_rhs, Z, h, lin)
+    return Z
 
 
 def integrate(
@@ -107,12 +123,13 @@ def integrate(
 ) -> Trajectory:
     """RK4 integration of dx/dt = drift(x) + sum u_i X_i(x) along a signal.
 
-    With with_fundamental=True each segment k also carries its tangent block
+    With with_fundamental=True each segment k also gets its tangent block
     [P_k^T; S_k^T]: P_k the state transition and S_k the sensitivity to u_k,
-    both restarted from [I; 0] at the segment's start and advanced on the
-    same RK4 stages as the state.  The block is therefore the derivative of
-    the segment's RK4 steps themselves, to rounding, and the states are the
-    plain run's bit for bit.
+    both restarted from [I; 0] at the segment's start.  The state run records
+    the four stage states of every step; afterwards all m blocks advance
+    together through rk4_step on the linearizations at those states.  The
+    block is therefore the derivative of the segment's RK4 steps themselves,
+    to rounding, and the states are the plain run's bit for bit.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.n,):
@@ -130,31 +147,30 @@ def integrate(
     times[0] = 0.0
     states[0] = x0
     _check_state(x0, 0.0)
-    fund = None
-    z = x0  # rk4_step returns new arrays, so x0 is never written
+    f = dynamics = system.dynamics
     if with_fundamental:
-        fund = np.empty((m, n + system.d, n))
-        start = np.eye(n + system.d, n).ravel()  # [I; 0]
+        stages = []  # every stage state, in evaluation order
 
+        def f(x, u):
+            stages.append(x)
+            return dynamics(x, u)
+
+    z = x0  # rk4_step returns new arrays, so x0 is never written
     node = 0
     for k in range(m):
         u = signal.values[k]
         t0 = signal.breakpoints[k]
         h = (signal.breakpoints[k + 1] - t0) / substeps
-        if fund is not None:
-            z = np.concatenate([z[:n], start])
         for j in range(substeps):
             node += 1
-            if fund is None:
-                z = rk4_step(system.dynamics, z, h, u)
-            else:
-                z = rk4_step(_tangent_rhs, z, h, system, u, n)
+            z = rk4_step(f, z, h, u)
             times[node] = t0 + (j + 1) * h
-            states[node] = z[:n]
-            _check_state(states[node], times[node])
-        if fund is not None:
-            fund[k] = z[n:].reshape(-1, n)
+            states[node] = z
+            _check_state(z, times[node])
     times[-1] = signal.total_time  # exact final time
+    fund = np.empty((0, n + system.d, n)) if with_fundamental else None
+    if with_fundamental and m:
+        fund = _tangent_blocks(system, signal, substeps, stages)
     return Trajectory(times=times, states=states, signal=signal, substeps=substeps, fundamental=fund)
 
 

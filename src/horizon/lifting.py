@@ -112,6 +112,8 @@ def lift_path(
     if params is None:
         params = EnergyParams()
     x0 = np.asarray(x0, dtype=float)
+    if path.targets.shape[1] != system.n:
+        raise ConfigError(f"path targets need {system.n} entries, got {path.targets.shape[1]}")
     if u0.segments == 0:
         # promote the empty signal to the zero control on [0, 1]; same
         # element of L^p, but concatenation needs an actual unit interval

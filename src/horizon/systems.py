@@ -326,7 +326,7 @@ class ControlSystem:
 
     def field_values(self, x) -> np.ndarray:
         """(d+1, n) stack: row 0 drift, rows 1..d controlled fields at x."""
-        stack = self._stack("value")
+        stack = self._stacks.get("value") or self._stack("value")
         if stack is not None:
             return stack(np.asarray(x, dtype=float))
         return np.stack([self.drift.value(x)] + [f.value(x) for f in self.fields])
@@ -338,23 +338,37 @@ class ControlSystem:
         return np.stack([self.field_values(p) for p in np.asarray(pts, dtype=float)])
 
     def field_jacobians(self, x) -> np.ndarray:
-        stack = self._stack("jac")
+        """(d+1, n, n) Jacobians at x; (N, d+1, n, n) at an (N, n) point stack."""
+        x = np.asarray(x, dtype=float)
+        stack = self._stacks.get("jac") or self._stack("jac")
         if stack is not None:
-            return stack(np.asarray(x, dtype=float))
+            return stack(x) if x.ndim == 1 else stack.batch(x)
+        if x.ndim == 2:  # no compiled stack: point by point
+            return np.stack([self.field_jacobians(p) for p in x])
         return np.stack([self.drift.jacobian(x)] + [f.jacobian(x) for f in self.fields])
 
     def dynamics(self, x, u) -> np.ndarray:
         """Right-hand side drift(x) + sum_i u_i X_i(x)."""
-        V = self.field_values(x)
+        # the compiled stack called directly: this runs on every RK4 stage
+        stack = self._stacks.get("value")
+        V = self.field_values(x) if stack is None else stack(np.asarray(x, dtype=float))
         return V[0] + u @ V[1:]
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
-        """State Jacobian of the right-hand side at (x, u); u is a (d,) array."""
-        # the one BLAS call np.tensordot(u, J[1:], axes=(0, 0)) makes, without
-        # its argument handling
+        """State Jacobian of the right-hand side at (x, u); u is a (d,) array.
+
+        (N, n) points with (N, d) controls give (N, n, n), each row bit for bit
+        the one-point result.
+        """
         J = self.field_jacobians(x)
-        n = self.n
-        return J[0] + np.dot(u.reshape(1, self.d), J[1:].reshape(self.d, n * n)).reshape(n, n)
+        n, d = self.n, self.d
+        if J.ndim == 3:
+            # the one BLAS call np.tensordot(u, J[1:], axes=(0, 0)) makes,
+            # without its argument handling
+            return J[0] + np.dot(u.reshape(1, d), J[1:].reshape(d, n * n)).reshape(n, n)
+        N = len(J)
+        uJ = np.matmul(np.reshape(u, (N, 1, d)), J[:, 1:].reshape(N, d, n * n))
+        return J[:, 0] + uJ.reshape(N, n, n)
 
     # -- bracket evaluation ------------------------------------------------
 

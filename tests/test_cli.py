@@ -302,6 +302,8 @@ NAN_COEF_FIELDS[0][0][0]["coef"] = float("nan")
         ("signal", {"breakpoints": [0.0, 1.0], "values": "abc"}),
         ("signal", {"breakpoints": [0.0, 1.0], "values": [[{}]]}),
         ("path", {"samples": "x", "targets": [[0.0, 0.0, 0.0]]}),
+        ("path", {"samples": [0.0, 1.0], "targets": [[0, 0], [1, 0]]}),
+        ("path", {"samples": [2158], "targets": [[]]}),
         ("system", _system_with(fields=BAD_COEF_FIELDS)),
         ("system", _system_with(periodic=5)),
         ("signal", b"\xb8\xff not utf-8"),
@@ -309,6 +311,7 @@ NAN_COEF_FIELDS[0][0][0]["coef"] = float("nan")
         ("steer-system", _system_with(drift=[], fields=NAN_COEF_FIELDS)),
     ],
     ids=["x-dict", "x-inf", "steer-x-nan", "values-str", "values-dict", "samples-str",
+         "targets-narrow", "targets-empty",
          "coef-str", "periodic-int", "signal-bytes", "system-bytes", "coef-nan"],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, line_control, kind, payload):
@@ -348,6 +351,14 @@ def test_fuzz_vector_flag(text):
      "values": JSON_VALUES | st.lists(NUMBER_LISTS, max_size=3)}))
 def test_fuzz_signal_file(payload):
     assert _fuzz_exit_code("signal", payload) in (0, 2, 3, 4, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES | st.fixed_dictionaries(
+    {"samples": JSON_VALUES | NUMBER_LISTS,
+     "targets": JSON_VALUES | st.lists(NUMBER_LISTS, max_size=3)}))
+def test_fuzz_path_file(payload):
+    assert _fuzz_exit_code("path", payload) in (0, 2, 3, 4, 5)
 
 
 @settings(max_examples=60, deadline=None)

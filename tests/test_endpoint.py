@@ -310,7 +310,7 @@ def test_blowup_bound_is_inclusive():
 
 
 def test_fundamental_run_keeps_states_bitwise():
-    # the state half of the packed (x, tangent block) step is the plain step
+    # the state run that records the stage states is the plain run
     rng = np.random.default_rng(7)
     for name in ("heisenberg", "unicycle", "agrachev_lee(3)"):
         system = catalog_load(name)
@@ -319,6 +319,24 @@ def test_fundamental_run_keeps_states_bitwise():
         plain = integrate(system, x0, u, substeps=8)
         joint = integrate(system, x0, u, substeps=8, with_fundamental=True)
         assert joint.states.tobytes() == plain.states.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "agrachev_lee(3)", "martinet", "unicycle", "grushin"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), substeps=st.integers(1, 4))
+def test_tangent_blocks_do_not_mix_segments(name, seed, m, substeps):
+    # all segments' blocks advance as one batch; each must equal, bit for bit,
+    # the block of its segment integrated alone from the recorded start state
+    system = catalog_load(name)
+    rng = np.random.default_rng(seed)
+    u = random_signal(rng, system.d, m=m)
+    x0 = 0.5 * rng.normal(size=system.n)
+    traj = integrate(system, x0, u, substeps=substeps, with_fundamental=True)
+    for k in range(m):
+        alone = ControlSignal(np.array([0.0, u.durations[k]]), u.values[k : k + 1])
+        start = traj.states[k * substeps]
+        block = integrate(system, start, alone, substeps=substeps, with_fundamental=True)
+        assert block.fundamental[0].tobytes() == traj.fundamental[k].tobytes()
 
 
 def test_single_field_flow_is_one_hot_endpoint():

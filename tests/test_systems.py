@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from horizon import (
     BracketWord,
     CallableField,
+    ControlSignal,
     ControlSystem,
     NotBracketGeneratingError,
     SymbolicField,
@@ -16,6 +17,7 @@ from horizon import (
     bracket_frame,
     catalog_load,
     catalog_names,
+    differential,
     displacement,
     lie_bracket,
     polynomial_field,
@@ -231,6 +233,67 @@ def _polynomial_system(draw):
 @given(system=_polynomial_system(), x=_point, u=_point)
 def test_polynomial_evaluation_is_bitwise_numpy(system, x, u):
     _assert_matches_numpy_scalar_reference(system, x[: system.n], u[: system.d])
+
+
+def _assert_batch_matches_numpy_reference(system, X, U):
+    # a point stack is one vectorised call of the compiled Jacobian stack, and
+    # row i of the batched dynamics Jacobian is the one-point formula at row i
+    X = np.asarray(X, dtype=float)[:, : system.n]
+    U = np.asarray(U, dtype=float)[:, : system.d]
+    stack = system._stack("jac")
+    out = stack._fn(*(X[:, i] for i in range(system.n)))
+    cols = [np.broadcast_to(np.asarray(o, dtype=float), (len(X),)) for o in out]
+    J = system.field_jacobians(X)
+    assert np.array_equal(J, np.stack(cols, axis=1).reshape((len(X),) + stack._shape))
+    A = system.dynamics_jacobian(X, U)
+    assert A.shape == (len(X), system.n, system.n)
+    for i in range(len(X)):
+        assert np.array_equal(A[i], J[i, 0] + np.tensordot(U[i], J[i, 1:], axes=(0, 0)))
+
+
+_stack_of_points = st.lists(_point, min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize(
+    "name", [name.replace("(k)", "(3)") for name in catalog_names()]
+)
+@settings(max_examples=40, deadline=None)
+@given(X=_stack_of_points, U=_stack_of_points)
+def test_catalog_batch_evaluation_is_bitwise_numpy(name, X, U):
+    U = (U * len(X))[: len(X)]
+    _assert_batch_matches_numpy_reference(catalog_load(name), X, U)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_polynomial_system(), X=_stack_of_points, U=_stack_of_points)
+def test_polynomial_batch_evaluation_is_bitwise_numpy(system, X, U):
+    U = (U * len(X))[: len(X)]
+    _assert_batch_matches_numpy_reference(system, X, U)
+
+
+def _callable_heisenberg(with_jacobians):
+    def closure(J):
+        return (lambda x: np.array(J, dtype=float)) if with_jacobians else None
+
+    zero = [0.0, 0.0, 0.0]
+    fields = [
+        CallableField(3, lambda x: np.array([1.0, 0.0, -x[1] / 2]),
+                      closure([zero, zero, [0.0, -0.5, 0.0]])),
+        CallableField(3, lambda x: np.array([0.0, 1.0, x[0] / 2]),
+                      closure([zero, zero, [0.5, 0.0, 0.0]])),
+    ]
+    return ControlSystem("callable_heisenberg", fields)
+
+
+def test_callable_system_differential_evaluates_point_by_point():
+    rng = np.random.default_rng(3)
+    u = ControlSignal(np.array([0.0, 0.2, 0.45, 0.7, 1.0]), rng.normal(size=(4, 2)))
+    x0 = rng.normal(size=3)
+    ref = differential(catalog_load("heisenberg"), x0, u, substeps=3).matrix
+    got = differential(_callable_heisenberg(True), x0, u, substeps=3).matrix
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    with pytest.raises(UnsupportedRepresentationError):
+        differential(_callable_heisenberg(False), x0, u, substeps=3)
 
 
 def test_field_evaluation_keeps_numpy_inf_and_nan():

@@ -15,6 +15,13 @@ import horizon
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer  # noqa: E402
+from workloads import Ladder  # noqa: E402
+
+# what one differential reaches of the ladder's required layers, and the
+# batched field evaluation of its tangent blocks
+DIFFERENTIAL_LAYERS = ("systems.field_jacobians", "systems.dynamics_jacobian",
+                       "endpoint.integrate", "endpoint.differential",
+                       "systems.field_values_batch")
 
 
 def test_tracer_patches_and_restores_every_target():
@@ -67,3 +74,20 @@ def test_tracer_counts_the_solver_own_matvecs():
     assert summary["counts"]["geodesics.gmres.matvecs"] == sum(s["matvecs"] for s in solves)
     assert summary["counts"].get("geodesics.gmres.exhausted", 0) == sum(s["info"] > 0 for s in solves)
     assert summary["spans"]["geodesics.gmres"][0] == len(solves)
+
+
+def test_one_differential_reaches_its_traced_layers_once():
+    # the benchmark's traced ladder and floor runs exit 1 when a required
+    # layer sees no call; a refactor that stops calling one fails here first
+    assert set(Ladder.traced_layers) - set(DIFFERENTIAL_LAYERS) == {
+        "geodesics.gmres", "geodesics.solve_critical", "geodesics.multistart"}
+    heis = horizon.catalog_load("heisenberg")
+    u = horizon.ControlSignal(np.array([0.0, 0.3, 1.0]), np.ones((2, 2)))
+    tracer = Tracer(horizon)
+    try:
+        horizon.geodesics.differential(heis, np.zeros(3), u, substeps=2)  # the solver's route
+        spans = tracer.summary()["spans"]
+    finally:
+        tracer.close()
+    assert {name: spans.get(name, [0])[0] for name in DIFFERENTIAL_LAYERS} == dict.fromkeys(
+        DIFFERENTIAL_LAYERS, 1)
