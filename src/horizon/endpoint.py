@@ -8,9 +8,11 @@ the Jacobian the solver uses is the Jacobian of the map it constrains, to
 rounding.  No adaptive stepping.  Second-order terms are never assembled
 here.
 
-`rk4_step` is the one RK4 step function: states, the steering charts'
-single-field flows and the tangent blocks, all segments' as one batch on the
-state run's recorded stages, advance through it.  This module alone decides
+`rk4_step` is the one RK4 step function.  The state run and the steering
+charts' single-field flows advance n Python floats through it, the state run
+on ControlSystem.float_rhs (no numpy and no BLAS call per stage); the tangent
+blocks, all segments' as one batch on the state run's recorded stages,
+advance as the one-component list [Z].  This module alone decides
 what an empty signal reaches (its start) and when a state has blown up
 (|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 """
@@ -71,29 +73,35 @@ class Trajectory:
 
 
 def _check_state(x, t):
-    # NaN compares False, so this one test also rejects NaN and inf
-    if not np.abs(x).max() <= BLOWUP_BOUND:
+    # NaN compares False, so this one test also rejects NaN and inf in every
+    # component (max() would skip a NaN that is not first)
+    if not all(map(BLOWUP_BOUND.__ge__, map(abs, x))):
         raise DomainEscapeError(
             f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}", t=t, state=np.array(x)
         )
 
 
 def rk4_step(f, z, h, *args):
-    """One classical RK4 step of z' = f(z, *args) with step h."""
+    """One classical RK4 step of z' = f(z, *args) with step h.
+
+    z and f's value are lists of components (floats or arrays), each advanced
+    with the same elementwise stage arithmetic.
+    """
     k1 = f(z, *args)
-    k2 = f(z + 0.5 * h * k1, *args)
-    k3 = f(z + 0.5 * h * k2, *args)
-    k4 = f(z + h * k3, *args)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([a + 0.5 * h * b for a, b in zip(z, k1)], *args)
+    k3 = f([a + 0.5 * h * b for a, b in zip(z, k2)], *args)
+    k4 = f([a + h * b for a, b in zip(z, k3)], *args)
+    return [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
 
 
-def _block_rhs(Z, lin):
+def _block_rhs(z, lin):
     # one RK4 stage of every segment's block Z = [P^T; S^T]: Z A^T + [0; B^T],
     # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization
+    (Z,) = z
     At, Bt = next(lin)
     W = np.matmul(Z, At)
     W[:, Z.shape[2]:] += Bt
-    return W
+    return [W]
 
 
 def _tangent_blocks(system, signal, substeps, stages):
@@ -108,10 +116,10 @@ def _tangent_blocks(system, signal, substeps, stages):
     Bt = system.field_values_batch(X)[:, 1:].reshape(m, per, d, n).transpose(1, 0, 2, 3)
     lin = zip(At, Bt)  # stage linearizations of all segments, in stage order
     h = (np.diff(signal.breakpoints) / substeps)[:, None, None]
-    Z = np.repeat(np.eye(n + d, n)[None], m, axis=0)
+    z = [np.repeat(np.eye(n + d, n)[None], m, axis=0)]
     for _ in range(substeps):
-        Z = rk4_step(_block_rhs, Z, h, lin)
-    return Z
+        z = rk4_step(_block_rhs, z, h, lin)
+    return z[0]
 
 
 def integrate(
@@ -139,35 +147,31 @@ def integrate(
     if substeps < 1:
         raise ConfigError("substeps must be >= 1")
 
-    m = signal.segments
-    K = m * substeps
-    n = system.n
-    times = np.empty(K + 1)
-    states = np.empty((K + 1, n))
-    times[0] = 0.0
-    states[0] = x0
-    _check_state(x0, 0.0)
-    f = dynamics = system.dynamics
+    m, n = signal.segments, system.n
+    z = x0.tolist()
+    _check_state(z, 0.0)
+    f = rhs = system.float_rhs()
     if with_fundamental:
         stages = []  # every stage state, in evaluation order
 
         def f(x, u):
             stages.append(x)
-            return dynamics(x, u)
+            return rhs(x, u)
 
-    z = x0  # rk4_step returns new arrays, so x0 is never written
-    node = 0
+    times, rows = [0.0], [z]
+    bps = signal.breakpoints.tolist()
     for k in range(m):
-        u = signal.values[k]
-        t0 = signal.breakpoints[k]
-        h = (signal.breakpoints[k + 1] - t0) / substeps
+        u = signal.values[k].tolist()
+        t0 = bps[k]
+        h = (bps[k + 1] - t0) / substeps
         for j in range(substeps):
-            node += 1
             z = rk4_step(f, z, h, u)
-            times[node] = t0 + (j + 1) * h
-            states[node] = z
-            _check_state(z, times[node])
+            t = t0 + (j + 1) * h
+            _check_state(z, t)
+            times.append(t)
+            rows.append(z)
     times[-1] = signal.total_time  # exact final time
+    times, states = np.array(times), np.array(rows)
     fund = np.empty((0, n + system.d, n)) if with_fundamental else None
     if with_fundamental and m:
         fund = _tangent_blocks(system, signal, substeps, stages)

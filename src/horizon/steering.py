@@ -175,15 +175,16 @@ class SteeringChart:
 
 
 def _field_value(x, system, field_index):
-    return system.field_values(x)[field_index]
+    return system.field_values(x)[field_index].tolist()
 
 
 def _single_field_flow(system, x, field_index, time, substeps):
     """RK4 flow along one controlled field for a signed time."""
-    h = time / substeps
+    h = float(time) / substeps
+    z = np.asarray(x, dtype=float).tolist()
     for _ in range(substeps):
-        x = rk4_step(_field_value, x, h, system, field_index)
-    return x
+        z = rk4_step(_field_value, z, h, system, field_index)
+    return np.array(z)
 
 
 def build_chart(

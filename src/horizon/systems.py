@@ -2,8 +2,10 @@
 
 Fields are held as sympy expressions so that Jacobians, Hessians and Lie
 brackets are exact; evaluation goes through cached lambdified closures that
-are cheap enough for integrator inner loops.  Opaque callable fields are
-accepted for integration but rejected wherever exact derivatives are needed.
+are cheap enough for integrator inner loops; the state run's right-hand side
+(ControlSystem.float_rhs) is one of them, fused with the control sum, on
+Python floats.  Opaque callable fields are accepted for integration but
+rejected wherever exact derivatives are needed.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class _LambdifiedStack:
     several times faster than numpy scalars and rounds alike.  Two cases keep
     numpy scalars, whose inf/nan semantics the blow-up check relies on: a
     fractional power, which gives a Python float a complex value at a
-    negative base, and `**` raising on overflow or a zero base.
+    negative base, and `**` raising on overflow or a zero base.  The fused
+    float right-hand side (ControlSystem.float_rhs) follows the same rule.
     """
 
     def __init__(self, coords, exprs, shape):
@@ -348,11 +351,43 @@ class ControlSystem:
         return np.stack([self.drift.jacobian(x)] + [f.jacobian(x) for f in self.fields])
 
     def dynamics(self, x, u) -> np.ndarray:
-        """Right-hand side drift(x) + sum_i u_i X_i(x)."""
-        # the compiled stack called directly: this runs on every RK4 stage
+        """Right-hand side drift(x) + sum_i u_i X_i(x), summed left to right."""
         stack = self._stacks.get("value")
         V = self.field_values(x) if stack is None else stack(np.asarray(x, dtype=float))
-        return V[0] + u @ V[1:]
+        return V[0] + sum((u[i] * V[i + 1] for i in range(1, self.d)), u[0] * V[1])
+
+    def float_rhs(self):
+        """dynamics on lists of Python floats, built once: f(x, u) -> list.
+
+        Straight-line code, as lambdify builds its own: one call of the
+        compiled value stack, then V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left
+        to right, with no BLAS call.  A stack that cannot take Python floats,
+        a non-symbolic system, or an evaluation raising ArithmeticError goes
+        to dynamics on arrays, which keeps numpy's inf/nan semantics.
+        """
+        rhs = self._stacks.get("rhs")
+        if rhs is not None:
+            return rhs
+
+        def fallback(x, u):
+            return self.dynamics(x, u).tolist()
+
+        stack, rhs = self._stack("value"), fallback
+        if stack is not None and stack._floats:
+            n, us = self.n, [f"u{j}" for j in range(self.d)]
+            comps = [
+                f"V[{i}] + (" + " + ".join(f"{u} * V[{(j + 1) * n + i}]" for j, u in enumerate(us)) + ")"
+                for i in range(n)
+            ]
+            scope = {"fn": stack._fn, "fallback": fallback}
+            exec(
+                "def rhs(x, u):\n    try:\n        V = fn(*x)\n    except ArithmeticError:\n"
+                f"        return fallback(x, u)\n    {', '.join(us)}, = u\n    return [{', '.join(comps)}]\n",
+                scope,
+            )
+            rhs = scope["rhs"]
+        self._stacks["rhs"] = rhs
+        return rhs
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
         """State Jacobian of the right-hand side at (x, u); u is a (d,) array.

@@ -221,6 +221,59 @@ def test_random_polynomial_differential_is_exact(data, system, substeps):
     assert gap <= 1e-9 * max(scale, size)
 
 
+def _reference_states(system, x0, u, substeps):
+    # RK4 on numpy arrays with elementwise operations only: the control sum is
+    # V[0] + (u[0]*V[1] + u[1]*V[2]), left to right, with no @ or dot
+    def f(x, uk):
+        V = system.field_values(x)
+        acc = uk[0] * V[1]
+        for i in range(1, system.d):
+            acc = acc + uk[i] * V[i + 1]
+        return V[0] + acc
+
+    z = np.asarray(x0, dtype=float)
+    rows = [z]
+    for k in range(u.segments):
+        uk = u.values[k]
+        h = (u.breakpoints[k + 1] - u.breakpoints[k]) / substeps
+        for _ in range(substeps):
+            k1 = f(z, uk)
+            k2 = f(z + 0.5 * h * k1, uk)
+            k3 = f(z + 0.5 * h * k2, uk)
+            k4 = f(z + h * k3, uk)
+            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rows.append(z)
+    return np.array(rows)
+
+
+def _assert_states_match_reference(system, x0, u, substeps):
+    try:
+        states = integrate(system, x0, u, substeps).states
+    except DomainEscapeError:
+        assume(False)
+    assert states.tobytes() == _reference_states(system, x0, u, substeps).tobytes()
+
+
+@pytest.mark.parametrize("name", [name.replace("(k)", "(3)") for name in catalog_names()])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), substeps=st.integers(1, 4))
+def test_catalog_states_are_plain_elementwise_rk4(name, data, substeps):
+    # the state run's arithmetic, summation order included, is pinned: no
+    # BLAS-dependent control sum
+    system = catalog_load(name)
+    u = data.draw(_short_signal(system.d))
+    x0 = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=system.n, max_size=system.n))
+    _assert_states_match_reference(system, x0, u, substeps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), system=_small_polynomial_system(), substeps=st.integers(1, 4))
+def test_random_polynomial_states_are_plain_elementwise_rk4(data, system, substeps):
+    u = data.draw(_short_signal(system.d))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    _assert_states_match_reference(system, x0, u, substeps)
+
+
 @settings(max_examples=100, deadline=None)
 @given(system=_small_polynomial_system(), x=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 def test_random_polynomial_json_roundtrip(system, x):
@@ -294,6 +347,18 @@ def test_domain_escape():
     f9 = SymbolicField([x0s[0] ** 9], coords=x0s)
     with np.errstate(over="ignore"), pytest.raises(DomainEscapeError):
         endpoint(ControlSystem("blowup9", [f9]), np.array([1e5]), constant_signal(np.array([1.0]), 1.0), substeps=4)
+
+
+def test_blowup_check_sees_nan_behind_a_finite_component():
+    # X = (1, x0^400 x1) from (10, 0): the power overflows Python floats, so
+    # the stage is evaluated on numpy, where inf * 0 = nan.  The first
+    # component stays finite, so a check built on max() would miss the nan.
+    x = state_symbols(2)
+    system = ControlSystem("nan_second", [SymbolicField([1, x[0] ** 400 * x[1]], coords=x)])
+    with np.errstate(all="ignore"), pytest.raises(DomainEscapeError) as exc:
+        endpoint(system, np.array([10.0, 0.0]), constant_signal(np.array([1.0]), 1.0), substeps=4)
+    assert exc.value.t == 0.25
+    assert np.isfinite(exc.value.state[0]) and np.isnan(exc.value.state[1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e6 * (1 + 1e-15)])

@@ -19,6 +19,7 @@ from horizon import (
     catalog_names,
     differential,
     displacement,
+    endpoint,
     lie_bracket,
     polynomial_field,
     state_symbols,
@@ -294,6 +295,32 @@ def test_callable_system_differential_evaluates_point_by_point():
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
     with pytest.raises(UnsupportedRepresentationError):
         differential(_callable_heisenberg(False), x0, u, substeps=3)
+
+
+def test_float_state_run_reaches_dynamics_only_where_floats_are_unsafe(monkeypatch):
+    # counts the fallback rather than timing it: float-safe symbolic systems
+    # integrate without dynamics on arrays; a fractional power and a callable
+    # system go through it
+    class Reached(Exception):
+        pass
+
+    def reached(self, x, u):
+        raise Reached
+
+    monkeypatch.setattr(ControlSystem, "dynamics", reached)
+    u = ControlSignal(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    for name in ("heisenberg", "agrachev_lee(3)"):
+        system = catalog_load(name)
+        x0 = np.full(system.n, 0.1)
+        endpoint(system, x0, u, substeps=3)
+        differential(system, x0, u, substeps=3)
+    x = state_symbols(2)
+    frac = ControlSystem(
+        "frac", [SymbolicField([1, 0], coords=x), SymbolicField([0, x[0] ** sp.Rational(3, 2)], coords=x)]
+    )
+    for system in (frac, _callable_heisenberg(True)):
+        with pytest.raises(Reached):
+            endpoint(system, np.full(system.n, 0.1), u, substeps=3)
 
 
 def test_field_evaluation_keeps_numpy_inf_and_nan():
