@@ -10,11 +10,12 @@ here.
 
 `rk4_step` is the one RK4 step function.  The state run and the steering
 charts' single-field flows advance n Python floats through it, the state run
-on ControlSystem.float_rhs (no numpy and no BLAS call per stage); the tangent
-blocks, all segments' as one batch on the state run's recorded stages,
-advance as the one-component list [Z].  This module alone decides
-what an empty signal reaches (its start) and when a state has blown up
-(|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
+on ControlSystem.float_rhs (no BLAS call per stage, and numpy scalars only
+where Python floats are unsafe); the tangent blocks, all segments' as one
+batch on the state run's recorded stages, advance as the one-component list
+[Z].  This module alone decides what an empty signal reaches (its start) and
+when a state has blown up (|x|_inf > BLOWUP_BOUND, raised as
+DomainEscapeError).
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def integrate(
     m, n = signal.segments, system.n
     z = x0.tolist()
     _check_state(z, 0.0)
-    f = rhs = system.float_rhs()
+    f = rhs = system.float_rhs
     if with_fundamental:
         stages = []  # every stage state, in evaluation order
 

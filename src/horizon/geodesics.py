@@ -70,8 +70,11 @@ class GeodesicOptions:
     raise_on_failure: bool = True
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ConfigError(f"p must exceed 1, got {self.p}")
+        if not 1.0 < self.p < np.inf:
+            raise ConfigError(f"p must be finite and exceed 1, got {self.p}")
+        for name, tol in (("end_tol", self.end_tol), ("stat_tol", self.stat_tol)):
+            if not 0.0 < tol < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {tol}")
         if self.mode not in ("vector", "component"):
             raise ConfigError(f"unknown energy mode {self.mode!r}")
 

@@ -44,6 +44,8 @@ class TargetPath:
             raise ConfigError("samples (K+1,) and targets (K+1, n) must align")
         if s.shape[0] < 1:
             raise ConfigError("path needs at least one sample")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(t))):
+            raise ConfigError("path samples and targets must be finite")
         if np.any(np.diff(s) <= 0):
             raise ConfigError("samples must be strictly increasing")
         object.__setattr__(self, "samples", s)
@@ -111,6 +113,8 @@ def lift_path(
     """
     if params is None:
         params = EnergyParams()
+    if not 0.0 < lift_tol < np.inf:
+        raise ConfigError(f"lift_tol must be positive and finite, got {lift_tol}")
     x0 = np.asarray(x0, dtype=float)
     if path.targets.shape[1] != system.n:
         raise ConfigError(f"path targets need {system.n} entries, got {path.targets.shape[1]}")
@@ -214,7 +218,8 @@ def _reach_target(
     one shrinking correction, keeping the lift L^p-continuous).  Only when
     the chart refuses the target does the lift re-anchor: first at the
     previous sample's control, then, if even that hop fails, at bisection
-    stepping stones between the anchor endpoint and the target.
+    stepping stones between the anchor endpoint and the target.  When the
+    anchor is the previous sample's control already, it bisects at once.
     """
     used = 0
 
@@ -229,25 +234,27 @@ def _reach_target(
         return fn if not system.is_driftless else None
 
     def hop(u_cur, end_cur, y, depth):
-        """Steer end_cur -> y, re-anchoring at midpoints on failure."""
-        nonlocal used
+        """Steer end_cur -> y, bisecting on failure."""
         try:
             plan = _steer(
                 system, end_cur, y, params, steer_tol, alpha, substeps,
                 composed=composed_endpoint_fn(u_cur),
             )
         except (ChartRadiusError, ConvergenceError):
-            if depth >= MAX_BISECT or used >= reanchors_left:
-                raise ConvergenceError(
-                    "steering failed after max subdivision while lifting"
-                )
-            used += 1
-            mid = end_cur + 0.5 * (y - end_cur)
-            u_mid, end_mid = hop(u_cur, end_cur, mid, depth + 1)
-            return hop(u_mid, end_mid, y, depth + 1)
+            return bisect(u_cur, end_cur, y, depth)
         u_new = concatenate_rescaled(u_cur, plan.sigma, plan.T)
         end_new = _endpoint(system, x0, u_new, substeps=substeps)
         return u_new, end_new
+
+    def bisect(u_cur, end_cur, y, depth):
+        """Re-anchor at the midpoint of end_cur -> y and hop both halves."""
+        nonlocal used
+        if depth >= MAX_BISECT or used >= reanchors_left:
+            raise ConvergenceError("steering failed after max subdivision while lifting")
+        used += 1
+        mid = end_cur + 0.5 * (y - end_cur)
+        u_mid, end_mid = hop(u_cur, end_cur, mid, depth + 1)
+        return hop(u_mid, end_mid, y, depth + 1)
 
     try:
         plan = _steer(
@@ -259,12 +266,14 @@ def _reach_target(
     except (ChartRadiusError, ConvergenceError):
         pass
 
-    # re-anchor at the previous sample's control and hop (with bisection)
-    used += 1
-    if prev_control is not anchor_u:
-        anchor_u = prev_control
-        anchor_end = _endpoint(system, x0, prev_control, substeps=substeps)
-    u_k, end_k = hop(anchor_u, anchor_end, target, 0)
+    if prev_control is anchor_u:
+        # re-anchoring there would repeat the steer that just failed
+        u_k, end_k = bisect(anchor_u, anchor_end, target, 0)
+    else:
+        # re-anchor at the previous sample's control and hop (with bisection)
+        used += 1
+        end_prev = _endpoint(system, x0, prev_control, substeps=substeps)
+        u_k, end_k = hop(prev_control, end_prev, target, 0)
     # the composed control becomes the anchor for subsequent samples
     return u_k, u_k, end_k, used
 

@@ -326,6 +326,8 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol, verify_endpoint=None) ->
     verify_endpoint when given, and the coordinates are re-polished against
     that endpoint when its residual exceeds steer_tol.
     """
+    if not 0.0 < steer_tol < np.inf:
+        raise ConfigError(f"steer_tol must be positive and finite, got {steer_tol}")
     system, x = chart.system, chart.base
 
     def reached(plan_sig):

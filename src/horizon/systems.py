@@ -1,19 +1,21 @@
 """Affine control systems: vector fields, catalogs, brackets, frames.
 
 Fields are held as sympy expressions so that Jacobians, Hessians and Lie
-brackets are exact; evaluation goes through cached lambdified closures that
-are cheap enough for integrator inner loops; the state run's right-hand side
-(ControlSystem.float_rhs) is one of them, fused with the control sum, on
-Python floats.  Opaque callable fields are accepted for integration but
-rejected wherever exact derivatives are needed.
+brackets are exact.  Each compiled quantity (a field's values, Jacobian or
+second derivative; a system's value stack, Jacobian stack or state-run
+right-hand side ControlSystem.float_rhs) is one lambdified evaluator, built
+once on first use and called directly; the right-hand side fuses the control
+sum into the value stack's call, on Python floats.  Opaque callable fields
+are accepted for integration but rejected wherever exact derivatives are
+needed.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -49,9 +51,8 @@ def state_symbols(n: int):
 class _LambdifiedStack:
     """Flat list of sympy expressions compiled once, reshaped on call.
 
-    Handles the constant-expression wrinkle: lambdify returns scalars for
-    constant entries, which are broadcast against the batch shape.  A stack
-    with no free symbol is evaluated once; each call returns a fresh copy.
+    lambdify returns scalars for constant entries, which a batch broadcasts
+    against its length.
 
     A point is passed as Python floats, which the generated code evaluates
     several times faster than numpy scalars and rounds alike.  Two cases keep
@@ -66,13 +67,8 @@ class _LambdifiedStack:
         self._shape = shape
         self._fn = sp.lambdify(coords, exprs, "numpy")
         self._floats = all(p.exp.is_integer for e in exprs for p in e.atoms(sp.Pow))
-        self._const = None
-        if not any(e.free_symbols for e in exprs):
-            self._const = self(np.zeros(len(coords)))
 
     def __call__(self, x):
-        if self._const is not None:
-            return self._const.copy()
         try:
             out = self._fn(*(x.tolist() if self._floats else x))
         except ArithmeticError:
@@ -117,37 +113,29 @@ class SymbolicField(VectorField):
         if len(exprs) != self.n:
             raise ConfigError(f"field has {len(exprs)} components, state dim is {self.n}")
         self.exprs = tuple(sp.expand(e) for e in exprs)
-        self._val = None
-        self._jac = None
-        self._hess = None
 
-    def _value_stack(self):
-        if self._val is None:
-            self._val = _LambdifiedStack(self.coords, self.exprs, (self.n,))
-        return self._val
+    @cached_property
+    def _values(self):
+        return _LambdifiedStack(self.coords, self.exprs, (self.n,))
 
-    def _jac_stack(self):
-        if self._jac is None:
-            ex = [sp.diff(e, c) for e in self.exprs for c in self.coords]
-            self._jac = _LambdifiedStack(self.coords, ex, (self.n, self.n))
-        return self._jac
+    @cached_property
+    def _jacobians(self):
+        ex = [sp.diff(e, c) for e in self.exprs for c in self.coords]
+        return _LambdifiedStack(self.coords, ex, (self.n, self.n))
+
+    @cached_property
+    def _second(self):
+        ex = [sp.diff(e, c1, c2) for e in self.exprs for c1 in self.coords for c2 in self.coords]
+        return _LambdifiedStack(self.coords, ex, (self.n, self.n, self.n))
 
     def value(self, x):
-        return self._value_stack()(np.asarray(x, dtype=float))
+        return self._values(np.asarray(x, dtype=float))
 
     def jacobian(self, x):
-        return self._jac_stack()(np.asarray(x, dtype=float))
+        return self._jacobians(np.asarray(x, dtype=float))
 
     def second_derivative(self, x):
-        if self._hess is None:
-            ex = [
-                sp.diff(e, c1, c2)
-                for e in self.exprs
-                for c1 in self.coords
-                for c2 in self.coords
-            ]
-            self._hess = _LambdifiedStack(self.coords, ex, (self.n, self.n, self.n))
-        return self._hess(np.asarray(x, dtype=float))
+        return self._second(np.asarray(x, dtype=float))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exprs)
@@ -283,7 +271,7 @@ class ControlSystem:
         if not isinstance(periodic, (list, tuple)) or len(periodic) != self.n:
             raise ConfigError(f"periodic flags must be a list of length n, got {periodic!r}")
         self.periodic = tuple(bool(b) for b in periodic)
-        self._stacks = {}
+        self._words = {}  # bracket word leaves -> SymbolicField
 
     # -- structure -------------------------------------------------------
 
@@ -304,38 +292,32 @@ class ControlSystem:
             isinstance(f, SymbolicField) for f in self.fields
         )
 
-    # -- fast stacked evaluation ------------------------------------------
+    # -- compiled evaluation -----------------------------------------------
 
-    def _stack(self, kind):
-        cached = self._stacks.get(kind)
-        if cached is not None:
-            return cached
-        if not self.all_symbolic():
-            return None
-        coords = self.drift.coords
-        all_fields = [self.drift] + list(self.fields)
-        if kind == "value":
-            exprs = [e for f in all_fields for e in f.exprs]
-            stack = _LambdifiedStack(coords, exprs, (self.d + 1, self.n))
-        elif kind == "jac":
-            exprs = [
-                sp.diff(e, c) for f in all_fields for e in f.exprs for c in coords
-            ]
-            stack = _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n))
-        else:
-            raise ValueError(kind)
-        self._stacks[kind] = stack
-        return stack
+    @cached_property
+    def _values(self):
+        # (d+1, n) stack of the drift and the fields; None unless all symbolic
+        if self.all_symbolic():
+            exprs = [e for f in [self.drift] + self.fields for e in f.exprs]
+            return _LambdifiedStack(self.drift.coords, exprs, (self.d + 1, self.n))
+
+    @cached_property
+    def _jacobians(self):
+        # (d+1, n, n) stack of their Jacobians; None unless all symbolic
+        if self.all_symbolic():
+            coords = self.drift.coords
+            exprs = [sp.diff(e, c) for f in [self.drift] + self.fields for e in f.exprs for c in coords]
+            return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n))
 
     def field_values(self, x) -> np.ndarray:
         """(d+1, n) stack: row 0 drift, rows 1..d controlled fields at x."""
-        stack = self._stacks.get("value") or self._stack("value")
+        stack = self._values
         if stack is not None:
             return stack(np.asarray(x, dtype=float))
         return np.stack([self.drift.value(x)] + [f.value(x) for f in self.fields])
 
     def field_values_batch(self, pts) -> np.ndarray:
-        stack = self._stack("value")
+        stack = self._values
         if stack is not None:
             return stack.batch(pts)
         return np.stack([self.field_values(p) for p in np.asarray(pts, dtype=float)])
@@ -343,99 +325,69 @@ class ControlSystem:
     def field_jacobians(self, x) -> np.ndarray:
         """(d+1, n, n) Jacobians at x; (N, d+1, n, n) at an (N, n) point stack."""
         x = np.asarray(x, dtype=float)
-        stack = self._stacks.get("jac") or self._stack("jac")
+        stack = self._jacobians
         if stack is not None:
             return stack(x) if x.ndim == 1 else stack.batch(x)
         if x.ndim == 2:  # no compiled stack: point by point
             return np.stack([self.field_jacobians(p) for p in x])
         return np.stack([self.drift.jacobian(x)] + [f.jacobian(x) for f in self.fields])
 
-    def dynamics(self, x, u) -> np.ndarray:
-        """Right-hand side drift(x) + sum_i u_i X_i(x), summed left to right."""
-        stack = self._stacks.get("value")
-        V = self.field_values(x) if stack is None else stack(np.asarray(x, dtype=float))
-        return V[0] + sum((u[i] * V[i + 1] for i in range(1, self.d)), u[0] * V[1])
-
+    @cached_property
     def float_rhs(self):
-        """dynamics on lists of Python floats, built once: f(x, u) -> list.
+        """The state run's drift(x) + sum_i u_i X_i(x): f(x, u) -> list, on floats.
 
         Straight-line code, as lambdify builds its own: one call of the
-        compiled value stack, then V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left
-        to right, with no BLAS call.  A stack that cannot take Python floats,
-        a non-symbolic system, or an evaluation raising ArithmeticError goes
-        to dynamics on arrays, which keeps numpy's inf/nan semantics.
+        compiled value stack on the point's Python floats, then V[i] +
+        (u0*V[n+i] + u1*V[2n+i] + ...) left to right, with no BLAS call.
+        Where Python floats are unsafe (a stack that cannot take them, a
+        non-symbolic system, or an evaluation raising ArithmeticError) V is
+        field_values on arrays and the same sum runs on numpy scalars, which
+        keeps numpy's inf/nan.
         """
-        rhs = self._stacks.get("rhs")
-        if rhs is not None:
-            return rhs
 
-        def fallback(x, u):
-            return self.dynamics(x, u).tolist()
+        def values(*x):
+            return self.field_values(x).ravel()
 
-        stack, rhs = self._stack("value"), fallback
-        if stack is not None and stack._floats:
-            n, us = self.n, [f"u{j}" for j in range(self.d)]
-            comps = [
-                f"V[{i}] + (" + " + ".join(f"{u} * V[{(j + 1) * n + i}]" for j, u in enumerate(us)) + ")"
-                for i in range(n)
-            ]
-            scope = {"fn": stack._fn, "fallback": fallback}
-            exec(
-                "def rhs(x, u):\n    try:\n        V = fn(*x)\n    except ArithmeticError:\n"
-                f"        return fallback(x, u)\n    {', '.join(us)}, = u\n    return [{', '.join(comps)}]\n",
-                scope,
-            )
-            rhs = scope["rhs"]
-        self._stacks["rhs"] = rhs
-        return rhs
+        stack = self._values
+        n, us = self.n, [f"u{j}" for j in range(self.d)]
+        comps = [
+            f"V[{i}] + (" + " + ".join(f"{u} * V[{(j + 1) * n + i}]" for j, u in enumerate(us)) + ")"
+            for i in range(n)
+        ]
+        scope = {"fn": stack._fn if stack is not None and stack._floats else values, "values": values}
+        exec(
+            "def rhs(x, u):\n    try:\n        V = fn(*x)\n    except ArithmeticError:\n"
+            f"        V = values(*x)\n    {', '.join(us)}, = u\n    return [{', '.join(comps)}]\n",
+            scope,
+        )
+        return scope["rhs"]
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
-        """State Jacobian of the right-hand side at (x, u); u is a (d,) array.
-
-        (N, n) points with (N, d) controls give (N, n, n), each row bit for bit
-        the one-point result.
-        """
+        """State Jacobians of the right-hand side: (N, n, n) at (N, n) points, (N, d) controls."""
         J = self.field_jacobians(x)
-        n, d = self.n, self.d
-        if J.ndim == 3:
-            # the one BLAS call np.tensordot(u, J[1:], axes=(0, 0)) makes,
-            # without its argument handling
-            return J[0] + np.dot(u.reshape(1, d), J[1:].reshape(d, n * n)).reshape(n, n)
-        N = len(J)
+        N, n, d = len(J), self.n, self.d
         uJ = np.matmul(np.reshape(u, (N, 1, d)), J[:, 1:].reshape(N, d, n * n))
         return J[:, 0] + uJ.reshape(N, n, n)
 
     # -- bracket evaluation ------------------------------------------------
 
     def word_field(self, word: BracketWord) -> SymbolicField:
-        return _word_field_cached(self, word.leaves)
+        leaves = word.leaves
+        got = self._words.get(leaves)
+        if got is None:
+            if len(leaves) == 1:
+                got = self.field_by_index(leaves[0])
+                if not isinstance(got, SymbolicField):
+                    raise UnsupportedRepresentationError("bracket words need symbolic fields")
+            else:
+                inner = self.word_field(BracketWord(leaves[1:]))
+                got = lie_bracket(self.field_by_index(leaves[0]), inner)
+            self._words[leaves] = got
+        return got
 
     def __repr__(self):
         kind = "driftless" if self.is_driftless else "drift"
         return f"ControlSystem({self.name!r}, n={self.n}, d={self.d}, {kind})"
-
-
-def _word_field_cached(system: ControlSystem, leaves: tuple) -> SymbolicField:
-    cache = getattr(system, "_word_cache", None)
-    if cache is None:
-        cache = {}
-        system._word_cache = cache
-    got = cache.get(leaves)
-    if got is not None:
-        return got
-    if len(leaves) == 1:
-        f = system.field_by_index(leaves[0])
-        if not isinstance(f, SymbolicField):
-            raise UnsupportedRepresentationError(
-                "bracket words need symbolic fields"
-            )
-        out = f
-    else:
-        inner = _word_field_cached(system, leaves[1:])
-        outer = system.field_by_index(leaves[0])
-        out = lie_bracket(outer, inner)
-    cache[leaves] = out
-    return out
 
 
 def _word_candidates(d: int, with_drift: bool, length: int):

@@ -250,6 +250,29 @@ def test_geodesics_counts_below_one_exit_2(capsys, flag):
     assert "must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("geodesics", "--p", "inf"), ("geodesics", "--stat-tol", "nan"),
+     ("geodesics", "--end-tol", "-1"), ("lift", "--lift-tol", "nan"),
+     ("steer", "--steer-tol", "nan")],
+)
+def test_convergence_numbers_must_be_finite_exit_2(capsys, tmp_path, line_control,
+                                                    command, flag, value):
+    # a tolerance that no residual can pass or fail decides nothing
+    if command == "geodesics":
+        argv = ["--x", "0,0,0", "--y", "0,0,0.1", "--n-seeds", "1", "--m-seed", "8"]
+    elif command == "lift":
+        path_file = tmp_path / "path.json"
+        path_file.write_text(json.dumps({"samples": [0.0, 1.0],
+                                         "targets": [[1, 0, 0], [1.1, 0, 0]]}))
+        argv = ["--x0", "0,0,0", "--anchor-control", line_control, "--path", str(path_file)]
+    else:
+        argv = ["--x", "0,0,0", "--y", "0,0,0.01"]
+    code, _, err = run(capsys, command, "--system", "heisenberg", *argv, flag, value)
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_geodesics_gate_on_drift_system(capsys):
     # step-3 drift structure rejects p=2 up front
     code, _, err = run(capsys, "geodesics", "--system", "agrachev_lee(3)",
@@ -304,6 +327,8 @@ NAN_COEF_FIELDS[0][0][0]["coef"] = float("nan")
         ("path", {"samples": "x", "targets": [[0.0, 0.0, 0.0]]}),
         ("path", {"samples": [0.0, 1.0], "targets": [[0, 0], [1, 0]]}),
         ("path", {"samples": [2158], "targets": [[]]}),
+        ("path", {"samples": [0.0, 1e309], "targets": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]}),
+        ("path", {"samples": [0.0, 1.0], "targets": [[0.0, 0.0, 0.0], [float("nan"), 0.0, 0.0]]}),
         ("system", _system_with(fields=BAD_COEF_FIELDS)),
         ("system", _system_with(periodic=5)),
         ("signal", b"\xb8\xff not utf-8"),
@@ -311,7 +336,7 @@ NAN_COEF_FIELDS[0][0][0]["coef"] = float("nan")
         ("steer-system", _system_with(drift=[], fields=NAN_COEF_FIELDS)),
     ],
     ids=["x-dict", "x-inf", "steer-x-nan", "values-str", "values-dict", "samples-str",
-         "targets-narrow", "targets-empty",
+         "targets-narrow", "targets-empty", "samples-inf", "targets-nan",
          "coef-str", "periodic-int", "signal-bytes", "system-bytes", "coef-nan"],
 )
 def test_malformed_input_exit_2(capsys, tmp_path, line_control, kind, payload):

@@ -29,6 +29,7 @@ from horizon import (
 import sympy as sp
 
 from horizon.steering import _single_field_flow
+from test_systems import _callable_heisenberg
 
 
 def random_signal(rng, d, m=6):
@@ -271,6 +272,31 @@ def test_catalog_states_are_plain_elementwise_rk4(name, data, substeps):
 def test_random_polynomial_states_are_plain_elementwise_rk4(data, system, substeps):
     u = data.draw(_short_signal(system.d))
     x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    _assert_states_match_reference(system, x0, u, substeps)
+
+
+def _fractional_power_drift_system():
+    x = state_symbols(2)
+    fields = [SymbolicField([1, 0], coords=x), SymbolicField([0, x[0] ** sp.Rational(3, 2)], coords=x)]
+    drift = SymbolicField([x[1] / 5, x[0] ** sp.Rational(1, 2)], coords=x)
+    return ControlSystem("fractional_power_drift", fields, drift=drift)
+
+
+_FALLBACK_SYSTEMS = {
+    "fractional_power_drift": _fractional_power_drift_system(),
+    "callable_heisenberg": _callable_heisenberg(True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FALLBACK_SYSTEMS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), substeps=st.integers(1, 4))
+def test_fallback_states_are_plain_elementwise_rk4(name, data, substeps):
+    # systems whose field values cannot be taken on Python floats are pinned
+    # to the same elementwise arithmetic
+    system = _FALLBACK_SYSTEMS[name]
+    u = data.draw(_short_signal(system.d))
+    x0 = data.draw(st.lists(st.floats(1.0, 2.0), min_size=system.n, max_size=system.n))
     _assert_states_match_reference(system, x0, u, substeps)
 
 

@@ -3,7 +3,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horizon.endpoint import endpoint
 from horizon.errors import ConfigError, ConvergenceError
 from horizon.geodesics import (
     GeodesicOptions,
@@ -128,6 +131,27 @@ def test_coincidence_p2_and_p3():
         assert rep.passed
         assert rep.mean_speed == pytest.approx(1.0, abs=1e-6)
         assert not rep.indeterminate
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    p=st.floats(1.2, 5.0),
+    speed=st.floats(0.1, 2.0),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    weights=st.lists(st.integers(1, 10), min_size=2, max_size=8),
+)
+def test_constant_control_is_critical_and_coincides(p, speed, angle, weights):
+    # a constant Heisenberg control is a straight line: J_p-critical on the
+    # fiber over its own endpoint at every p, so the solver accepts it as it
+    # stands and it passes the p = 2 coincidence check
+    heis = catalog_load("heisenberg")
+    bps = np.concatenate([[0.0], np.cumsum(weights) / sum(weights)])
+    ab = speed * np.array([np.cos(angle), np.sin(angle)])
+    u = ControlSignal(bps, np.tile(ab, (len(weights), 1)))
+    y = endpoint(heis, np.zeros(3), u, substeps=GeodesicOptions.substeps)
+    rec = solve_critical(heis, np.zeros(3), y, p=p, u_init=u)
+    assert rec.converged and rec.iterations == 0
+    assert coincidence_check(rec, heis, np.zeros(3), y).passed
 
 
 def test_coincidence_on_curved_record():

@@ -24,6 +24,10 @@ def test_target_path_validation():
         TargetPath(np.array([0.0, 0.0]), np.zeros((2, 3)))
     with pytest.raises(ConfigError):
         TargetPath(np.array([0.0, 1.0]), np.zeros((3, 3)))
+    with pytest.raises(ConfigError):  # samples-inf
+        TargetPath(np.array([0.0, np.inf]), np.zeros((2, 3)))
+    with pytest.raises(ConfigError):  # targets-nan
+        TargetPath(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
 
 
 def test_lift_reaches_every_sample():
@@ -141,3 +145,28 @@ def test_drift_lift_below_critical():
     )
     res = lift_path(hd, np.zeros(3), zero_signal(2), path, EnergyParams(p=1.5, beta=1.0))
     assert res.residuals.max() <= 1e-6
+
+
+def test_refused_first_hop_bisects_without_repeating_the_steer(monkeypatch):
+    # at k = 1 the anchor is the previous sample's control, so re-anchoring
+    # there changes nothing: the refused pair is not steered a second time
+    import horizon.lifting as lifting
+
+    heis = catalog_load("heisenberg")
+    real = lifting.cross_section
+    calls, refused = [], []
+
+    def refusing(system, base, target, params=None, **kw):
+        calls.append(target)
+        if np.linalg.norm(base) < 1e-12 and np.linalg.norm(target - [0.2, 0.0, 0.0]) < 1e-12:
+            refused.append(target)
+            raise ChartRadiusError("refused")
+        return real(system, base, target, params, **kw)
+
+    monkeypatch.setattr(lifting, "cross_section", refusing)
+    path = TargetPath(np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0]]))
+    res = lift_path(heis, np.zeros(3), zero_signal(2), path)
+    assert res.residuals.max() <= 1e-6
+    assert len(refused) == 1
+    assert len(calls) == 3
+    assert continuity_report(res)["reanchor_count"] == 1

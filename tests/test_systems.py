@@ -173,31 +173,33 @@ def test_dynamics_and_jacobian():
     al = catalog_load("agrachev_lee(3)")
     x = np.array([0.5, 0.2])
     u = np.array([1.0, 2.0])
+
+    def rhs(z):
+        return np.array(al.float_rhs(z.tolist(), u.tolist()))
+
     # drift (0, x1^2) + u1 (1,0) + u2 (0, x1^3)
-    assert np.allclose(al.dynamics(x, u), [1.0, 0.25 + 2 * 0.125])
+    assert np.allclose(rhs(x), [1.0, 0.25 + 2 * 0.125])
     eps = 1e-6
-    J = al.dynamics_jacobian(x, u)
+    J = al.dynamics_jacobian(x[None], u[None])[0]
     for j in range(2):
         ep, em = x.copy(), x.copy()
         ep[j] += eps
         em[j] -= eps
-        col = (al.dynamics(ep, u) - al.dynamics(em, u)) / (2 * eps)
+        col = (rhs(ep) - rhs(em)) / (2 * eps)
         assert np.allclose(J[:, j], col, atol=1e-7)
 
 
-def _assert_matches_numpy_scalar_reference(system, x, u):
-    # the fast paths (Python-float evaluation, folded constant stacks, the
-    # reshape-dot Jacobian) must reproduce the plain numpy-scalar evaluation
-    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+def _assert_matches_numpy_scalar_reference(system, x):
+    # the fast path (Python-float evaluation) must reproduce the plain
+    # numpy-scalar evaluation; dynamics_jacobian takes point stacks only and
+    # is checked by _assert_batch_matches_numpy_reference
+    x = np.asarray(x, dtype=float)
     for stack, got in (
-        (system._stack("value"), system.field_values(x)),
-        (system._stack("jac"), system.field_jacobians(x)),
+        (system._values, system.field_values(x)),
+        (system._jacobians, system.field_jacobians(x)),
     ):
         ref = np.asarray(stack._fn(*x), dtype=float).reshape(stack._shape)
         assert np.array_equal(got, ref)
-    J = system.field_jacobians(x)
-    ref = J[0] + np.tensordot(u, J[1:], axes=(0, 0))
-    assert np.array_equal(system.dynamics_jacobian(x, u), ref)
 
 
 _point = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
@@ -207,10 +209,10 @@ _point = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3)
     "name", [name.replace("(k)", "(3)") for name in catalog_names()]
 )
 @settings(max_examples=40, deadline=None)
-@given(x=_point, u=_point)
-def test_catalog_evaluation_is_bitwise_numpy(name, x, u):
+@given(x=_point)
+def test_catalog_evaluation_is_bitwise_numpy(name, x):
     system = catalog_load(name)
-    _assert_matches_numpy_scalar_reference(system, x[: system.n], u[: system.d])
+    _assert_matches_numpy_scalar_reference(system, x[: system.n])
 
 
 @st.composite
@@ -231,9 +233,9 @@ def _polynomial_system(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(system=_polynomial_system(), x=_point, u=_point)
-def test_polynomial_evaluation_is_bitwise_numpy(system, x, u):
-    _assert_matches_numpy_scalar_reference(system, x[: system.n], u[: system.d])
+@given(system=_polynomial_system(), x=_point)
+def test_polynomial_evaluation_is_bitwise_numpy(system, x):
+    _assert_matches_numpy_scalar_reference(system, x[: system.n])
 
 
 def _assert_batch_matches_numpy_reference(system, X, U):
@@ -241,7 +243,7 @@ def _assert_batch_matches_numpy_reference(system, X, U):
     # row i of the batched dynamics Jacobian is the one-point formula at row i
     X = np.asarray(X, dtype=float)[:, : system.n]
     U = np.asarray(U, dtype=float)[:, : system.d]
-    stack = system._stack("jac")
+    stack = system._jacobians
     out = stack._fn(*(X[:, i] for i in range(system.n)))
     cols = [np.broadcast_to(np.asarray(o, dtype=float), (len(X),)) for o in out]
     J = system.field_jacobians(X)
@@ -299,15 +301,15 @@ def test_callable_system_differential_evaluates_point_by_point():
 
 def test_float_state_run_reaches_dynamics_only_where_floats_are_unsafe(monkeypatch):
     # counts the fallback rather than timing it: float-safe symbolic systems
-    # integrate without dynamics on arrays; a fractional power and a callable
-    # system go through it
+    # integrate without field_values on arrays; a fractional power and a
+    # callable system go through it
     class Reached(Exception):
         pass
 
-    def reached(self, x, u):
+    def reached(self, x):
         raise Reached
 
-    monkeypatch.setattr(ControlSystem, "dynamics", reached)
+    monkeypatch.setattr(ControlSystem, "field_values", reached)
     u = ControlSignal(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
     for name in ("heisenberg", "agrachev_lee(3)"):
         system = catalog_load(name)
