@@ -5,6 +5,10 @@ command prints one JSON document to stdout and, when --out DIR is given,
 writes the same data plus CSV companions into DIR.  All output is
 deterministic for a fixed configuration, including the worker count.
 
+Each subcommand accepts only the flags it reads (`_COMMANDS`, drawn from the
+one flag table `_FLAGS`) and sets its own --substeps default; any other flag
+is an argparse error.
+
 Exit codes: 0 success, 2 config error, 3 domain escape, 4 solver
 non-convergence, 5 admissibility rejection.
 """
@@ -95,17 +99,17 @@ def _check_state(system, vec, label) -> np.ndarray:
     return vec
 
 
-def _out_dir(args) -> pathlib.Path | None:
-    if args.out is None:
-        return None
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit(out: pathlib.Path | None, name: str, text: str):
-    if out is not None:
-        (out / name).write_text(text)
+def _publish(args, name: str, doc: str, companions=dict) -> int:
+    """Print the JSON document; with --out, also write it to DIR/name and
+    write each (file name -> text) entry of companions() beside it."""
+    print(doc)
+    if args.out is not None:
+        out = pathlib.Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(doc + "\n")
+        for file_name, text in companions().items():
+            (out / file_name).write_text(text)
+    return 0
 
 
 # -- subcommands ---------------------------------------------------------
@@ -127,41 +131,32 @@ def cmd_catalog(args) -> int:
                 "periodic": list(system.periodic),
             }
         )
-    doc = json.dumps({"systems": rows}, sort_keys=True)
-    print(doc)
-    _emit(_out_dir(args), "catalog.json", doc + "\n")
-    return 0
+    return _publish(args, "catalog.json", json.dumps({"systems": rows}, sort_keys=True))
 
 
 def cmd_endpoint(args) -> int:
     system = _load_system(args.system)
     x = _check_state(system, _parse_vector(args.x), "--x")
     u = _read_signal(args.control)
-    substeps = args.substeps if args.substeps is not None else DEFAULT_SUBSTEPS
-    traj = integrate(system, x, u, substeps=substeps)
+    traj = integrate(system, x, u, substeps=args.substeps)
     doc = json.dumps(
         {
             "system": system.name,
             "x": x.tolist(),
             "endpoint": traj.endpoint.tolist(),
             "final_time": float(u.total_time),
-            "substeps": substeps,
+            "substeps": args.substeps,
         },
         sort_keys=True,
     )
-    print(doc)
-    out = _out_dir(args)
-    _emit(out, "endpoint.json", doc + "\n")
-    _emit(out, "trajectory.csv", traj.to_csv())
-    return 0
+    return _publish(args, "endpoint.json", doc, lambda: {"trajectory.csv": traj.to_csv()})
 
 
 def cmd_jacobian(args) -> int:
     system = _load_system(args.system)
     x = _check_state(system, _parse_vector(args.x), "--x")
     u = _read_signal(args.control)
-    substeps = args.substeps if args.substeps is not None else DEFAULT_SUBSTEPS
-    diff = differential(system, x, u, substeps=substeps)
+    diff = differential(system, x, u, substeps=args.substeps)
     report = regular_value_test(diff)
     doc = json.dumps(
         {
@@ -175,19 +170,16 @@ def cmd_jacobian(args) -> int:
         },
         sort_keys=True,
     )
-    print(doc)
-    out = _out_dir(args)
-    _emit(out, "jacobian.json", doc + "\n")
-    if out is not None:
-        header = "segment,component," + ",".join(f"dF_{j + 1}" for j in range(system.n))
-        lines = [header]
+
+    def csv():
+        lines = ["segment,component," + ",".join(f"dF_{j + 1}" for j in range(system.n))]
         for k in range(u.segments):
             for i in range(u.d):
                 col = diff.matrix[:, k * u.d + i]
-                cells = [str(k), str(i + 1)] + [repr(float(v)) for v in col]
-                lines.append(",".join(cells))
-        _emit(out, "jacobian.csv", "\n".join(lines) + "\n")
-    return 0
+                lines.append(",".join([str(k), str(i + 1)] + [repr(float(v)) for v in col]))
+        return {"jacobian.csv": "\n".join(lines) + "\n"}
+
+    return _publish(args, "jacobian.json", doc, csv)
 
 
 def cmd_steer(args) -> int:
@@ -195,22 +187,17 @@ def cmd_steer(args) -> int:
     x = _check_state(system, _parse_vector(args.x), "--x")
     y = _check_state(system, _parse_vector(args.y), "--y")
     params = EnergyParams(p=args.p, beta=args.beta)
-    substeps = args.substeps if args.substeps is not None else DEFAULT_FLOW_SUBSTEPS
     if system.is_driftless:
         plan = cross_section(
-            system, x, y, params=params, steer_tol=args.steer_tol, flow_substeps=substeps
+            system, x, y, params=params, steer_tol=args.steer_tol, flow_substeps=args.substeps
         )
     else:
         plan = cross_section_drift(
             system, x, y, p=args.p, alpha=args.alpha,
-            steer_tol=args.steer_tol, flow_substeps=substeps,
+            steer_tol=args.steer_tol, flow_substeps=args.substeps,
         )
-    doc = plan.to_json()
-    print(doc)
-    out = _out_dir(args)
-    _emit(out, "plan.json", doc + "\n")
-    _emit(out, "plan_control.csv", plan.sigma.to_csv())
-    return 0
+    return _publish(args, "plan.json", plan.to_json(),
+                    lambda: {"plan_control.csv": plan.sigma.to_csv()})
 
 
 def cmd_lift(args) -> int:
@@ -219,27 +206,25 @@ def cmd_lift(args) -> int:
     path = _read_target_path(args.path)
     u0 = _read_signal(args.anchor_control) if args.anchor_control else zero_signal(system.d)
     params = EnergyParams(p=args.p, beta=args.beta)
-    substeps = args.substeps if args.substeps is not None else DEFAULT_SUBSTEPS
     result = lift_path(
         system, x0, u0, path, params=params,
         lift_tol=args.lift_tol, steer_tol=args.steer_tol,
-        substeps=substeps, alpha=args.alpha,
+        substeps=args.substeps, alpha=args.alpha,
     )
     report = continuity_report(result)
-    doc = json.dumps(report, sort_keys=True)
-    print(doc)
-    out = _out_dir(args)
-    _emit(out, "lift_report.json", doc + "\n")
-    if out is not None:
+
+    def files():
         lines = ["sample_index,gap,modulus,residual"]
         for row in report["rows"]:
             lines.append(
                 f"{row['sample_index']},{row['gap']!r},{row['modulus']!r},{row['residual']!r}"
             )
-        _emit(out, "moduli.csv", "\n".join(lines) + "\n")
+        out = {"moduli.csv": "\n".join(lines) + "\n"}
         for k, control in enumerate(result.controls):
-            _emit(out, f"control_{k:04d}.json", control.to_json() + "\n")
-    return 0
+            out[f"control_{k:04d}.json"] = control.to_json() + "\n"
+        return out
+
+    return _publish(args, "lift_report.json", json.dumps(report, sort_keys=True), files)
 
 
 def cmd_geodesics(args) -> int:
@@ -248,22 +233,15 @@ def cmd_geodesics(args) -> int:
     y = _check_state(system, _parse_vector(args.y), "--y")
     check_admissibility(system, x, args.p)
     opts = GeodesicOptions(
-        p=args.p,
-        substeps=args.substeps if args.substeps is not None else GeodesicOptions.substeps,
-        stat_tol=args.stat_tol,
-        end_tol=args.end_tol,
+        p=args.p, substeps=args.substeps, stat_tol=args.stat_tol, end_tol=args.end_tol
     )
     report = multistart(
-        system, x, y, p=args.p,
+        system, x, y,
         n_seeds=args.n_seeds, rng_seed=args.seed, m_seed=args.m_seed,
         opts=opts, workers=args.workers,
     )
-    doc = report.to_json()
-    print(doc)
-    out = _out_dir(args)
-    _emit(out, "report.json", doc + "\n")
-    _emit(out, "ladder.csv", report.to_csv())
-    return 0
+    return _publish(args, "report.json", report.to_json(),
+                    lambda: {"ladder.csv": report.to_csv()})
 
 
 # -- parser --------------------------------------------------------------
@@ -286,70 +264,63 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(argv, namespace)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--p", type=float, default=2.0, help="integrability exponent (p > 1)")
-    shared.add_argument("--beta", type=float, default=1.0,
-                        help="reparametrization exponent in (0, p/(p-1))")
-    shared.add_argument("--alpha", type=float, default=None,
-                        help="drift-chart duration exponent (default: midpoint of valid range)")
-    shared.add_argument("--substeps", type=int, default=None,
-                        help="integrator substeps per segment (default per command)")
-    shared.add_argument("--seed", type=int, default=0, help="rng seed for multistart")
-    shared.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
-    shared.add_argument("--out", default=None, help="output directory for files")
-    shared.add_argument("--steer-tol", type=float, default=1e-9, dest="steer_tol")
-    shared.add_argument("--lift-tol", type=float, default=1e-8, dest="lift_tol")
-    shared.add_argument("--stat-tol", type=float, default=1e-6, dest="stat_tol")
-    shared.add_argument("--end-tol", type=float, default=1e-8, dest="end_tol")
+# every flag of the CLI; a subcommand takes the ones its cmd_* reads
+_FLAGS = {
+    "--system": dict(required=True, help="catalog name or system JSON file"),
+    "--x": dict(required=True, help="initial state, comma-separated"),
+    "--y": dict(required=True, help="target state, comma-separated"),
+    "--x0": dict(required=True, help="base state for the endpoint map"),
+    "--control": dict(required=True, help="control signal JSON file"),
+    "--anchor-control": dict(help="anchor control JSON file (default: zero control)"),
+    "--path": dict(required=True, help='JSON file {"samples", "targets"}'),
+    "--n-seeds": dict(type=int, default=32, help="multistart seeds"),
+    "--m-seed": dict(type=int, default=32, help="segments per seed control"),
+    "--p": dict(type=float, default=2.0, help="integrability exponent (p > 1)"),
+    "--beta": dict(type=float, default=1.0, help="reparametrization exponent in (0, p/(p-1))"),
+    "--alpha": dict(type=float,
+                    help="drift-chart duration exponent (default: midpoint of valid range)"),
+    "--substeps": dict(type=int, help="integrator substeps per segment (default %(default)s)"),
+    "--seed": dict(type=int, default=0, help="rng seed for multistart"),
+    "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
+    "--steer-tol": dict(type=float, default=1e-9),
+    "--lift-tol": dict(type=float, default=1e-8),
+    "--stat-tol": dict(type=float, default=1e-6),
+    "--end-tol": dict(type=float, default=1e-8),
+    "--out": dict(help="output directory for files"),
+}
 
+# name: (handler, help, flags, --substeps default)
+_COMMANDS = {
+    "catalog": (cmd_catalog, "list built-in systems", "--out", None),
+    "endpoint": (cmd_endpoint, "integrate a control signal",
+                 "--system --x --control --substeps --out", DEFAULT_SUBSTEPS),
+    "jacobian": (cmd_jacobian, "endpoint differential and rank test",
+                 "--system --x --control --substeps --out", DEFAULT_SUBSTEPS),
+    "steer": (cmd_steer, "steer x to y through a commutator chart",
+              "--system --x --y --p --beta --alpha --substeps --steer-tol --out",
+              DEFAULT_FLOW_SUBSTEPS),
+    "lift": (cmd_lift, "lift a target path to control space",
+             "--system --x0 --anchor-control --path --p --beta --alpha --substeps "
+             "--steer-tol --lift-tol --out", DEFAULT_SUBSTEPS),
+    "geodesics": (cmd_geodesics, "multistart search for fiber-critical controls",
+                  "--system --x --y --n-seeds --m-seed --p --substeps --seed --workers "
+                  "--stat-tol --end-tol --out", GeodesicOptions.substeps),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="horizon",
         description="Endpoint maps, bracket steering, homotopy lifts, and L^p geodesics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cat = sub.add_parser("catalog", parents=[shared], help="list built-in systems")
-    p_cat.set_defaults(func=cmd_catalog)
-
-    p_end = sub.add_parser("endpoint", parents=[shared], help="integrate a control signal")
-    p_end.add_argument("--system", required=True, help="catalog name or system JSON file")
-    p_end.add_argument("--x", required=True, help="initial state, comma-separated")
-    p_end.add_argument("--control", required=True, help="control signal JSON file")
-    p_end.set_defaults(func=cmd_endpoint)
-
-    p_jac = sub.add_parser("jacobian", parents=[shared],
-                           help="endpoint differential and rank test")
-    p_jac.add_argument("--system", required=True)
-    p_jac.add_argument("--x", required=True)
-    p_jac.add_argument("--control", required=True)
-    p_jac.set_defaults(func=cmd_jacobian)
-
-    p_steer = sub.add_parser("steer", parents=[shared],
-                             help="steer x to y through a commutator chart")
-    p_steer.add_argument("--system", required=True)
-    p_steer.add_argument("--x", required=True)
-    p_steer.add_argument("--y", required=True)
-    p_steer.set_defaults(func=cmd_steer)
-
-    p_lift = sub.add_parser("lift", parents=[shared],
-                            help="lift a target path to control space")
-    p_lift.add_argument("--system", required=True)
-    p_lift.add_argument("--x0", required=True, help="base state for the endpoint map")
-    p_lift.add_argument("--anchor-control", default=None, dest="anchor_control",
-                        help="anchor control JSON file (default: zero control)")
-    p_lift.add_argument("--path", required=True, help='JSON file {"samples", "targets"}')
-    p_lift.set_defaults(func=cmd_lift)
-
-    p_geo = sub.add_parser("geodesics", parents=[shared],
-                           help="multistart search for fiber-critical controls")
-    p_geo.add_argument("--system", required=True)
-    p_geo.add_argument("--x", required=True)
-    p_geo.add_argument("--y", required=True)
-    p_geo.add_argument("--n-seeds", type=int, default=32, dest="n_seeds")
-    p_geo.add_argument("--m-seed", type=int, default=32, dest="m_seed")
-    p_geo.set_defaults(func=cmd_geodesics)
-
+    for name, (func, help_text, flags, substeps) in _COMMANDS.items():
+        # allow_abbrev=False: a flag is read only under its own name, so that
+        # `lift --x` is not taken for `--x0`
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            cmd.add_argument(flag, **_FLAGS[flag])
+        cmd.set_defaults(func=func, substeps=substeps)
     return parser
 
 

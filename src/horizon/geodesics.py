@@ -24,7 +24,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .endpoint import differential, endpoint as _endpoint
 from .errors import ConfigError, ConvergenceError, DomainEscapeError, HorizonError
-from .signals import ControlSignal, _abs_power, energy_of_values, gradient_density
+from .signals import (ControlSignal, _abs_power, conjugate_exponent, energy_of_values,
+                      gradient_density)
 from .systems import ControlSystem, displacement
 
 __all__ = [
@@ -70,8 +71,11 @@ class GeodesicOptions:
     raise_on_failure: bool = True
 
     def __post_init__(self):
-        if not 1.0 < self.p < np.inf:
-            raise ConfigError(f"p must be finite and exceed 1, got {self.p}")
+        conjugate_exponent(self.p)
+        for name, count, least in (("substeps", self.substeps, 1), ("max_iter", self.max_iter, 0),
+                                   ("feas_iter", self.feas_iter, 0)):
+            if not count >= least:
+                raise ConfigError(f"{name} must be at least {least}, got {count}")
         for name, tol in (("end_tol", self.end_tol), ("stat_tol", self.stat_tol)):
             if not 0.0 < tol < np.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {tol}")
@@ -369,6 +373,15 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
     return U, lam, res, it
 
 
+def _options(p: float | None, opts: GeodesicOptions | None) -> GeodesicOptions:
+    """opts (default GeodesicOptions()) with p; an explicit p must equal opts.p."""
+    if opts is None:
+        return GeodesicOptions() if p is None else GeodesicOptions(p=p)
+    if p is not None and p != opts.p:
+        raise ConfigError(f"p={p} disagrees with opts.p={opts.p}; pass one of them")
+    return opts
+
+
 def solve_critical(
     system: ControlSystem,
     x,
@@ -383,12 +396,10 @@ def solve_critical(
     Feasibilization moves minimally (perpendicular to the fiber), and the
     Lagrange-Newton phase solves the full stationarity system, converging to
     critical points of any Morse index.  Raises ConvergenceError when
-    opts.raise_on_failure and the tolerances were not met.
+    opts.raise_on_failure and the tolerances were not met.  The exponent is
+    opts.p; a p given beside opts must equal it (ConfigError otherwise).
     """
-    if opts is None:
-        opts = GeodesicOptions() if p is None else GeodesicOptions(p=p)
-    elif p is not None and opts.p != p:
-        opts = replace(opts, p=p)
+    opts = _options(p, opts)
     if u_init is None:
         raise ConfigError("solve_critical needs an initial control signal")
     x = np.asarray(x, dtype=float)
@@ -523,7 +534,7 @@ def multistart(
     system: ControlSystem,
     x,
     y,
-    p: float = 2.0,
+    p: float | None = None,
     n_seeds: int = 32,
     rng_seed: int = 0,
     m_seed: int = 32,
@@ -537,17 +548,15 @@ def multistart(
     The reduction is a deterministic sorted merge, so reports are identical
     for any worker count.  seed_scale overrides the amplitude reference
     (default: distance from x to y), useful when the sought controls do not
-    shrink with the displacement, as on fibers with an energy floor.
+    shrink with the displacement, as on fibers with an energy floor.  p and
+    opts combine as in solve_critical.
     """
     for name, count in (("n_seeds", n_seeds), ("m_seed", m_seed), ("workers", workers)):
         if count < 1:
             raise ConfigError(f"{name} must be at least 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if opts is None:
-        opts = GeodesicOptions(p=p)
-    elif opts.p != p:
-        opts = replace(opts, p=p)
+    opts = _options(p, opts)
     run_opts = replace(opts, raise_on_failure=False)
 
     disp = displacement(system, x, y)

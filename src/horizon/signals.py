@@ -167,23 +167,32 @@ def constant_signal(value, duration: float) -> ControlSignal:
     return ControlSignal(np.array([0.0, float(duration)]), value[None, :])
 
 
+def conjugate_exponent(p: float) -> float:
+    """q = p/(p-1).  Raises ConfigError unless p is finite, exceeds 1 and
+    leaves q above 1 in floating point; at q == 1 the L^q norms that
+    measure stationarity degenerate."""
+    q = p / (p - 1.0) if 1.0 < p < np.inf else 1.0
+    if not q > 1.0:
+        raise ConfigError(
+            f"p must be finite and exceed 1 so that p/(p-1) > 1 in floating point, got {p}"
+        )
+    return q
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Integrability exponent p and reparametrization exponent beta.
 
-    Requires p > 1 and 0 < beta < p/(p-1); q is the conjugate exponent.
+    Requires p as in conjugate_exponent and 0 < beta < q = p/(p-1).
     """
 
     p: float = 2.0
     beta: float = 1.0
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ConfigError(f"p must satisfy p > 1, got {self.p}")
-        if not (0.0 < self.beta < self.p / (self.p - 1.0)):
-            raise ConfigError(
-                f"beta must lie in (0, p/(p-1)) = (0, {self.p / (self.p - 1.0)}), got {self.beta}"
-            )
+        q = conjugate_exponent(self.p)
+        if not 0.0 < self.beta < q:
+            raise ConfigError(f"beta must lie in (0, p/(p-1)) = (0, {q}), got {self.beta}")
 
     @property
     def q(self) -> float:

@@ -463,6 +463,8 @@ def cross_section_drift(
     y = np.asarray(y, dtype=float)
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
+    if alpha is not None and not np.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
     sigma_step, _ = _step_bound(system, x, p)
 
     alpha_hi = p / (2.0 * (p - 1.0))

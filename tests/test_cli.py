@@ -273,6 +273,25 @@ def test_convergence_numbers_must_be_finite_exit_2(capsys, tmp_path, line_contro
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "name, argv",
+    [("p", ["steer", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.01",
+            "--p", "inf"]),
+     ("p", ["geodesics", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.1",
+            "--n-seeds", "1", "--m-seed", "8", "--p", "1e308"]),
+     ("alpha", ["steer", "--system", "agrachev_lee(3)", "--x", "0,0", "--y", "0.01,0.01",
+                "--p", "1.4", "--alpha", "nan"]),
+     ("substeps", ["geodesics", "--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.1",
+                   "--n-seeds", "1", "--m-seed", "8", "--substeps", "0"])],
+    ids=["steer-p-inf", "geodesics-p-1e308", "steer-alpha-nan", "geodesics-substeps-0"],
+)
+def test_bad_option_exit_2_names_it(capsys, name, argv):
+    # p = 1e308 has p/(p-1) == 1.0 in floats, so no L^q norm can be formed
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {name} must")
+
+
 def test_geodesics_gate_on_drift_system(capsys):
     # step-3 drift structure rejects p=2 up front
     code, _, err = run(capsys, "geodesics", "--system", "agrachev_lee(3)",
@@ -394,6 +413,60 @@ def test_fuzz_system_file(payload):
     assert _fuzz_exit_code("system", payload) in (0, 2, 3, 4, 5)
 
 
+# -- option table ---------------------------------------------------------------
+
+OPTIONS = {
+    "catalog": "--out",
+    "endpoint": "--system --x --control --substeps --out",
+    "jacobian": "--system --x --control --substeps --out",
+    "steer": "--system --x --y --p --beta --alpha --substeps --steer-tol --out",
+    "lift": "--system --x0 --anchor-control --path --p --beta --alpha --substeps "
+            "--steer-tol --lift-tol --out",
+    "geodesics": "--system --x --y --n-seeds --m-seed --p --substeps --seed --workers "
+                 "--stat-tol --end-tol --out",
+}
+# a command line each subcommand parses; the files need not exist
+BASE_ARGV = {
+    "catalog": [],
+    "endpoint": ["--system", "heisenberg", "--x", "0,0,0", "--control", "u.json"],
+    "jacobian": ["--system", "heisenberg", "--x", "0,0,0", "--control", "u.json"],
+    "steer": ["--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.01"],
+    "lift": ["--system", "heisenberg", "--x0", "0,0,0", "--path", "path.json"],
+    "geodesics": ["--system", "heisenberg", "--x", "0,0,0", "--y", "0,0,0.1"],
+}
+ALL_FLAGS = sorted(set(" ".join(OPTIONS.values()).split()))
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(OPTIONS)
+    slots = 0
+    for name, flags in OPTIONS.items():
+        options = [s for a in subparsers[name]._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+        assert options == flags.split(), name
+        slots += len(options)
+    assert slots == 43
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c in OPTIONS for f in ALL_FLAGS if f not in OPTIONS[c].split()]
+    # a prefix of a flag is not that flag
+    + [("endpoint", "--sub"), ("geodesics", "--work"), ("lift", "--x")],
+)
+def test_flag_the_subcommand_never_reads_exit_2(capsys, command, flag):
+    code, out, err = run(capsys, command, *BASE_ARGV[command], flag, "7")
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag} 7" in err
+    assert "Traceback" not in err
+
+
 # -- README examples ----------------------------------------------------------
 
 
@@ -408,3 +481,14 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: horizon {' '.join(argv)}")
+
+
+def test_readme_flag_table_matches_parser():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in readme.splitlines() if line.startswith("| `")]
+    subparsers = _subparsers()
+    assert sorted(row[0] for row in rows) == sorted(subparsers)
+    for name, flags, substeps in rows:
+        assert flags.split() == OPTIONS[name].split(), name
+        assert str(subparsers[name].get_default("substeps") or "") == substeps, name

@@ -205,8 +205,26 @@ def test_options_validation():
         GeodesicOptions(p=1.0)
     with pytest.raises(ConfigError):
         GeodesicOptions(mode="taxicab")
+    with pytest.raises(ConfigError, match="p must be finite"):
+        GeodesicOptions(p=1e308)
+    for bad in ({"substeps": 0}, {"max_iter": -1}, {"feas_iter": -1}):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be at least"):
+            GeodesicOptions(**bad)
     with pytest.raises(ConfigError):
         solve_critical(catalog_load("heisenberg"), [0, 0, 0], [1, 0, 0], u_init=None)
+
+
+def test_p_beside_opts_must_agree():
+    heis = catalog_load("heisenberg")
+    rep = multistart(heis, [0, 0, 0], [0, 0, 0.1], n_seeds=1, m_seed=8,
+                     opts=GeodesicOptions(p=3.0))
+    assert rep.p == 3.0 and all(r.p == 3.0 for r in rep.records)
+    with pytest.raises(ConfigError, match="disagrees"):
+        multistart(heis, [0, 0, 0], [0, 0, 0.1], p=2.0, n_seeds=1, m_seed=8,
+                   opts=GeodesicOptions(p=3.0))
+    with pytest.raises(ConfigError, match="disagrees"):
+        solve_critical(heis, [0, 0, 0], [0, 0, 0.5], p=2.0, u_init=circle_control(1, m=16),
+                       opts=GeodesicOptions(p=3.0))
 
 
 def test_seed_generation_deterministic_and_scaled():

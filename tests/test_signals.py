@@ -206,6 +206,10 @@ def test_energy_params_validation():
         EnergyParams(p=2.0, beta=2.0)  # beta must stay below p/(p-1)
     with pytest.raises(ConfigError):
         EnergyParams(p=2.0, beta=0.0)
+    # p = 1e308 gives p/(p-1) == 1.0 in floats
+    for p in (np.inf, 1e308, np.nan):
+        with pytest.raises(ConfigError, match="p must be finite"):
+            EnergyParams(p=p)
     assert EnergyParams(p=2.0).q == 2.0
     assert np.isclose(EnergyParams(p=3.0).q, 1.5)
 

@@ -169,6 +169,10 @@ def test_drift_rejects_bad_alpha():
     hd = heis_with_drift()
     with pytest.raises(AdmissibilityError):
         cross_section_drift(hd, np.zeros(3), np.array([0.1, 0.0, 0.0]), p=1.5, alpha=0.9)
+    # a non-finite alpha is a config error, not an inadmissible exponent
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        cross_section_drift(hd, np.zeros(3), np.array([0.1, 0.0, 0.0]), p=1.5,
+                            alpha=float("nan"))
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
