@@ -99,6 +99,15 @@ def _check_state(system, vec, label) -> np.ndarray:
     return vec
 
 
+def _chart_params(args, system) -> EnergyParams:
+    """EnergyParams for steer and lift, refusing the flag the system's branch
+    never reads: --alpha on a driftless system, --beta on a drift system."""
+    flag, value = ("--alpha", args.alpha) if system.is_driftless else ("--beta", args.beta)
+    if value is not None:
+        raise ConfigError(f"{flag} does not apply to {system.name}")
+    return EnergyParams(p=args.p, beta=EnergyParams.beta if args.beta is None else args.beta)
+
+
 def _publish(args, name: str, doc: str, companions=dict) -> int:
     """Print the JSON document; with --out, also write it to DIR/name and
     write each (file name -> text) entry of companions() beside it."""
@@ -186,7 +195,7 @@ def cmd_steer(args) -> int:
     system = _load_system(args.system)
     x = _check_state(system, _parse_vector(args.x), "--x")
     y = _check_state(system, _parse_vector(args.y), "--y")
-    params = EnergyParams(p=args.p, beta=args.beta)
+    params = _chart_params(args, system)
     if system.is_driftless:
         plan = cross_section(
             system, x, y, params=params, steer_tol=args.steer_tol, flow_substeps=args.substeps
@@ -205,7 +214,7 @@ def cmd_lift(args) -> int:
     x0 = _check_state(system, _parse_vector(args.x0), "--x0")
     path = _read_target_path(args.path)
     u0 = _read_signal(args.anchor_control) if args.anchor_control else zero_signal(system.d)
-    params = EnergyParams(p=args.p, beta=args.beta)
+    params = _chart_params(args, system)
     result = lift_path(
         system, x0, u0, path, params=params,
         lift_tol=args.lift_tol, steer_tol=args.steer_tol,
@@ -276,9 +285,10 @@ _FLAGS = {
     "--n-seeds": dict(type=int, default=32, help="multistart seeds"),
     "--m-seed": dict(type=int, default=32, help="segments per seed control"),
     "--p": dict(type=float, default=2.0, help="integrability exponent (p > 1)"),
-    "--beta": dict(type=float, default=1.0, help="reparametrization exponent in (0, p/(p-1))"),
-    "--alpha": dict(type=float,
-                    help="drift-chart duration exponent (default: midpoint of valid range)"),
+    "--beta": dict(type=float, help="reparametrization exponent in (0, p/(p-1)); driftless "
+                                    "systems only (default 1)"),
+    "--alpha": dict(type=float, help="drift-chart duration exponent; drift systems only "
+                                     "(default: midpoint of valid range)"),
     "--substeps": dict(type=int, help="integrator substeps per segment (default %(default)s)"),
     "--seed": dict(type=int, default=0, help="rng seed for multistart"),
     "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),

@@ -108,7 +108,8 @@ def lift_path(
 
     The control for the first sample is u0 itself (bit for bit); u0 must
     actually reach the first target within lift_tol.  Systems with drift are
-    gated by the admissibility check before any steering is attempted.
+    gated by the admissibility check before any steering is attempted;
+    alpha, their chart duration exponent, is refused on driftless systems.
     The lift re-anchors at most 4 * max(K, 1) times in all.
     """
     if params is None:
@@ -124,7 +125,10 @@ def lift_path(
         u0 = ControlSignal(np.array([0.0, 1.0]), np.zeros((1, system.d)))
     elif abs(u0.total_time - 1.0) > 1e-12:
         raise ConfigError("anchor control must live on [0, 1]")
-    if not system.is_driftless:
+    if system.is_driftless:
+        if alpha is not None:
+            raise ConfigError(f"alpha is a drift-chart exponent; {system.name} has no drift")
+    else:
         check_admissibility(system, path.targets[0], params.p)
     max_reanchors = 4 * max(path.K, 1)
 
@@ -141,10 +145,11 @@ def lift_path(
     residuals = [first_res]
     events = []
     reanchors = 0
+    end_k = anchor_end  # endpoint of controls[-1]
 
     for k in range(1, path.K + 1):
         target = path.targets[k]
-        u_k, anchor_u, anchor_end, used = _reach_target(
+        u_k, end_k, anchor_u, anchor_end, used = _reach_target(
             system,
             x0,
             anchor_u,
@@ -153,14 +158,13 @@ def lift_path(
             params,
             steer_tol,
             substeps,
-            prev_control=controls[k - 1],
+            prev=(controls[k - 1], end_k),
             reanchors_left=max_reanchors - reanchors,
             alpha=alpha,
         )
         reanchors += used
         if used:
             events.append({"sample_index": k, "reanchors": used})
-        end_k = _endpoint(system, x0, u_k, substeps=substeps)
         res_k = float(np.linalg.norm(displacement(system, end_k, target)))
         if res_k > lift_tol:
             raise ConvergenceError(
@@ -179,26 +183,6 @@ def lift_path(
     )
 
 
-def _steer(system, base, target, params, steer_tol, alpha, substeps, composed=None):
-    # the plan must be solved on the same per-segment grid the lift will
-    # integrate it with, or the verification sees the discretization gap
-    if system.is_driftless:
-        return cross_section(
-            system,
-            base,
-            target,
-            params,
-            steer_tol=steer_tol,
-            flow_substeps=substeps,
-        )
-    # with drift, time compression skews the anchor's drift exposure, so the
-    # plan must be solved against the endpoint of the composed control
-    return cross_section_drift(
-        system, base, target, p=params.p, alpha=alpha, steer_tol=steer_tol,
-        flow_substeps=substeps, verify_endpoint=composed,
-    )
-
-
 def _reach_target(
     system,
     x0,
@@ -208,7 +192,7 @@ def _reach_target(
     params,
     steer_tol,
     substeps,
-    prev_control,
+    prev,
     reanchors_left,
     alpha,
 ):
@@ -217,34 +201,42 @@ def _reach_target(
     The anchor stays fixed across samples (so consecutive controls differ by
     one shrinking correction, keeping the lift L^p-continuous).  Only when
     the chart refuses the target does the lift re-anchor: first at the
-    previous sample's control, then, if even that hop fails, at bisection
-    stepping stones between the anchor endpoint and the target.  When the
-    anchor is the previous sample's control already, it bisects at once.
+    previous sample's control (prev, with its endpoint), then, if even that
+    hop fails, at bisection stepping stones between the anchor endpoint and
+    the target.  When the anchor is the previous sample's control already,
+    it bisects at once.  Returns the control, its endpoint, the anchor and
+    its endpoint for the next sample, and the re-anchors used.
     """
     used = 0
 
-    def composed_endpoint_fn(u_base):
-        def fn(plan_sig):
-            if plan_sig.segments == 0:
-                w = u_base
-            else:
-                w = concatenate_rescaled(u_base, plan_sig, plan_sig.total_time)
-            return _endpoint(system, x0, w, substeps=substeps)
-
-        return fn if not system.is_driftless else None
-
-    def hop(u_cur, end_cur, y, depth):
-        """Steer end_cur -> y, bisecting on failure."""
+    def hop(u_cur, end_cur, y, depth, may_bisect=True):
+        """Steer end_cur -> y; the composed control and its endpoint."""
         try:
-            plan = _steer(
-                system, end_cur, y, params, steer_tol, alpha, substeps,
-                composed=composed_endpoint_fn(u_cur),
-            )
+            # the plan must be solved on the same per-segment grid the lift
+            # will integrate it with, or the check sees the discretization gap
+            if system.is_driftless:
+                plan = cross_section(
+                    system, end_cur, y, params, steer_tol=steer_tol, flow_substeps=substeps
+                )
+            else:
+                # with drift, time compression skews the anchor's drift
+                # exposure, so the chart solves against the composed endpoint
+                def composed(plan_sig):
+                    w = u_cur
+                    if plan_sig.segments:
+                        w = concatenate_rescaled(u_cur, plan_sig, plan_sig.total_time)
+                    return _endpoint(system, x0, w, substeps=substeps)
+
+                plan = cross_section_drift(
+                    system, end_cur, y, p=params.p, alpha=alpha, steer_tol=steer_tol,
+                    flow_substeps=substeps, verify_endpoint=composed,
+                )
         except (ChartRadiusError, ConvergenceError):
+            if not may_bisect:
+                raise
             return bisect(u_cur, end_cur, y, depth)
         u_new = concatenate_rescaled(u_cur, plan.sigma, plan.T)
-        end_new = _endpoint(system, x0, u_new, substeps=substeps)
-        return u_new, end_new
+        return u_new, _endpoint(system, x0, u_new, substeps=substeps)
 
     def bisect(u_cur, end_cur, y, depth):
         """Re-anchor at the midpoint of end_cur -> y and hop both halves."""
@@ -252,30 +244,26 @@ def _reach_target(
         if depth >= MAX_BISECT or used >= reanchors_left:
             raise ConvergenceError("steering failed after max subdivision while lifting")
         used += 1
-        mid = end_cur + 0.5 * (y - end_cur)
+        mid = end_cur + 0.5 * displacement(system, end_cur, y)
         u_mid, end_mid = hop(u_cur, end_cur, mid, depth + 1)
         return hop(u_mid, end_mid, y, depth + 1)
 
     try:
-        plan = _steer(
-            system, anchor_end, target, params, steer_tol, alpha, substeps,
-            composed=composed_endpoint_fn(anchor_u),
-        )
-        u_k = concatenate_rescaled(anchor_u, plan.sigma, plan.T)
-        return u_k, anchor_u, anchor_end, used
+        u_k, end_k = hop(anchor_u, anchor_end, target, 0, may_bisect=False)
+        return u_k, end_k, anchor_u, anchor_end, used
     except (ChartRadiusError, ConvergenceError):
         pass
 
+    prev_control, prev_end = prev
     if prev_control is anchor_u:
         # re-anchoring there would repeat the steer that just failed
         u_k, end_k = bisect(anchor_u, anchor_end, target, 0)
     else:
         # re-anchor at the previous sample's control and hop (with bisection)
         used += 1
-        end_prev = _endpoint(system, x0, prev_control, substeps=substeps)
-        u_k, end_k = hop(prev_control, end_prev, target, 0)
+        u_k, end_k = hop(prev_control, prev_end, target, 0)
     # the composed control becomes the anchor for subsequent samples
-    return u_k, u_k, end_k, used
+    return u_k, end_k, u_k, end_k, used
 
 
 def continuity_report(result: LiftResult, p: float | None = None) -> dict:

@@ -4,17 +4,20 @@ A chart at a base point picks a frame of bracket words, expands each word
 into a sequence of elementary single-field flows (the group-commutator
 recursion: doubling plus inverses, so a length-nu word costs 3*2^(nu-1) - 2
 factors), and parametrizes the k-th word by the signed fractional root of a
-coordinate phi_k.  Newton inversion of the composed flow then yields controls
-steering the base point to a nearby target, with exact per-factor L^p norms
-that shrink as the target approaches the base.
+coordinate phi_k.  One damped Newton inversion of the composed flow then
+yields controls steering the base point to a nearby target, with exact
+per-factor L^p norms that shrink as the target approaches the base.
 
-The working radius of a chart is empirical: Newton is damped, and callers
-get a ChartRadiusError when the target is out of reach, at which point they
-should re-anchor or subdivide.
+Each steer checks once the state its plan reaches (integrated from the base,
+or the chart's verify_endpoint), and steer_tol is the largest residual that
+check accepts.  The working radius of a chart is empirical: callers get a
+ChartRadiusError when Newton stalls or the check fails, and should then
+re-anchor or subdivide.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -101,6 +104,8 @@ class SteeringChart:
     params: EnergyParams
     alpha: float | None = None  # set for drift charts
     flow_substeps: int = DEFAULT_FLOW_SUBSTEPS
+    # plan signal -> reached state; None integrates the plan from the base
+    verify_endpoint: Callable | None = None
 
     @property
     def factor_count(self) -> int:
@@ -127,13 +132,11 @@ class SteeringChart:
     def compose(self, phi) -> np.ndarray:
         """Endpoint of the factor product applied to the base point.
 
-        Driftless charts run pure single-field flows; drift charts integrate
-        the realized control plan so the drift acts during every factor.
+        Driftless charts run pure single-field flows; drift charts evaluate
+        the realized plan through plan_endpoint, so the drift acts throughout.
         """
         if self.alpha is not None:
-            return _endpoint(
-                self.system, self.base, self.plan_signal(phi), substeps=self.flow_substeps
-            )
+            return self.plan_endpoint(self.plan_signal(phi))
         x = self.base.copy()
         coeffs = self.coefficients(phi)
         for f, c in zip(self.factors, coeffs):
@@ -172,6 +175,12 @@ class SteeringChart:
             return zero_signal(d)
         bps = np.concatenate([[0.0], np.cumsum(durations)])
         return ControlSignal(bps, np.vstack(values))
+
+    def plan_endpoint(self, sig: ControlSignal) -> np.ndarray:
+        """State sig reaches: verify_endpoint(sig), or sig integrated from the base."""
+        if self.verify_endpoint is not None:
+            return self.verify_endpoint(sig)
+        return _endpoint(self.system, self.base, sig, substeps=self.flow_substeps)
 
 
 def _field_value(x, system, field_index):
@@ -226,50 +235,13 @@ def build_chart(
     )
 
 
-def _damped_newton(fn, phi, y, tol, max_iter):
-    """Damped Newton for fn(phi) = y with central-difference Jacobians.
-
-    Each step is halved up to ten times until it lowers |fn(phi) - y|; the
-    iteration stops at tol, after max_iter steps, or when no damping helps.
-    Returns the last accepted phi and its residual norm.
-    """
-    res = fn(phi) - y
-    best = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if best <= tol:
-            break
-        J = np.empty((len(y), len(phi)))
-        for k in range(len(phi)):
-            delta = 1e-6 * max(abs(phi[k]), 1e-2)
-            ep, em = phi.copy(), phi.copy()
-            ep[k] += delta
-            em[k] -= delta
-            J[:, k] = (fn(ep) - fn(em)) / (2.0 * delta)
-        try:
-            step = np.linalg.solve(J, -res)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -res, rcond=None)[0]
-        alpha = 1.0
-        for _ in range(10):
-            cand = phi + alpha * step
-            cres = fn(cand) - y
-            cn = np.linalg.norm(cres)
-            if cn < best:
-                phi, res, best = cand, cres, cn
-                break
-            alpha *= 0.5
-        else:
-            break  # no progress at the smallest damping
-    return phi, best
-
-
 def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
     """Damped Newton inversion of the chart's composed flow.
 
     Starts from the frame coordinates of the displacement (the leading-order
-    answer) and uses central finite differences for the Jacobian.  Raises
-    ChartRadiusError when the target resists, which callers treat as "outside
-    the working radius": re-anchor closer and retry.
+    answer), with central-difference Jacobians and up to ten step halvings.
+    Raises ChartRadiusError when the target resists, which callers treat as
+    "outside the working radius": re-anchor closer and retry.
     """
     y = np.asarray(y, dtype=float)
     target_disp = displacement(chart.system, chart.base, y)
@@ -279,7 +251,33 @@ def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
     if np.linalg.norm(chart.compose(phi) - y) <= tol:
         return phi
     phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
-    phi, best = _damped_newton(chart.compose, phi, y, tol, max_iter=60)
+    res = chart.compose(phi) - y
+    best = np.linalg.norm(res)
+    for _ in range(60):
+        if best <= tol:
+            break
+        J = np.empty((len(y), len(phi)))
+        for k in range(len(phi)):
+            delta = 1e-6 * max(abs(phi[k]), 1e-2)
+            ep, em = phi.copy(), phi.copy()
+            ep[k] += delta
+            em[k] -= delta
+            J[:, k] = (chart.compose(ep) - chart.compose(em)) / (2.0 * delta)
+        try:
+            step = np.linalg.solve(J, -res)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        damping = 1.0
+        for _ in range(10):
+            cand = phi + damping * step
+            cres = chart.compose(cand) - y
+            cn = np.linalg.norm(cres)
+            if cn < best:
+                phi, res, best = cand, cres, cn
+                break
+            damping *= 0.5
+        else:
+            break  # no progress at the smallest damping
     if best <= tol:
         return phi
     raise ChartRadiusError(
@@ -319,40 +317,27 @@ class SteeringPlan:
         )
 
 
-def _steer_on_chart(chart: SteeringChart, y, steer_tol, verify_endpoint=None) -> SteeringPlan:
+def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     """Plan from the chart's base to y, shared by both cross sections.
 
-    The plan's endpoint is checked by plain integration from the base, or by
-    verify_endpoint when given, and the coordinates are re-polished against
-    that endpoint when its residual exceeds steer_tol.
+    One chart solve, then one check of the plan through chart.plan_endpoint;
+    a checked residual above steer_tol raises ChartRadiusError.
     """
     if not 0.0 < steer_tol < np.inf:
         raise ConfigError(f"steer_tol must be positive and finite, got {steer_tol}")
     system, x = chart.system, chart.base
-
-    def reached(plan_sig):
-        if verify_endpoint is not None:
-            return verify_endpoint(plan_sig)
-        return _endpoint(system, x, plan_sig, substeps=chart.flow_substeps)
-
     disp = displacement(system, x, y)
     if np.linalg.norm(disp) == 0.0:
         phi, sig, res = np.zeros(system.n), zero_signal(system.d), 0.0
     else:
         # steer to the wrap-nearest representative of the target
-        y_near = x + disp
-        phi = solve_chart_coordinates(chart, y_near)
+        phi = solve_chart_coordinates(chart, x + disp)
         sig = chart.plan_signal(phi)
-        res = float(np.linalg.norm(displacement(system, reached(sig), y)))
+        res = float(np.linalg.norm(displacement(system, chart.plan_endpoint(sig), y)))
         if res > steer_tol:
-            phi, res = _damped_newton(
-                lambda c: reached(chart.plan_signal(c)), phi, y_near, steer_tol, max_iter=20
+            raise ChartRadiusError(
+                f"plan misses the target by {res:.3e}, above steer_tol {steer_tol:.1e}"
             )
-            if res > steer_tol:
-                raise ChartRadiusError(
-                    f"plan refinement stalled at residual {res:.3e} (steer_tol {steer_tol:.1e})"
-                )
-            sig = chart.plan_signal(phi)
     return SteeringPlan(
         phi=phi,
         T=sig.total_time,
@@ -376,9 +361,10 @@ def cross_section(
     """Steer a driftless system from x to y; returns the realized plan.
 
     Solves the chart coordinates against the factor flow product, lays the
-    plan, then verifies the integrated endpoint and re-polishes the
-    coordinates against the true plan endpoint if the residual exceeds
-    steer_tol.  Steering a point to itself returns the zero plan exactly.
+    plan, and integrates it from x once: steer_tol is the largest distance
+    between that endpoint and y that is accepted, and a larger one raises
+    ChartRadiusError.  Steering a point to itself returns the zero plan
+    exactly.
     """
     if not system.is_driftless:
         raise ConfigError(
@@ -451,13 +437,15 @@ def cross_section_drift(
     then the factor layout, which is only implemented for charts whose
     controlled fields span within bracket depth 2, is solved against the
     integrated plan so the drift's contribution is absorbed by Newton.
+    steer_tol is the largest distance between the plan's reached state and
+    y that is accepted; a larger one raises ChartRadiusError.
 
     verify_endpoint, when given, is a callable mapping a candidate plan
-    signal to the achieved state; the residual and the refinement loop then
-    target that map instead of plain integration from x.  Lifting passes the
-    composed (concatenated) endpoint here, because time compression does not
-    commute with the drift term, so the standalone plan endpoint and the
-    in-context endpoint differ at order T * drift.
+    signal to the reached state; the chart carries it, so Newton and the
+    check both use that map instead of plain integration from x.  Lifting
+    passes the composed (concatenated) endpoint here, because time
+    compression does not commute with the drift term, so the standalone plan
+    endpoint and the in-context endpoint differ at order T * drift.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -488,4 +476,5 @@ def cross_section_drift(
     chart = build_chart(
         system, x, EnergyParams(p=p), words=words, alpha=alpha, flow_substeps=flow_substeps
     )
-    return _steer_on_chart(chart, y, steer_tol, verify_endpoint)
+    chart.verify_endpoint = verify_endpoint
+    return _steer_on_chart(chart, y, steer_tol)

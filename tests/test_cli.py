@@ -492,3 +492,36 @@ def test_readme_flag_table_matches_parser():
     for name, flags, substeps in rows:
         assert flags.split() == OPTIONS[name].split(), name
         assert str(subparsers[name].get_default("substeps") or "") == substeps, name
+
+
+# Heisenberg with the drift (0, 0, x0 / 10): controlled fields of step 2
+HEIS_DRIFT_JSON = json.dumps({
+    "name": "heis_drift", "n": 3, "d": 2,
+    "fields": [
+        [[{"coef": 1.0, "exponents": [0, 0, 0]}], [], [{"coef": -0.5, "exponents": [0, 1, 0]}]],
+        [[], [{"coef": 1.0, "exponents": [0, 0, 0]}], [{"coef": 0.5, "exponents": [1, 0, 0]}]],
+    ],
+    "drift": [[], [], [{"coef": 0.1, "exponents": [1, 0, 0]}]],
+})
+
+
+@pytest.mark.parametrize("command", ["steer", "lift"])
+@pytest.mark.parametrize("drift", [False, True], ids=["driftless-alpha", "drift-beta"])
+def test_flag_the_system_branch_never_reads_exit_2(capsys, tmp_path, command, drift):
+    # --alpha sizes drift-chart segments and --beta driftless ones; the other
+    # branch would drop the value without a word
+    system, flag = "heisenberg", "--alpha"
+    if drift:
+        system, flag = str(tmp_path / "heis_drift.json"), "--beta"
+        pathlib.Path(system).write_text(HEIS_DRIFT_JSON)
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps({"samples": [0.0, 1.0],
+                                     "targets": [[0, 0, 0], [0.01, 0, 0]]}))
+    argv = {"steer": ["--x", "0,0,0", "--y", "0.01,0,0"],
+            "lift": ["--x0", "0,0,0", "--path", str(path_file)]}[command]
+    code, out, err = run(capsys, command, "--system", system, *argv, "--p", "1.5", flag, "1.1")
+    assert code == 2 and out == ""
+    assert flag in err and "Traceback" not in err
+    # without the flag the same command runs
+    code, _, _ = run(capsys, command, "--system", system, *argv, "--p", "1.5")
+    assert code == 0

@@ -1,0 +1,77 @@
+"""Source hygiene of the horizon package, checked on its syntax trees.
+
+Every module of src/horizon except __init__.py must use each name it
+imports, and every private module-level function or class must be
+referenced somewhere in the package.  Deleting the last caller of a helper
+then fails here instead of leaving dead code behind.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "horizon"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+
+
+def _loaded_names(tree):
+    """Names read anywhere in the tree, plus the strings listed in __all__."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _imported_names(tree):
+    """(bound name, line) for every import in the tree except __future__."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def _references(tree):
+    """Counts of the names read, attributes taken and names imported by name."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+PACKAGE_REFS = sum((_references(tree) for tree in TREES.values()), Counter())
+
+
+def test_modules_were_found():
+    assert {"steering", "lifting", "cli"} <= set(TREES)
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    used = _loaded_names(tree)
+    unused = [f"{bound} (line {line})" for bound, line in _imported_names(tree)
+              if bound not in used]
+    assert unused == [], f"{name}.py imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_private_definition_is_referenced(name):
+    # a reference from inside the definition itself (recursion) does not count
+    dead = [node.name for node in TREES[name].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and PACKAGE_REFS[node.name] == _references(node)[node.name]]
+    assert dead == [], f"{name}.py defines private names nothing references: {dead}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horizon import (
     AdmissibilityError,
@@ -8,6 +10,7 @@ from horizon import (
     EnergyParams,
     catalog_load,
     constant_signal,
+    displacement,
     endpoint,
     zero_signal,
 )
@@ -170,3 +173,69 @@ def test_refused_first_hop_bisects_without_repeating_the_steer(monkeypatch):
     assert len(refused) == 1
     assert len(calls) == 3
     assert continuity_report(res)["reanchor_count"] == 1
+
+
+def test_stepping_stone_takes_the_short_way_around_a_periodic_coordinate(monkeypatch):
+    # theta runs from pi - 0.05 to -pi + 0.05, a 0.1 turn across the wrap;
+    # with the first steer refused, the bisection stone must sit at theta =
+    # pi, not at the coordinate midpoint theta = 0 half a turn away
+    import horizon.lifting as lifting
+
+    uni = catalog_load("unicycle")
+    u0 = constant_signal(np.array([0.0, np.pi - 0.05]), 1.0)
+    start = endpoint(uni, np.zeros(3), u0, substeps=64)
+    real = lifting.cross_section
+    targets = []
+
+    def refuse_first(system, base, target, params=None, **kw):
+        targets.append(target)
+        if len(targets) == 1:
+            raise ChartRadiusError("refused")
+        return real(system, base, target, params, **kw)
+
+    monkeypatch.setattr(lifting, "cross_section", refuse_first)
+    path = TargetPath(np.array([0.0, 1.0]), np.array([start, [0.0, 0.0, -np.pi + 0.05]]))
+    res = lift_path(uni, np.zeros(3), u0, path)
+    assert len(targets) == 3
+    assert abs(displacement(uni, targets[1], [0.0, 0.0, np.pi])[2]) <= 1e-12
+    assert res.residuals.max() <= 1e-8
+    assert res.lp_modulus < 1.0
+
+
+def test_alpha_on_a_driftless_lift_is_a_config_error():
+    heis = catalog_load("heisenberg")
+    with pytest.raises(ConfigError, match="alpha"):
+        lift_path(heis, np.zeros(3), zero_signal(2), arc_path([0.0, 1.0]), alpha=1.2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    a=st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+    b=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+    K=st.integers(1, 3),
+    refuse_first=st.booleans(),
+)
+def test_lift_residuals_are_the_controls_own_endpoints(a, b, K, refuse_first):
+    # residuals[k] is the distance of controls[k]'s endpoint, bit for bit,
+    # also when a refused steer sends the lift through a bisection
+    import horizon.lifting as lifting
+
+    heis = catalog_load("heisenberg")
+    a, b = np.array(a), np.array(b)
+    path = TargetPath.from_function(lambda s: s * a + s * s * b, np.linspace(0.0, 1.0, K + 1))
+    real = lifting.cross_section
+    calls = []
+
+    def refusing(system, base, target, params=None, **kw):
+        calls.append(target)
+        if refuse_first and len(calls) == 1:
+            raise ChartRadiusError("refused")
+        return real(system, base, target, params, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lifting, "cross_section", refusing)
+        res = lift_path(heis, np.zeros(3), zero_signal(2), path, substeps=16)
+    for k, u in enumerate(res.controls):
+        end = endpoint(heis, np.zeros(3), u, substeps=16)
+        assert res.residuals[k] == float(np.linalg.norm(displacement(heis, end, path.targets[k])))
+        assert u.breakpoints[0] == 0.0 and abs(u.total_time - 1.0) <= 1e-12

@@ -233,3 +233,41 @@ def test_drift_step5_is_unsupported_not_degenerate(tmp_path, capsys):
     code = main(["steer", "--system", str(path), "--x", "0,0", "--y", "0.01,0", "--p", "1.2"])
     assert code == 2
     assert "step <= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["driftless", "drift"])
+def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
+    # steer_tol bounds the one check of the plan's reached state: a plan
+    # that misses it is refused, never re-solved
+    y = np.array([0.01, 0.02, 0.03])
+    if drift:
+        system = heis_with_drift()
+        steer = lambda tol: cross_section_drift(system, np.zeros(3), y, p=1.5, steer_tol=tol)
+    else:
+        system = catalog_load("heisenberg")
+        steer = lambda tol: cross_section(system, np.zeros(3), y, steer_tol=tol)
+    plan = steer(1e-9)
+    end = endpoint(system, np.zeros(3), plan.sigma, substeps=16)
+    assert 0.0 < plan.residual == float(np.linalg.norm(displacement(system, end, y)))
+    with pytest.raises(ChartRadiusError, match="steer_tol"):
+        steer(plan.residual / 2)
+    if not drift:
+        code = main(["steer", "--system", "heisenberg", "--x", "0,0,0", "--y", "0.01,0.02,0.03",
+                     "--steer-tol", repr(plan.residual / 2)])
+        assert code == 4
+        assert "steer_tol" in capsys.readouterr().err
+
+
+def test_drift_chart_solves_against_its_verify_endpoint():
+    # the chart carries the map a plan is judged by, and Newton inverts that
+    # map: an endpoint shifted by c is met exactly, so the plain plan misses
+    # y by c
+    hd = heis_with_drift()
+    x, y = np.zeros(3), np.array([0.05, 0.02, 0.01])
+    shift = np.array([1e-3, 0.0, -2e-3])
+    plan = cross_section_drift(
+        hd, x, y, p=1.5, verify_endpoint=lambda sig: endpoint(hd, x, sig, substeps=16) + shift
+    )
+    assert plan.residual <= 1e-9
+    plain = endpoint(hd, x, plan.sigma, substeps=16)
+    assert np.linalg.norm(plain + shift - y) <= 1e-9
