@@ -15,7 +15,9 @@ where Python floats are unsafe); the tangent blocks, all segments' as one
 batch on the state run's recorded stages, advance as the one-component list
 [Z].  This module alone decides what an empty signal reaches (its start) and
 when a state has blown up (|x|_inf > BLOWUP_BOUND, raised as
-DomainEscapeError).
+DomainEscapeError).  `_backtrack`, the halving line search of every damped
+Newton loop (feasibilization, the KKT phase, the chart solve), lives here
+because it rejects a trial step whose state blows up.
 """
 
 from __future__ import annotations
@@ -80,6 +82,22 @@ def _check_state(x, t):
         raise DomainEscapeError(
             f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}", t=t, state=np.array(x)
         )
+
+
+def _backtrack(trial, accept):
+    """Halving line search: the first of trial(1), trial(1/2), ..., trial(1/512)
+    that accept(alpha, result) takes, or None.  A DomainEscapeError rejects alpha."""
+    alpha = 1.0
+    for _ in range(10):
+        try:
+            cand = trial(alpha)
+        except DomainEscapeError:
+            pass
+        else:
+            if accept(alpha, cand):
+                return cand
+        alpha *= 0.5
+    return None
 
 
 def rk4_step(f, z, h, *args):

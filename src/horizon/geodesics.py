@@ -7,9 +7,11 @@ content survives); (b) a multiplier estimate by weighted least squares
 against the dual rows; (c) a Lagrange-Newton phase on the full first-order
 system, solved matrix-free by preconditioned GMRES with the exact
 no-curvature KKT block as preconditioner and a line search on the residual
-norm.  Stage (c) converges to critical points of any index, which matters
-because on compact-fiber problems most of the ladder consists of saddles;
-pure descent would collapse every seed onto the lowest cluster.
+norm.  Stages (a) and (c) damp their steps with the halving line search
+endpoint._backtrack, and each ends when no damped step helps.  Stage (c)
+converges to critical points of any index, which matters because on
+compact-fiber problems most of the ladder consists of saddles; pure descent
+would collapse every seed onto the lowest cluster.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .endpoint import differential, endpoint as _endpoint
-from .errors import ConfigError, ConvergenceError, DomainEscapeError, HorizonError
+from .endpoint import _backtrack, differential, endpoint as _endpoint
+from .errors import ConfigError, ConvergenceError, HorizonError
 from .signals import (ControlSignal, _abs_power, conjugate_exponent, energy_of_values,
                       gradient_density)
 from .systems import ControlSystem, displacement
@@ -231,22 +233,6 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
 # -- the solver ---------------------------------------------------------------
 
 
-def _backtrack(trial, accept):
-    """Halving line search: the first of trial(1), trial(1/2), ..., trial(1/512)
-    that accept(alpha, result) takes, or None.  A DomainEscapeError rejects alpha."""
-    alpha = 1.0
-    for _ in range(10):
-        try:
-            cand = trial(alpha)
-        except DomainEscapeError:
-            pass
-        else:
-            if accept(alpha, cand):
-                return cand
-        alpha *= 0.5
-    return None
-
-
 def _feasibilize(ws, U, y, opts, log):
     """Damped minimal-L^2-norm Newton onto the fiber."""
     for _ in range(opts.feas_iter):
@@ -296,12 +282,6 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
     the iteration index.  gmres_log gets one entry per GMRES solve."""
     md = U.size
     n = len(lam)
-
-    def trial(z, alpha):
-        Uc = U + alpha * z[:md].reshape(U.shape)
-        lc = lam + alpha * z[md:]
-        return Uc, lc, _kkt_residual(ws, Uc, lc, y, opts)
-
     it = 0
     res = _kkt_residual(ws, U, lam, y, opts)
     phi0 = res.merit
@@ -357,18 +337,14 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         gmres_log.append({"rtol_asked": rtol, "rtol_used": rtol_used,
                           "matvecs": matvecs, "info": int(info)})
 
-        phi = res.merit
-        found = _backtrack(lambda alpha: trial(step, alpha),
-                           lambda alpha, c: c[2].merit <= (1.0 - 1e-4 * alpha) * phi)
+        def trial(alpha):
+            Uc = U + alpha * step[:md].reshape(U.shape)
+            lc = lam + alpha * step[md:]
+            return Uc, lc, _kkt_residual(ws, Uc, lc, y, opts)
+
+        found = _backtrack(trial, lambda alpha, c: c[2].merit <= (1.0 - 1e-4 * alpha) * res.merit)
         if found is None:
-            # preconditioned gradient-ish fallback: tiny step, strict decrease
-            fallback = precond(-R)
-            try:
-                found = trial(fallback, 1e-3)
-            except DomainEscapeError:
-                break
-            if not found[2].merit < phi:
-                break
+            break  # no damped step reduced the merit
         U, lam, res = found
     return U, lam, res, it
 

@@ -100,7 +100,7 @@ def lift_path(
     path: TargetPath,
     params: EnergyParams | None = None,
     lift_tol: float = 1e-8,
-    steer_tol: float = 1e-10,
+    steer_tol: float = 1e-9,
     substeps: int = DEFAULT_SUBSTEPS,
     alpha: float | None = None,
 ) -> LiftResult:
@@ -110,7 +110,9 @@ def lift_path(
     actually reach the first target within lift_tol.  Systems with drift are
     gated by the admissibility check before any steering is attempted;
     alpha, their chart duration exponent, is refused on driftless systems.
-    The lift re-anchors at most 4 * max(K, 1) times in all.
+    The lift re-anchors at most 4 * max(K, 1) times in all.  A steer_tol
+    below the chart solve's own stop, 1e-10 * (1 + |d|) for a displacement d,
+    can refuse a plan the chart solve accepts and make the lift re-anchor.
     """
     if params is None:
         params = EnergyParams()

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endpoint import endpoint as _endpoint, rk4_step
+from .endpoint import _backtrack, endpoint as _endpoint, rk4_step
 from .errors import (
     AdmissibilityError,
     ChartRadiusError,
@@ -239,7 +239,10 @@ def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
     """Damped Newton inversion of the chart's composed flow.
 
     Starts from the frame coordinates of the displacement (the leading-order
-    answer), with central-difference Jacobians and up to ten step halvings.
+    answer), with central-difference Jacobians.  Each step is damped by the
+    shared halving line search (endpoint._backtrack), which takes the first
+    damping that strictly lowers the residual and rejects one whose composed
+    flow raises DomainEscapeError; Newton ends when no damping helps.
     Raises ChartRadiusError when the target resists, which callers treat as
     "outside the working radius": re-anchor closer and retry.
     """
@@ -247,9 +250,6 @@ def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
     target_disp = displacement(chart.system, chart.base, y)
     tol = 1e-10 * (1.0 + float(np.linalg.norm(target_disp)))
 
-    phi = np.zeros(chart.system.n)
-    if np.linalg.norm(chart.compose(phi) - y) <= tol:
-        return phi
     phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
     res = chart.compose(phi) - y
     best = np.linalg.norm(res)
@@ -267,17 +267,16 @@ def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
             step = np.linalg.solve(J, -res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, -res, rcond=None)[0]
-        damping = 1.0
-        for _ in range(10):
+
+        def trial(damping):
             cand = phi + damping * step
             cres = chart.compose(cand) - y
-            cn = np.linalg.norm(cres)
-            if cn < best:
-                phi, res, best = cand, cres, cn
-                break
-            damping *= 0.5
-        else:
-            break  # no progress at the smallest damping
+            return cand, cres, np.linalg.norm(cres)
+
+        found = _backtrack(trial, lambda damping, c: c[2] < best)
+        if found is None:
+            break  # no damping lowered the residual
+        phi, res, best = found
     if best <= tol:
         return phi
     raise ChartRadiusError(

@@ -200,6 +200,30 @@ def test_solver_raises_on_exhausted_budget():
         )
 
 
+def test_kkt_phase_ends_when_no_damped_step_helps(monkeypatch):
+    # a KKT line search that refuses every step ends the Lagrange-Newton
+    # phase at its first iterate: no other step is tried
+    import horizon.geodesics as geodesics
+
+    real = geodesics._backtrack
+
+    def refuse_kkt_steps(trial, accept):
+        found = real(trial, accept)
+        # KKT trials give (U, lam, residual), feasibilization's (U, |r|)
+        return None if found is None or len(found) == 3 else found
+
+    monkeypatch.setattr(geodesics, "_backtrack", refuse_kkt_steps)
+    heis = catalog_load("heisenberg")
+    seed = generate_seeds(0, 1, 16, 2, 0.5)[0]
+    u0 = ControlSignal(np.linspace(0.0, 1.0, 17), seed)
+    rec = solve_critical(heis, [0, 0, 0], [0, 0, 0.5], u_init=u0,
+                         opts=GeodesicOptions(raise_on_failure=False))
+    assert not rec.converged
+    assert rec.iterations == 0
+    assert len(rec.diagnostics["kkt_log"]) == 1
+    assert len(rec.diagnostics["gmres"]) == 1
+
+
 def test_options_validation():
     with pytest.raises(ConfigError):
         GeodesicOptions(p=1.0)

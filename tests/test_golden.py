@@ -91,6 +91,15 @@ def case_cross_section_drift():
     return {**_plan(plan), "alpha": plan.alpha}
 
 
+def case_floor():
+    # the criterion-5 search at s = 0.1: 12 of its 16 seeds fail, so this
+    # pins the damped Newton loops where no step helps
+    opts = GeodesicOptions(raise_on_failure=False, feas_iter=60, max_iter=60)
+    rep = multistart(catalog_load("agrachev_lee(3)"), [0.0, 0.0], [0.0, -0.1], p=2.0,
+                     n_seeds=16, rng_seed=3, m_seed=24, opts=opts, seed_scale=1.0)
+    return json.loads(rep.to_json())
+
+
 def case_lift():
     heis = catalog_load("heisenberg")
     g = lambda s: np.array([0.4 * s, 0.1 * np.sin(np.pi * s), 0.05 * s])
@@ -104,6 +113,7 @@ CASES = {
     "cross_section": case_cross_section,
     "cross_section_drift": case_cross_section_drift,
     "lift": case_lift,
+    "floor": case_floor,
 }
 
 

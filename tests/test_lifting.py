@@ -150,6 +150,26 @@ def test_drift_lift_below_critical():
     assert res.residuals.max() <= 1e-6
 
 
+def test_drift_lift_takes_every_plan_the_chart_solve_accepts():
+    # the chart solve stops at 1e-10 (1 + |d|); the default steer_tol is
+    # above that, so no steer Newton accepts is refused and the lift does not
+    # re-anchor
+    import sympy as sp
+
+    from horizon import ControlSystem, SymbolicField, state_symbols
+
+    x0s, x1s, x2s = state_symbols(3)
+    drift = SymbolicField([sp.Float(0), sp.Float(0), sp.Rational(1, 10) * x0s], coords=(x0s, x1s, x2s))
+    hd = ControlSystem("heis_drift", catalog_load("heisenberg").fields, drift=drift)
+    path = TargetPath.from_function(
+        lambda s: np.array([0.3 * s, 0.1 * np.sin(s), 0.05 * s]), np.linspace(0, 1, 5)
+    )
+    res = lift_path(hd, np.zeros(3), zero_signal(2), path, EnergyParams(p=1.5))
+    assert continuity_report(res)["reanchor_count"] == 0
+    assert res.residuals.max() <= 1e-9
+    assert res.lp_modulus < 4.0
+
+
 def test_refused_first_hop_bisects_without_repeating_the_steer(monkeypatch):
     # at k = 1 the anchor is the previous sample's control, so re-anchoring
     # there changes nothing: the refused pair is not steered a second time

@@ -9,9 +9,11 @@ from horizon import (
     ChartRadiusError,
     ConfigError,
     ControlSystem,
+    DomainEscapeError,
     EnergyParams,
     SymbolicField,
     UnsupportedStepError,
+    bracket_frame,
     catalog_load,
     displacement,
     endpoint,
@@ -271,3 +273,25 @@ def test_drift_chart_solves_against_its_verify_endpoint():
     assert plan.residual <= 1e-9
     plain = endpoint(hd, x, plan.sigma, substeps=16)
     assert np.linalg.norm(plain + shift - y) <= 1e-9
+
+
+def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
+    # a damped trial whose composed flow blows up is rejected like one that
+    # does not lower the residual: Newton halves the step and still solves
+    hd = heis_with_drift()
+    x, y = np.zeros(3), np.array([0.05, 0.02, 0.01])
+    words, _ = bracket_frame(hd, x, max_depth=2, controlled_only=True)
+    chart = build_chart(hd, x, EnergyParams(p=1.5), words=words, alpha=1.25)
+    compose, calls = chart.compose, []
+    first_trial = 2 * hd.n + 2  # after the start's residual and the Jacobian's 2n columns
+
+    def escaping_once(phi):
+        calls.append(phi)
+        if len(calls) == first_trial:
+            raise DomainEscapeError("trial step left the domain")
+        return compose(phi)
+
+    chart.compose = escaping_once
+    phi = solve_chart_coordinates(chart, y)
+    assert len(calls) > first_trial
+    assert np.linalg.norm(compose(phi) - y) <= 1e-10 * (1.0 + np.linalg.norm(y))
