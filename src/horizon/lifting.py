@@ -110,9 +110,7 @@ def lift_path(
     actually reach the first target within lift_tol.  Systems with drift are
     gated by the admissibility check before any steering is attempted;
     alpha, their chart duration exponent, is refused on driftless systems.
-    The lift re-anchors at most 4 * max(K, 1) times in all.  A steer_tol
-    below the chart solve's own stop, 1e-10 * (1 + |d|) for a displacement d,
-    can refuse a plan the chart solve accepts and make the lift re-anchor.
+    The lift re-anchors at most 4 * max(K, 1) times in all.
     """
     if params is None:
         params = EnergyParams()
@@ -238,7 +236,10 @@ def _reach_target(
                 raise
             return bisect(u_cur, end_cur, y, depth)
         u_new = concatenate_rescaled(u_cur, plan.sigma, plan.T)
-        return u_new, _endpoint(system, x0, u_new, substeps=substeps)
+        if system.is_driftless:
+            return u_new, _endpoint(system, x0, u_new, substeps=substeps)
+        # the drift chart's plan reached composed(plan.sigma): this control
+        return u_new, plan.reached
 
     def bisect(u_cur, end_cur, y, depth):
         """Re-anchor at the midpoint of end_cur -> y and hop both halves."""

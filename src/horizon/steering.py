@@ -8,9 +8,17 @@ coordinate phi_k.  One damped Newton inversion of the composed flow then
 yields controls steering the base point to a nearby target, with exact
 per-factor L^p norms that shrink as the target approaches the base.
 
+Newton's Jacobian depends on the chart kind.  Without drift it is exact: a
+segment's RK4 steps see its duration and value only through their product,
+the factor's coefficient, so one endpoint differential of the laid-out plan
+gives every column (SteeringChart.jacobian).  With drift the durations enter
+the map on their own, so drift charts keep central differences of compose.
+
 Each steer checks once the state its plan reaches (integrated from the base,
 or the chart's verify_endpoint), and steer_tol is the largest residual that
-check accepts.  The working radius of a chart is empirical: callers get a
+check accepts; Newton stops no later than steer_tol, so a plan it accepts
+passes the check up to the rounding between the flow product and the plan's
+integration.  The working radius of a chart is empirical: callers get a
 ChartRadiusError when Newton stalls or the check fails, and should then
 re-anchor or subdivide.
 """
@@ -23,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endpoint import _backtrack, endpoint as _endpoint, rk4_step
+from .endpoint import _backtrack, differential, endpoint as _endpoint, rk4_step
 from .errors import (
     AdmissibilityError,
     ChartRadiusError,
@@ -154,13 +162,19 @@ class SteeringChart:
         Zero coefficients are skipped; factors are laid out strictly in
         product order.
         """
+        return self._layout(phi)[0]
+
+    def _layout(self, phi):
+        # (plan signal, index into factors of each of its segments): the one
+        # place that decides which factors become segments
         expo = self.params.beta if self.alpha is None else 2.0 * self.alpha
         coeffs = self.coefficients(phi)
         durations = []
         values = []
+        seg_factors = []
         d = self.system.d
         t = 0.0
-        for f, c in zip(self.factors, coeffs):
+        for j, (f, c) in enumerate(zip(self.factors, coeffs)):
             if c == 0.0:
                 continue
             dur = abs(c) ** expo
@@ -171,10 +185,50 @@ class SteeringChart:
             row[f.field_index - 1] = c * abs(c) ** (-expo)
             durations.append(dur)
             values.append(row)
+            seg_factors.append(j)
         if not durations:
-            return zero_signal(d)
+            return zero_signal(d), seg_factors
         bps = np.concatenate([[0.0], np.cumsum(durations)])
-        return ControlSignal(bps, np.vstack(values))
+        return ControlSignal(bps, np.vstack(values)), seg_factors
+
+    def jacobian(self, phi) -> np.ndarray:
+        """Newton's Jacobian dF/dphi of compose at phi.
+
+        Driftless: exact, from one differential of plan_signal(phi).  A
+        segment's RK4 steps see its duration and value only through their
+        product c_j, so dF/dc_j is its w_bar column for field b_j, and
+        dc_j/dphi_k = c_j / (nu_k phi_k).  At phi_k = 0 the root has no
+        derivative and word k lays out no segment; its column is then the
+        word's bracket field at the base (frame_matrix), the leading-order
+        derivative.  Drift: central differences of compose (2n flows),
+        because the durations |c|^(2 alpha) enter the map on their own and a
+        lift's compose also rescales the anchor control.
+        """
+        phi = np.asarray(phi, dtype=float)
+        n = len(phi)
+        if self.alpha is not None:
+            J = np.empty((self.system.n, n))
+            for k in range(n):
+                delta = 1e-6 * max(abs(phi[k]), 1e-2)
+                ep, em = phi.copy(), phi.copy()
+                ep[k] += delta
+                em[k] -= delta
+                J[:, k] = (self.compose(ep) - self.compose(em)) / (2.0 * delta)
+            return J
+        J = np.zeros((self.system.n, n))
+        zero = phi == 0.0
+        if zero.any():
+            J[:, zero] = self.frame_matrix()[:, zero]
+        sig, seg_factors = self._layout(phi)
+        if not seg_factors:
+            return J
+        w_bar = differential(self.system, self.base, sig, substeps=self.flow_substeps).w_bar
+        coeffs = self.coefficients(phi)
+        for seg, j in enumerate(seg_factors):
+            f = self.factors[j]
+            k = f.word_index
+            J[:, k] += w_bar[seg, :, f.field_index - 1] * (coeffs[j] / (self.words[k].length * phi[k]))
+        return J
 
     def plan_endpoint(self, sig: ControlSignal) -> np.ndarray:
         """State sig reaches: verify_endpoint(sig), or sig integrated from the base."""
@@ -235,59 +289,63 @@ def build_chart(
     )
 
 
-def solve_chart_coordinates(chart: SteeringChart, y) -> np.ndarray:
+def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = None):
     """Damped Newton inversion of the chart's composed flow.
 
     Starts from the frame coordinates of the displacement (the leading-order
-    answer), with central-difference Jacobians.  Each step is damped by the
-    shared halving line search (endpoint._backtrack), which takes the first
-    damping that strictly lowers the residual and rejects one whose composed
-    flow raises DomainEscapeError; Newton ends when no damping helps.
+    answer), with chart.jacobian: exact on driftless charts (one endpoint
+    differential per step), central differences on drift charts (2n
+    composes per step).  Each step is damped by the shared halving line
+    search (endpoint._backtrack), which takes the first damping that
+    strictly lowers the residual and rejects one whose composed flow raises
+    DomainEscapeError; Newton ends when no damping helps.  It stops at
+    |compose(phi) - y| <= min(1e-10 (1 + |d|), steer_tol) for the
+    displacement d.  Returns phi and the state compose(phi) reached.
     Raises ChartRadiusError when the target resists, which callers treat as
     "outside the working radius": re-anchor closer and retry.
     """
     y = np.asarray(y, dtype=float)
     target_disp = displacement(chart.system, chart.base, y)
-    tol = 1e-10 * (1.0 + float(np.linalg.norm(target_disp)))
+    tol, stop = 1e-10 * (1.0 + float(np.linalg.norm(target_disp))), "tol"
+    if steer_tol is not None and steer_tol < tol:
+        tol, stop = steer_tol, "steer_tol"
 
     phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
-    res = chart.compose(phi) - y
-    best = np.linalg.norm(res)
+    reached = chart.compose(phi)
+    best = np.linalg.norm(reached - y)
     for _ in range(60):
         if best <= tol:
             break
-        J = np.empty((len(y), len(phi)))
-        for k in range(len(phi)):
-            delta = 1e-6 * max(abs(phi[k]), 1e-2)
-            ep, em = phi.copy(), phi.copy()
-            ep[k] += delta
-            em[k] -= delta
-            J[:, k] = (chart.compose(ep) - chart.compose(em)) / (2.0 * delta)
+        J = chart.jacobian(phi)
         try:
-            step = np.linalg.solve(J, -res)
+            step = np.linalg.solve(J, y - reached)
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, -res, rcond=None)[0]
+            step = np.linalg.lstsq(J, y - reached, rcond=None)[0]
 
         def trial(damping):
             cand = phi + damping * step
-            cres = chart.compose(cand) - y
-            return cand, cres, np.linalg.norm(cres)
+            state = chart.compose(cand)
+            return cand, state, np.linalg.norm(state - y)
 
         found = _backtrack(trial, lambda damping, c: c[2] < best)
         if found is None:
             break  # no damping lowered the residual
-        phi, res, best = found
+        phi, reached, best = found
     if best <= tol:
-        return phi
+        return phi, reached
     raise ChartRadiusError(
-        f"chart Newton stalled at |residual| = {best:.3e} (tol {tol:.1e}); "
+        f"chart Newton stalled at |residual| = {best:.3e} ({stop} {tol:.1e}); "
         "target likely outside the chart's working radius"
     )
 
 
 @dataclass
 class SteeringPlan:
-    """Control realizing a chart solution: run sigma for time T from x."""
+    """Control realizing a chart solution: run sigma for time T from x.
+
+    reached is the state the chart's plan_endpoint gives for sigma (the base
+    for the zero plan); it is not part of to_json.
+    """
 
     phi: np.ndarray
     T: float
@@ -297,6 +355,7 @@ class SteeringPlan:
     base: np.ndarray
     target: np.ndarray
     alpha: float | None = None
+    reached: np.ndarray | None = None
 
     def to_json(self) -> str:
         import json
@@ -320,19 +379,24 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     """Plan from the chart's base to y, shared by both cross sections.
 
     One chart solve, then one check of the plan through chart.plan_endpoint;
-    a checked residual above steer_tol raises ChartRadiusError.
+    a checked residual above steer_tol raises ChartRadiusError.  A drift
+    chart's compose is plan_endpoint of the plan, so the state the solve's
+    last compose reached is checked as it is; a driftless plan is
+    integrated once, since the flow product matches it only to rounding.
     """
     if not 0.0 < steer_tol < np.inf:
         raise ConfigError(f"steer_tol must be positive and finite, got {steer_tol}")
     system, x = chart.system, chart.base
     disp = displacement(system, x, y)
     if np.linalg.norm(disp) == 0.0:
-        phi, sig, res = np.zeros(system.n), zero_signal(system.d), 0.0
+        phi, sig, reached, res = np.zeros(system.n), zero_signal(system.d), x, 0.0
     else:
         # steer to the wrap-nearest representative of the target
-        phi = solve_chart_coordinates(chart, x + disp)
+        phi, reached = solve_chart_coordinates(chart, x + disp, steer_tol)
         sig = chart.plan_signal(phi)
-        res = float(np.linalg.norm(displacement(system, chart.plan_endpoint(sig), y)))
+        if chart.alpha is None:
+            reached = chart.plan_endpoint(sig)
+        res = float(np.linalg.norm(displacement(system, reached, y)))
         if res > steer_tol:
             raise ChartRadiusError(
                 f"plan misses the target by {res:.3e}, above steer_tol {steer_tol:.1e}"
@@ -346,6 +410,7 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
         base=x,
         target=y,
         alpha=chart.alpha,
+        reached=reached,
     )
 
 

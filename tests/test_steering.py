@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from horizon import (
     AdmissibilityError,
@@ -11,6 +13,7 @@ from horizon import (
     ControlSystem,
     DomainEscapeError,
     EnergyParams,
+    NotBracketGeneratingError,
     SymbolicField,
     UnsupportedStepError,
     bracket_frame,
@@ -20,6 +23,7 @@ from horizon import (
     state_symbols,
     system_from_json,
 )
+import horizon.steering as steering
 from horizon.cli import main
 from horizon.steering import (
     build_chart,
@@ -60,7 +64,7 @@ def test_heisenberg_vertical_coordinate():
     heis = catalog_load("heisenberg")
     ch = build_chart(heis, np.zeros(3))
     for c in [0.3, -0.25, 0.05]:
-        phi = solve_chart_coordinates(ch, np.array([0.0, 0.0, c]))
+        phi, _ = solve_chart_coordinates(ch, np.array([0.0, 0.0, c]))
         assert np.allclose(phi, [0.0, 0.0, c], atol=1e-8)
 
 
@@ -69,7 +73,7 @@ def test_martinet_vertical_coordinate():
     mart = catalog_load("martinet")
     ch = build_chart(mart, np.zeros(3))
     for c in [0.2, -0.15]:
-        phi = solve_chart_coordinates(ch, np.array([0.0, 0.0, c]))
+        phi, _ = solve_chart_coordinates(ch, np.array([0.0, 0.0, c]))
         assert abs(phi[2] - c / 2) < 1e-6
 
 
@@ -239,8 +243,9 @@ def test_drift_step5_is_unsupported_not_degenerate(tmp_path, capsys):
 
 @pytest.mark.parametrize("drift", [False, True], ids=["driftless", "drift"])
 def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
-    # steer_tol bounds the one check of the plan's reached state: a plan
-    # that misses it is refused, never re-solved
+    # steer_tol bounds the one check of the plan's reached state, and Newton
+    # stops no later than steer_tol: a steer_tol below rounding, which no
+    # plan meets, is refused with an error naming it
     y = np.array([0.01, 0.02, 0.03])
     if drift:
         system = heis_with_drift()
@@ -252,10 +257,10 @@ def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
     end = endpoint(system, np.zeros(3), plan.sigma, substeps=16)
     assert 0.0 < plan.residual == float(np.linalg.norm(displacement(system, end, y)))
     with pytest.raises(ChartRadiusError, match="steer_tol"):
-        steer(plan.residual / 2)
+        steer(1e-20)
     if not drift:
         code = main(["steer", "--system", "heisenberg", "--x", "0,0,0", "--y", "0.01,0.02,0.03",
-                     "--steer-tol", repr(plan.residual / 2)])
+                     "--steer-tol", "1e-20"])
         assert code == 4
         assert "steer_tol" in capsys.readouterr().err
 
@@ -292,6 +297,135 @@ def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
         return compose(phi)
 
     chart.compose = escaping_once
-    phi = solve_chart_coordinates(chart, y)
+    phi, _ = solve_chart_coordinates(chart, y)
     assert len(calls) > first_trial
     assert np.linalg.norm(compose(phi) - y) <= 1e-10 * (1.0 + np.linalg.norm(y))
+
+
+@pytest.mark.parametrize("name, y", [
+    ("heisenberg", [0.071, -0.093, 0.046]),  # 4.3e-12 with a central-difference Jacobian
+    ("unicycle", [0.28, 0.15, -0.1]),  # 9.7e-11 under the 1e-10 (1 + |d|) stop alone
+])
+def test_explicit_steer_tol_below_the_newton_stop_is_met(name, y):
+    # Newton stops at min(1e-10 (1 + |d|), steer_tol), so a plan that would
+    # stop above an explicit steer_tol of 1e-12 is driven below it
+    system, y = catalog_load(name), np.array(y)
+    plan = cross_section(system, np.zeros(3), y, steer_tol=1e-12)
+    end = endpoint(system, np.zeros(3), plan.sigma, substeps=16)
+    assert plan.residual == float(np.linalg.norm(displacement(system, end, y))) <= 1e-12
+
+
+def _richardson_chart_jacobian(chart, phi):
+    # central differences of compose at steps e, e/2, e/4 with e = |phi_k|/50
+    # (so phi_k keeps its sign), extrapolated twice
+    J = np.empty((chart.system.n, len(phi)))
+    for k in range(len(phi)):
+        D = []
+        for e in np.array([1.0, 0.5, 0.25]) * abs(phi[k]) / 50:
+            ep, em = phi.copy(), phi.copy()
+            ep[k] += e
+            em[k] -= e
+            D.append((chart.compose(ep) - chart.compose(em)) / (2 * e))
+        R1, R2 = (4 * D[1] - D[0]) / 3, (4 * D[2] - D[1]) / 3
+        J[:, k] = (16 * R2 - R1) / 15
+    return J
+
+
+def _nonzero_phi(rng, n):
+    return rng.choice([-1.0, 1.0], size=n) * rng.uniform(0.02, 0.1, size=n)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "martinet", "unicycle", "grushin", "free_step2_rank2"])
+def test_driftless_chart_jacobian_is_exact(name):
+    # one differential of the laid-out plan gives the Jacobian of the flow
+    # product, to the Richardson reference's own error
+    # a plain central difference (step 1e-6 |phi_k|) misses by about 1e-9
+    system = catalog_load(name)
+    rng = np.random.default_rng(5)
+    for base in (np.zeros(system.n), 0.2 * rng.normal(size=system.n)):
+        chart = build_chart(system, base)
+        phi = _nonzero_phi(rng, system.n)
+        fd = _richardson_chart_jacobian(chart, phi)
+        assert np.abs(chart.jacobian(phi) - fd).max() <= 1e-10 * np.abs(fd).max()
+
+
+def _linear_terms(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def _driftless_system(draw):
+    # n = 2 or 3, d = 2: X_i = e_i plus constant and linear terms in every
+    # entry, which is bracket generating for most draws
+    n = draw(st.integers(2, 3))
+    term = st.fixed_dictionaries({
+        "coef": st.integers(-4, 4).map(lambda k: k / 4),
+        "exponents": st.sampled_from([[0] * n] + _linear_terms(n)),
+    })
+    field = st.lists(st.lists(term, max_size=2), min_size=n, max_size=n)
+    fields = draw(st.lists(field, min_size=2, max_size=2))
+    for i in range(2):
+        fields[i][i].append({"coef": 1.0, "exponents": [0] * n})
+    return system_from_json(json.dumps({"n": n, "d": 2, "fields": fields}))
+
+
+@settings(max_examples=25, deadline=None)
+@given(system=_driftless_system(), seed=st.integers(0, 2**16))
+def test_random_driftless_chart_jacobian_is_exact(system, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        chart = build_chart(system, 0.2 * rng.normal(size=system.n), max_depth=3, flow_substeps=4)
+    except NotBracketGeneratingError:
+        assume(False)
+    phi = _nonzero_phi(rng, system.n)
+    fd = _richardson_chart_jacobian(chart, phi)
+    size = np.abs(chart.compose(phi)).max()
+    assert np.abs(chart.jacobian(phi) - fd).max() <= 1e-10 * max(np.abs(fd).max(), size)
+
+
+def test_steer_from_a_zero_leading_order_coordinate_converges():
+    # the start phi = (0.05, 0, 0.01) lays out no segment for word 2: its
+    # Jacobian column is the bracket field at the base
+    heis = catalog_load("heisenberg")
+    y = np.array([0.05, 0.0, 0.01])
+    chart = build_chart(heis, np.zeros(3))
+    start = np.linalg.lstsq(chart.frame_matrix(), y, rcond=None)[0]
+    assert start[1] == 0.0
+    np.testing.assert_array_equal(chart.jacobian(start)[:, 1], chart.frame_matrix()[:, 1])
+    plan = cross_section(heis, np.zeros(3), y)
+    end = endpoint(heis, np.zeros(3), plan.sigma, substeps=16)
+    assert plan.residual == float(np.linalg.norm(end - y)) <= 1e-9
+
+
+def test_driftless_solve_takes_one_differential_per_newton_step(monkeypatch):
+    # compose runs once at the start and once per line-search trial; the
+    # Jacobian costs one differential per step and no compose
+    chart = build_chart(catalog_load("unicycle"), np.zeros(3))
+    calls = {"compose": 0, "differential": 0, "steps": 0, "trials": 0}
+    compose, differential, backtrack = chart.compose, steering.differential, steering._backtrack
+
+    def counted_compose(phi):
+        calls["compose"] += 1
+        return compose(phi)
+
+    def counted_differential(*args, **kwargs):
+        calls["differential"] += 1
+        return differential(*args, **kwargs)
+
+    def counted_backtrack(trial, accept):
+        calls["steps"] += 1
+
+        def counted_trial(damping):
+            calls["trials"] += 1
+            return trial(damping)
+
+        return backtrack(counted_trial, accept)
+
+    chart.compose = counted_compose
+    monkeypatch.setattr(steering, "differential", counted_differential)
+    monkeypatch.setattr(steering, "_backtrack", counted_backtrack)
+    phi, reached = solve_chart_coordinates(chart, np.array([0.06, -0.03, 0.02]))
+    assert calls["steps"] >= 2
+    assert calls["differential"] == calls["steps"]
+    assert calls["compose"] == 1 + calls["trials"]
+    np.testing.assert_array_equal(reached, compose(phi))

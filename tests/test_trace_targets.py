@@ -15,7 +15,7 @@ import horizon
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer  # noqa: E402
-from workloads import Ladder  # noqa: E402
+from workloads import Ladder, SteerLift  # noqa: E402
 
 # what one differential reaches of the ladder's required layers, and the
 # batched field evaluation of its tangent blocks
@@ -91,3 +91,25 @@ def test_one_differential_reaches_its_traced_layers_once():
         tracer.close()
     assert {name: spans.get(name, [0])[0] for name in DIFFERENTIAL_LAYERS} == dict.fromkeys(
         DIFFERENTIAL_LAYERS, 1)
+
+
+def test_steers_and_a_lift_reach_every_steer_lift_layer():
+    # the traced steer_lift run exits 1 when a required layer sees no call;
+    # a refactor that takes a layer out of the chart flows fails here first
+    heis = horizon.catalog_load("heisenberg")
+    x = horizon.state_symbols(3)
+    drift = horizon.SymbolicField([0, 0, x[0] / 10], coords=x)
+    hd = horizon.ControlSystem("heis_drift", heis.fields, drift=drift)
+    y = np.array([0.03, -0.02, 0.01])
+    path = horizon.TargetPath.from_function(lambda s: np.array([1.0, 0.1 * s, 0.02 * s]),
+                                            [0.0, 0.5, 1.0])
+    anchor = horizon.ControlSignal(np.array([0.0, 1.0]), np.array([[1.0, 0.0]]))
+    tracer = Tracer(horizon)
+    try:
+        horizon.cross_section(heis, np.zeros(3), y)
+        horizon.cross_section_drift(hd, np.zeros(3), y, p=1.5)
+        horizon.lift_path(heis, np.zeros(3), anchor, path)
+        spans = tracer.summary()["spans"]
+    finally:
+        tracer.close()
+    assert [name for name in SteerLift.traced_layers if spans.get(name, [0])[0] < 1] == []
