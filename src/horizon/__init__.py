@@ -25,6 +25,7 @@ from .signals import (
     zero_signal,
 )
 from .systems import (
+    RANK_TOL,
     BracketWord,
     CallableField,
     ControlSystem,

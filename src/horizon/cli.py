@@ -40,7 +40,7 @@ from .steering import (
     cross_section,
     cross_section_drift,
 )
-from .systems import catalog_load, catalog_names, system_from_json
+from .systems import RANK_TOL, catalog_load, catalog_names, system_from_json
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -304,7 +304,8 @@ _COMMANDS = {
     "catalog": (cmd_catalog, "list built-in systems", "--out", None),
     "endpoint": (cmd_endpoint, "integrate a control signal",
                  "--system --x --control --substeps --out", DEFAULT_SUBSTEPS),
-    "jacobian": (cmd_jacobian, "endpoint differential and rank test",
+    "jacobian": (cmd_jacobian, "endpoint differential and rank test: regular means all n "
+                 f"L^2 singular values exceed RANK_TOL = {RANK_TOL:g} times the largest",
                  "--system --x --control --substeps --out", DEFAULT_SUBSTEPS),
     "steer": (cmd_steer, "steer x to y through a commutator chart",
               "--system --x --y --p --beta --alpha --substeps --steer-tol --out",

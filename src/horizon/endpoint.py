@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainEscapeError, SingularFiberError
 from .signals import ControlSignal
-from .systems import ControlSystem
+from .systems import RANK_TOL, ControlSystem
 
 __all__ = [
     "Trajectory",
@@ -246,12 +246,6 @@ class EndpointDifferential:
         vals = np.einsum("j,kjd->kd", lam, self.w_bar)
         return ControlSignal(self.signal.breakpoints, vals)
 
-    def singular_values(self) -> np.ndarray:
-        """Singular values of the differential as an operator on L^2."""
-        h = self.signal.durations
-        scale = np.repeat(1.0 / np.sqrt(h), self.signal.d)
-        return np.linalg.svd(self.matrix * scale[None, :], compute_uv=False)
-
 
 def differential(
     system: ControlSystem,
@@ -295,49 +289,47 @@ def differential(
 
 @dataclass
 class RegularityReport:
+    """Rank of the differential on L^2; regular means rank n by the RANK_TOL rule."""
+
     regular: bool
     rank: int
     sigma_min: float
     sigma_max: float
-    tol: float
 
 
-def regular_value_test(diff: EndpointDifferential, tol: float = 1e-8) -> RegularityReport:
-    """Full-rank test of the differential in the L^2 operator geometry."""
-    svals = diff.singular_values()
-    smax = float(svals[0]) if len(svals) else 0.0
-    smin = float(svals[-1]) if len(svals) else 0.0
-    rank = int(np.sum(svals > tol * smax)) if smax > 0 else 0
-    return RegularityReport(
-        regular=(rank == diff.n and smin > tol * smax),
-        rank=rank,
-        sigma_min=smin,
-        sigma_max=smax,
-        tol=tol,
-    )
+def _l2_svd(diff: EndpointDifferential):
+    # the report, the column scale 1/sqrt(h_k) to L^2-orthonormal control
+    # coordinates, and the right singular vectors of the scaled matrix
+    scale = np.repeat(1.0 / np.sqrt(diff.signal.durations), diff.signal.d)
+    _, svals, vt = np.linalg.svd(diff.matrix * scale, full_matrices=False)
+    rank = int(np.sum(svals > RANK_TOL * svals[0]))
+    return RegularityReport(rank == diff.n, rank, float(svals[-1]), float(svals[0])), scale, vt
 
 
-def fiber_project(
-    diff: EndpointDifferential, h_signal: ControlSignal, rank_tol: float = 1e-8
-) -> ControlSignal:
+def regular_value_test(diff: EndpointDifferential) -> RegularityReport:
+    """Full-rank test of the differential in the L^2 operator geometry: regular
+    when it has n singular values and sigma_min > RANK_TOL * sigma_max."""
+    return _l2_svd(diff)[0]
+
+
+def fiber_project(diff: EndpointDifferential, h_signal: ControlSignal) -> ControlSignal:
     """L^2-orthogonal projection onto the kernel of the differential.
 
     The input must share the signal's breakpoints; the projection removes the
-    span of the dual rows w_j, so the result is tangent to the fiber through
-    the base control.
+    span of the dual rows w_j, the right singular vectors of the SVD that
+    regular_value_test reads, so the result is tangent to the fiber through
+    the base control.  Raises SingularFiberError exactly where that test
+    says the value is not regular.
     """
     if not np.array_equal(h_signal.breakpoints, diff.signal.breakpoints):
         raise ConfigError("signal to project must share breakpoints with the base control")
-    hdur = diff.signal.durations
-    n = diff.n
-    V = diff.w_bar  # (m, n, d)
-    G = np.einsum("k,kid,kjd->ij", hdur, V, V)  # Gram of the rows in L^2
-    svals = np.linalg.svd(G, compute_uv=False)
-    if svals[-1] <= rank_tol**2 * max(svals[0], 1e-300):
+    report, scale, vt = _l2_svd(diff)
+    if not report.regular:
         raise SingularFiberError(
-            "differential rows are numerically dependent; fiber tangent undefined"
+            f"differential has rank {report.rank} < {diff.n}: sigma_min/sigma_max = "
+            f"{report.sigma_min:.3e}/{report.sigma_max:.3e} is not above RANK_TOL = "
+            f"{RANK_TOL:g}; fiber tangent undefined"
         )
-    rhs = np.einsum("k,kid,kd->i", hdur, V, h_signal.values)
-    a = np.linalg.solve(G, rhs)
-    proj_vals = h_signal.values - np.einsum("j,kjd->kd", a, V)
-    return ControlSignal(diff.signal.breakpoints, proj_vals)
+    v = h_signal.values.ravel() / scale  # L^2-orthonormal coordinates
+    v = v - vt.T @ (vt @ v)
+    return ControlSignal(diff.signal.breakpoints, (v * scale).reshape(h_signal.values.shape))

@@ -59,6 +59,8 @@ FD_STEP = float(np.sqrt(np.finfo(float).eps))
 MIN_FORCING = 10.0 * FD_STEP
 # seed rotations draw their frequency from 1..SEED_BANDWIDTH
 SEED_BANDWIDTH = 5
+# coincidence_check passes at J_2 stationarity <= COINCIDENCE_TOL * its scale
+COINCIDENCE_TOL = 1e-6
 
 
 @dataclass
@@ -95,6 +97,7 @@ class GeodesicRecord:
     lam: np.ndarray
     p: float
     mode: str
+    substeps: int  # RK4 substeps per segment of the solve; not part of to_dict
     energy: float
     stationarity_residual: float
     stationarity_scale: float
@@ -397,6 +400,7 @@ def solve_critical(
         lam=lam,
         p=opts.p,
         mode=opts.mode,
+        substeps=opts.substeps,
         energy=energy_of_values(U, ws.h, opts.p, opts.mode),
         stationarity_residual=res.stat,
         stationarity_scale=res.scale,
@@ -634,13 +638,12 @@ def coincidence_check(
     system: ControlSystem,
     x,
     y,
-    tol: float = 1e-6,
-    substeps: int = 2,
 ) -> CoincidenceReport:
     """Check that the record's control is also J_2-stationary after rescaling.
 
     With constant speed c, the rescaled multiplier eta = lambda / (p c^(p-2))
     satisfies eta o d_uF = u, which is the p = 2 condition up to the factor 2.
+    The residual is taken on record.substeps and judged at COINCIDENCE_TOL.
     """
     if not record.converged:
         raise ConfigError("coincidence_check needs a converged record")
@@ -658,7 +661,7 @@ def coincidence_check(
         )
     eta = record.lam / (record.p * c ** (record.p - 2.0))
     lam2 = 2.0 * eta
-    res2 = lagrange_residual(system, x, y, u, lam2, p=2.0, mode="vector", substeps=substeps)
+    res2 = lagrange_residual(system, x, y, u, lam2, 2.0, "vector", record.substeps)
     g2 = 2.0 * np.linalg.norm(u.values, axis=1)
     scale2 = max(1.0, float(np.sum(u.durations * g2**2) ** 0.5))
     return CoincidenceReport(
@@ -666,5 +669,5 @@ def coincidence_check(
         mean_speed=c,
         residual_p=record.stationarity_residual,
         residual_2=res2,
-        passed=bool(res2 <= tol * scale2),
+        passed=bool(res2 <= COINCIDENCE_TOL * scale2),
     )

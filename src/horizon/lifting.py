@@ -69,8 +69,8 @@ class LiftResult:
     path: TargetPath
     controls: list
     residuals: np.ndarray
+    params: EnergyParams
     reanchor_events: list = field(default_factory=list)
-    params: EnergyParams | None = None
     alpha: float | None = None
 
     @property
@@ -83,13 +83,11 @@ class LiftResult:
         mods = self.moduli()
         return float(mods.max()) if len(mods) else 0.0
 
-    def moduli(self, p: float | None = None) -> np.ndarray:
-        """L^p distances between consecutive lifted controls."""
-        if p is None:
-            p = self.params.p if self.params is not None else 2.0
+    def moduli(self) -> np.ndarray:
+        """L^p distances between consecutive lifted controls, p = params.p."""
         out = np.empty(self.K)
         for k in range(self.K):
-            out[k] = self.controls[k + 1].subtract(self.controls[k]).lp_norm(p)
+            out[k] = self.controls[k + 1].subtract(self.controls[k]).lp_norm(self.params.p)
         return out
 
 
@@ -269,11 +267,9 @@ def _reach_target(
     return u_k, end_k, u_k, end_k, used
 
 
-def continuity_report(result: LiftResult, p: float | None = None) -> dict:
-    """Tabulate consecutive L^p moduli against sample spacing."""
-    if p is None:
-        p = result.params.p if result.params is not None else 2.0
-    mods = result.moduli(p)
+def continuity_report(result: LiftResult) -> dict:
+    """Tabulate consecutive L^p moduli (p = result.params.p) against sample spacing."""
+    mods = result.moduli()
     gaps = np.diff(result.path.samples)
     rows = [
         {
@@ -285,7 +281,7 @@ def continuity_report(result: LiftResult, p: float | None = None) -> dict:
         for k in range(result.K)
     ]
     return {
-        "p": p,
+        "p": result.params.p,
         "max_modulus": float(mods.max()) if len(mods) else 0.0,
         "max_residual": float(result.residuals.max()) if len(result.residuals) else 0.0,
         "reanchor_count": sum(ev["reanchors"] for ev in result.reanchor_events),

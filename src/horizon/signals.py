@@ -204,7 +204,9 @@ def energy(u: ControlSignal, p: float, mode: str = "component") -> float:
 
     mode="component" (canonical): sum_i ||u_i||_p^p, exact per segment.
     mode="vector": integral of |u(t)|_2^p, the vector-norm variant used by
-    the constant-speed diagnostics.
+    the constant-speed diagnostics and GeodesicOptions' default: for d >= 2
+    and p != 2, rec.energy is energy(rec.control, rec.p, rec.mode), not the
+    default-mode energy(rec.control, rec.p).
     """
     if p <= 1.0:
         raise ConfigError("energy needs p > 1")
@@ -217,7 +219,8 @@ def energy_gradient(u: ControlSignal, p: float, mode: str = "component") -> Cont
     """Derivative of the p-energy, as a dual (L^q) signal on the same grid.
 
     component mode: p * u |u|^(p-2) entrywise; vector mode: p |u|_2^(p-2) u.
-    Zero entries map to zero (the exponent is never evaluated at 0).
+    Zero entries map to zero (the exponent is never evaluated at 0).  Pass
+    rec.mode to match a geodesic record ("vector" by default, as in energy).
     """
     if u.segments == 0:
         return u

@@ -119,10 +119,6 @@ class SteeringChart:
     def factor_count(self) -> int:
         return len(self.factors)
 
-    @property
-    def step(self) -> int:
-        return max(w.length for w in self.words)
-
     def coefficients(self, phi) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
         out = np.empty(len(self.factors))
@@ -178,8 +174,8 @@ class SteeringChart:
             if c == 0.0:
                 continue
             dur = abs(c) ** expo
-            if t + dur <= t:
-                continue  # numerically invisible factor, cannot advance the clock
+            if t + dur <= t or dur < np.finfo(float).tiny:
+                continue  # invisible: cannot advance the clock, or |c|^(-expo) overflows
             t += dur
             row = np.zeros(d)
             row[f.field_index - 1] = c * abs(c) ** (-expo)
@@ -197,12 +193,13 @@ class SteeringChart:
         Driftless: exact, from one differential of plan_signal(phi).  A
         segment's RK4 steps see its duration and value only through their
         product c_j, so dF/dc_j is its w_bar column for field b_j, and
-        dc_j/dphi_k = c_j / (nu_k phi_k).  At phi_k = 0 the root has no
-        derivative and word k lays out no segment; its column is then the
-        word's bracket field at the base (frame_matrix), the leading-order
-        derivative.  Drift: central differences of compose (2n flows),
-        because the durations |c|^(2 alpha) enter the map on their own and a
-        lift's compose also rescales the anchor control.
+        dc_j/dphi_k = c_j / (nu_k phi_k).  A word that lays out no segment
+        (phi_k = 0, where the root has no derivative, or factors too short
+        for the plan) takes its bracket field at the base (frame_matrix),
+        the leading-order derivative of the flow product.  Drift: central
+        differences of compose (2n flows), because the durations |c|^(2 alpha)
+        enter the map on their own and a lift's compose also rescales the
+        anchor control.
         """
         phi = np.asarray(phi, dtype=float)
         n = len(phi)
@@ -216,10 +213,11 @@ class SteeringChart:
                 J[:, k] = (self.compose(ep) - self.compose(em)) / (2.0 * delta)
             return J
         J = np.zeros((self.system.n, n))
-        zero = phi == 0.0
-        if zero.any():
-            J[:, zero] = self.frame_matrix()[:, zero]
         sig, seg_factors = self._layout(phi)
+        laid = {self.factors[j].word_index for j in seg_factors}
+        lead = [k for k in range(n) if k not in laid]
+        if lead:
+            J[:, lead] = self.frame_matrix()[:, lead]
         if not seg_factors:
             return J
         w_bar = differential(self.system, self.base, sig, substeps=self.flow_substeps).w_bar
@@ -254,17 +252,16 @@ def build_chart(
     system: ControlSystem,
     x,
     params: EnergyParams | None = None,
-    words=None,
     max_depth: int = 4,
     alpha: float | None = None,
     flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
 ) -> SteeringChart:
     """Expand a bracket frame at x into an elementary factor sequence.
 
-    The factor layout depends only on the words, never on the target; with
+    The words are the bracket frame at x up to max_depth, built from
+    controlled-field words only: drift never enters a chart word.  The
+    factor layout depends only on the words, never on the target; with
     phi = 0 every coefficient vanishes and the product is the identity.
-    Without explicit words the frame is built from controlled-field words
-    only: drift never enters a chart word.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (system.n,):
@@ -273,15 +270,14 @@ def build_chart(
         raise ConfigError(f"flow_substeps must be at least 1, got {flow_substeps}")
     if params is None:
         params = EnergyParams()
-    if words is None:
-        words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
+    words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
     factors = []
     for k, w in enumerate(words):
         factors.extend(_word_factors(k, w))
     return SteeringChart(
         system=system,
         base=x,
-        words=list(words),
+        words=words,
         factors=factors,
         params=params,
         alpha=alpha,
@@ -530,15 +526,13 @@ def cross_section_drift(
         )
 
     try:
-        words, _ = bracket_frame(system, x, max_depth=2, controlled_only=True)
+        chart = build_chart(
+            system, x, EnergyParams(p=p), max_depth=2, alpha=alpha, flow_substeps=flow_substeps
+        )
     except NotBracketGeneratingError as exc:
         raise UnsupportedStepError(
             f"{system.name}: drift steering is implemented for controlled frames of "
             f"step <= 2 only ({exc})"
         ) from exc
-
-    chart = build_chart(
-        system, x, EnergyParams(p=p), words=words, alpha=alpha, flow_substeps=flow_substeps
-    )
     chart.verify_endpoint = verify_endpoint
     return _steer_on_chart(chart, y, steer_tol)

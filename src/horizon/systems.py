@@ -41,7 +41,12 @@ __all__ = [
     "system_from_json",
     "system_to_json",
     "displacement",
+    "RANK_TOL",
 ]
+
+# the one numerical-rank rule (bracket frames, the L^2 endpoint differential):
+# full rank when the smallest singular value exceeds RANK_TOL times the largest
+RANK_TOL = 1e-8
 
 
 def state_symbols(n: int):
@@ -411,14 +416,13 @@ def bracket_frame(
     system: ControlSystem,
     point,
     max_depth: int = 4,
-    rank_tol: float = 1e-8,
     controlled_only: bool = False,
 ):
     """Greedy frame of bracket words spanning the tangent space at a point.
 
     Words are taken in (length, lexicographic) order; a candidate is kept when
     adding its evaluated field keeps the smallest singular value of the
-    selected stack above rank_tol times the largest.  Words of drift systems
+    selected stack above RANK_TOL times the largest.  Words of drift systems
     may contain the drift unless controlled_only.  Returns (words, step)
     with step the maximal selected word length.
     """
@@ -434,7 +438,7 @@ def bracket_frame(
             vec = system.word_field(word).value(point)
             trial = np.vstack(selected_vecs + [vec]) if selected_vecs else vec[None, :]
             svals = np.linalg.svd(trial, compute_uv=False)
-            if svals[-1] > rank_tol * svals[0]:
+            if svals[-1] > RANK_TOL * svals[0]:
                 selected_words.append(word)
                 selected_vecs.append(vec)
                 step = length

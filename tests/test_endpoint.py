@@ -7,12 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horizon import (
+    RANK_TOL,
     ConfigError,
     ControlSignal,
     DomainEscapeError,
+    NotBracketGeneratingError,
     SingularFiberError,
     SymbolicField,
     ControlSystem,
+    bracket_frame,
     catalog_load,
     catalog_names,
     constant_signal,
@@ -28,7 +31,9 @@ from horizon import (
 )
 import sympy as sp
 
+from horizon.endpoint import EndpointDifferential
 from horizon.steering import _single_field_flow
+from test_steering import _driftless_system
 from test_systems import _callable_heisenberg
 
 
@@ -360,6 +365,72 @@ def test_fiber_project_singular():
     diff = differential(heis, np.zeros(3), u0, substeps=16)
     with pytest.raises(SingularFiberError):
         fiber_project(diff, constant_signal(np.array([1.0, 1.0]), 1.0))
+
+
+def _differential_with_ratio(rng, ratio, n=3, m=6, d=2):
+    # a differential whose L^2-scaled matrix has the singular values
+    # geomspace(1, ratio, n) in a random orientation, on random durations
+    h = rng.uniform(0.5, 1.5, size=m)
+    sig = ControlSignal(np.concatenate([[0.0], np.cumsum(h / h.sum())]), np.zeros((m, d)))
+    left = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    right = np.linalg.qr(rng.normal(size=(m * d, n)))[0]
+    scaled = left @ np.diag(np.geomspace(1.0, ratio, n)) @ right.T
+    matrix = scaled * np.repeat(np.sqrt(sig.durations), d)
+    w_bar = matrix.reshape(n, m, d).transpose(1, 0, 2) / sig.durations[:, None, None]
+    return EndpointDifferential(None, None, sig, 1, None, matrix, w_bar)
+
+
+@pytest.mark.parametrize("ratio", [3e-9, 6e-9, 9e-9, 1.1e-8, 1.5e-8])
+def test_fiber_project_refuses_exactly_the_values_that_are_not_regular(ratio):
+    # near RANK_TOL a Gram-matrix test, which squares the condition number,
+    # projected some singular differentials and refused some regular ones
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        diff = _differential_with_ratio(rng, ratio)
+        v = ControlSignal(diff.signal.breakpoints, rng.normal(size=diff.signal.values.shape))
+        regular = regular_value_test(diff).regular
+        try:
+            fiber_project(diff, v)
+            refused = False
+        except SingularFiberError as exc:
+            refused = True
+            assert "sigma_min/sigma_max" in str(exc) and "RANK_TOL" in str(exc)
+        assert refused != regular, (ratio, seed)
+
+
+def _l2_norm(h, values):
+    return float(np.sqrt(np.sum(h[:, None] * values**2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(system=_driftless_system(), seed=st.integers(0, 2**16), m=st.integers(1, 4))
+def test_random_fiber_projection_follows_the_rank_rule(system, seed, m):
+    rng = np.random.default_rng(seed)
+    x0 = 0.2 * rng.normal(size=system.n)
+    try:
+        words, _ = bracket_frame(system, x0, max_depth=3)
+    except NotBracketGeneratingError:
+        words = []
+    if words:
+        frame = np.stack([system.word_field(w).value(x0) for w in words])
+        svals = np.linalg.svd(frame, compute_uv=False)
+        assert svals[-1] > RANK_TOL * svals[0]
+
+    u = random_signal(rng, system.d, m)
+    diff = differential(system, x0, u, substeps=4)
+    v = ControlSignal(u.breakpoints, rng.normal(size=u.values.shape))
+    report = regular_value_test(diff)
+    if not report.regular:
+        with pytest.raises(SingularFiberError):
+            fiber_project(diff, v)
+        return
+    # rounding bound: a backward-stable SVD is exact for a matrix within
+    # O(size * eps) of the input, so both defects are O(m d eps)
+    h = u.durations
+    bound = 10 * u.values.size * np.finfo(float).eps * _l2_norm(h, v.values)
+    proj = fiber_project(diff, v)
+    assert np.linalg.norm(diff.apply(proj)) <= bound * report.sigma_max
+    assert _l2_norm(h, fiber_project(diff, proj).values - proj.values) <= bound
 
 
 def test_domain_escape():

@@ -16,7 +16,7 @@ from horizon.geodesics import (
     multistart,
     solve_critical,
 )
-from horizon.signals import ControlSignal
+from horizon.signals import ControlSignal, energy
 from horizon.systems import ControlSystem, catalog_load, polynomial_field
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "data" / "heisenberg_shooting.json"
@@ -160,6 +160,35 @@ def test_coincidence_on_curved_record():
     rep = coincidence_check(rec, heis, [0, 0, 0], [0, 0, 0.5])
     assert rep.passed
     assert rep.eta == pytest.approx(rec.lam / 2.0)
+
+
+@pytest.fixture(scope="module")
+def martinet_p3_record():
+    # martinet's RK4 maps move with the substep count (Heisenberg's are exact
+    # on constant controls), so a record's residuals depend on its grid
+    mart = catalog_load("martinet")
+    x = np.array([0.0, 0.5, 0.0])
+    y = x + np.array([0.3, 0.0, 0.05])
+    rep = multistart(mart, x, y, n_seeds=2, m_seed=8, opts=GeodesicOptions(p=3.0, substeps=3))
+    return mart, x, y, rep.records[0]
+
+
+def test_record_carries_the_substeps_it_was_solved_on(martinet_p3_record):
+    mart, x, y, rec = martinet_p3_record
+    assert rec.substeps == 3 and "substeps" not in rec.to_dict()
+    args = (mart, x, y, rec.control, rec.lam, rec.p, rec.mode)
+    assert lagrange_residual(*args, rec.substeps) == rec.stationarity_residual
+    assert lagrange_residual(*args, 2) != rec.stationarity_residual
+    rep = coincidence_check(rec, mart, x, y)
+    assert rep.residual_2 == lagrange_residual(mart, x, y, rec.control, 2.0 * rep.eta, 2.0,
+                                               "vector", rec.substeps)
+
+
+def test_record_energy_is_the_energy_in_its_mode(martinet_p3_record):
+    _, _, _, rec = martinet_p3_record
+    assert rec.mode == "vector"
+    assert energy(rec.control, rec.p, rec.mode) == rec.energy
+    assert energy(rec.control, rec.p) != rec.energy  # the default mode is "component"
 
 
 def test_multistart_deterministic_across_workers():

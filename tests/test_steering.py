@@ -16,7 +16,6 @@ from horizon import (
     NotBracketGeneratingError,
     SymbolicField,
     UnsupportedStepError,
-    bracket_frame,
     catalog_load,
     displacement,
     endpoint,
@@ -285,8 +284,7 @@ def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
     # does not lower the residual: Newton halves the step and still solves
     hd = heis_with_drift()
     x, y = np.zeros(3), np.array([0.05, 0.02, 0.01])
-    words, _ = bracket_frame(hd, x, max_depth=2, controlled_only=True)
-    chart = build_chart(hd, x, EnergyParams(p=1.5), words=words, alpha=1.25)
+    chart = build_chart(hd, x, EnergyParams(p=1.5), max_depth=2, alpha=1.25)
     compose, calls = chart.compose, []
     first_trial = 2 * hd.n + 2  # after the start's residual and the Jacobian's 2n columns
 
@@ -395,6 +393,29 @@ def test_steer_from_a_zero_leading_order_coordinate_converges():
     plan = cross_section(heis, np.zeros(3), y)
     end = endpoint(heis, np.zeros(3), plan.sigma, substeps=16)
     assert plan.residual == float(np.linalg.norm(end - y)) <= 1e-9
+
+
+def test_subnormal_coordinate_lays_out_a_finite_plan():
+    # a factor of subnormal duration would get the height |c|^(-beta) = inf;
+    # the plan leaves it out like a factor too short to advance the clock
+    heis = catalog_load("heisenberg")
+    y = np.array([0.0, np.finfo(float).tiny / 10, 0.03125])
+    sig = build_chart(heis, np.zeros(3)).plan_signal(y)
+    assert np.isfinite(sig.values).all() and sig.segments == 4
+    plan = cross_section(heis, np.zeros(3), y)
+    assert plan.residual <= 1e-9
+
+
+@pytest.mark.parametrize("z", [np.finfo(float).tiny, 1e-40])
+def test_tiny_coordinate_takes_the_leading_order_column(z):
+    # word 3's factors, of duration sqrt(z), are too short to advance the
+    # plan's clock after words 1 and 2, so the plan has no segment for it: its
+    # column is the bracket field at the base, as at phi_3 = 0, not zero
+    heis = catalog_load("heisenberg")
+    y = np.array([0.03125, 0.0625, z])
+    chart = build_chart(heis, np.zeros(3))
+    np.testing.assert_array_equal(chart.jacobian(y)[:, 2], chart.frame_matrix()[:, 2])
+    assert cross_section(heis, np.zeros(3), y).residual <= 1e-9
 
 
 def test_driftless_solve_takes_one_differential_per_newton_step(monkeypatch):
