@@ -26,8 +26,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .endpoint import _backtrack, differential, endpoint as _endpoint
 from .errors import ConfigError, ConvergenceError, HorizonError
-from .signals import (ControlSignal, _abs_power, conjugate_exponent, energy_of_values,
-                      gradient_density)
+from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
+                      energy_of_values, gradient_density)
 from .systems import ControlSystem, displacement
 
 __all__ = [
@@ -167,10 +167,6 @@ def _hess_density_diag(U, p, mode):
     return p * s2[:, None] + p * (p - 2.0) * s4[:, None] * U * U
 
 
-def _lq_density_norm(dens, h, q):
-    return float(np.sum(h[:, None] * np.abs(dens) ** q) ** (1.0 / q))
-
-
 # -- stationarity -------------------------------------------------------------
 
 
@@ -209,8 +205,8 @@ def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
     g = gradient_density(U, opts.p, opts.mode)
     dens = g - np.einsum("j,kjd->kd", lam, wbar)
     r2 = -displacement(ws.system, F, y)
-    stat_q = _lq_density_norm(dens, ws.h, opts.q)
-    scale = max(1.0, _lq_density_norm(g, ws.h, opts.q))
+    stat_q = _lp_norm_of_values(dens, ws.h, opts.q)
+    scale = max(1.0, _lp_norm_of_values(g, ws.h, opts.q))
     R1 = (ws.h[:, None] * dens).ravel()
     merit = 0.5 * (np.dot(R1 / ws.h_dof, R1) + np.dot(r2, r2))
     return _Residual(R1, r2, stat_q, scale, merit)
@@ -540,9 +536,11 @@ def multistart(
     run_opts = replace(opts, raise_on_failure=False)
 
     disp = displacement(system, x, y)
-    scale = seed_scale if seed_scale is not None else max(float(np.linalg.norm(disp)), 0.1)
-    if not scale > 0.0:
-        raise ConfigError("seed_scale must be positive")
+    with np.errstate(over="ignore"):  # a far target's norm overflows to inf, refused below
+        scale = seed_scale if seed_scale is not None else max(float(np.linalg.norm(disp)), 0.1)
+    # generate_seeds draws amplitudes log-uniformly from [0.5, 20] * scale
+    if not (0.5 * scale > 0.0 and 20.0 * scale < np.inf):
+        raise ConfigError(f"seed scale {scale} puts seed amplitudes outside (0, inf)")
     seeds = generate_seeds(rng_seed, n_seeds, m_seed, system.d, scale)
     bps = np.linspace(0.0, 1.0, m_seed + 1)
 
@@ -663,7 +661,7 @@ def coincidence_check(
     lam2 = 2.0 * eta
     res2 = lagrange_residual(system, x, y, u, lam2, 2.0, "vector", record.substeps)
     g2 = 2.0 * np.linalg.norm(u.values, axis=1)
-    scale2 = max(1.0, float(np.sum(u.durations * g2**2) ** 0.5))
+    scale2 = max(1.0, _lp_norm_of_values(g2, u.durations, 2.0))
     return CoincidenceReport(
         eta=eta,
         mean_speed=c,

@@ -6,10 +6,6 @@ anchor endpoint produces a short plan sigma_k of duration T_k, and the new
 control is the rescaled concatenation of the anchor control with sigma_k,
 living again on [0, 1].  The p-norm of the correction shrinks with the
 sample spacing, so consecutive controls stay close in L^p.
-
-When a sample falls outside the chart's working radius, the lift re-anchors
-at the previous sample's control and retries, bisecting the displacement
-into stepping stones if a single hop still fails.
 """
 
 from __future__ import annotations
@@ -108,7 +104,15 @@ def lift_path(
     actually reach the first target within lift_tol.  Systems with drift are
     gated by the admissibility check before any steering is attempted;
     alpha, their chart duration exponent, is refused on driftless systems.
-    The lift re-anchors at most 4 * max(K, 1) times in all.
+
+    Every later sample first takes one steer from the fixed anchor, so
+    consecutive controls differ by one shrinking correction.  When the chart
+    refuses, the lift re-anchors at the previous sample's control and reaches
+    the sample from there, bisecting into midpoint stepping stones whenever a
+    hop is refused; if that control is the anchor, it bisects from the anchor
+    at once rather than repeat the refused steer.  The control reached becomes
+    the anchor.  Bisection stops at depth MAX_BISECT, or once the lift has
+    re-anchored 4 * max(K, 1) times in all.
     """
     if params is None:
         params = EnergyParams()
@@ -129,6 +133,49 @@ def lift_path(
     else:
         check_admissibility(system, path.targets[0], params.p)
     max_reanchors = 4 * max(path.K, 1)
+    reanchors = 0
+
+    def hop(u, end, y):
+        """Steer end -> y once; the composed control and its endpoint."""
+        # the plan must be solved on the same per-segment grid the lift
+        # will integrate it with, or the check sees the discretization gap
+        if system.is_driftless:
+            plan = cross_section(system, end, y, params, steer_tol=steer_tol,
+                                 flow_substeps=substeps)
+            u_new = concatenate_rescaled(u, plan.sigma, plan.T)
+            return u_new, _endpoint(system, x0, u_new, substeps=substeps)
+
+        # with drift, time compression skews the anchor's drift exposure, so
+        # the chart solves against the composed endpoint
+        def composed(plan_sig):
+            w = u
+            if plan_sig.segments:
+                w = concatenate_rescaled(u, plan_sig, plan_sig.total_time)
+            return _endpoint(system, x0, w, substeps=substeps)
+
+        plan = cross_section_drift(
+            system, end, y, p=params.p, alpha=alpha, steer_tol=steer_tol,
+            flow_substeps=substeps, verify_endpoint=composed,
+        )
+        # the drift chart's plan reached composed(plan.sigma): this control
+        return concatenate_rescaled(u, plan.sigma, plan.T), plan.reached
+
+    def bisect(u, end, y, depth):
+        """Re-anchor at the midpoint of end -> y and reach both halves."""
+        nonlocal reanchors
+        if depth >= MAX_BISECT or reanchors >= max_reanchors:
+            raise ConvergenceError("steering failed after max subdivision while lifting")
+        reanchors += 1
+        mid = end + 0.5 * displacement(system, end, y)
+        u_mid, end_mid = reach(u, end, mid, depth + 1)
+        return reach(u_mid, end_mid, y, depth + 1)
+
+    def reach(u, end, y, depth):
+        """hop end -> y, bisecting whenever the chart refuses."""
+        try:
+            return hop(u, end, y)
+        except (ChartRadiusError, ConvergenceError):
+            return bisect(u, end, y, depth)
 
     anchor_u = u0
     anchor_end = _endpoint(system, x0, u0, substeps=substeps)
@@ -139,30 +186,24 @@ def lift_path(
             f"(lift_tol {lift_tol:.1e})"
         )
 
-    controls = [u0]
-    residuals = [first_res]
-    events = []
-    reanchors = 0
+    controls, residuals, events = [u0], [first_res], []
     end_k = anchor_end  # endpoint of controls[-1]
 
     for k in range(1, path.K + 1):
         target = path.targets[k]
-        u_k, end_k, anchor_u, anchor_end, used = _reach_target(
-            system,
-            x0,
-            anchor_u,
-            anchor_end,
-            target,
-            params,
-            steer_tol,
-            substeps,
-            prev=(controls[k - 1], end_k),
-            reanchors_left=max_reanchors - reanchors,
-            alpha=alpha,
-        )
-        reanchors += used
-        if used:
-            events.append({"sample_index": k, "reanchors": used})
+        before = reanchors
+        try:
+            u_k, end_k = hop(anchor_u, anchor_end, target)
+        except (ChartRadiusError, ConvergenceError):
+            if controls[-1] is anchor_u:
+                # re-anchoring there would repeat the steer that just failed
+                u_k, end_k = bisect(anchor_u, anchor_end, target, 0)
+            else:
+                reanchors += 1
+                u_k, end_k = reach(controls[-1], end_k, target, 0)
+            anchor_u, anchor_end = u_k, end_k
+        if reanchors > before:
+            events.append({"sample_index": k, "reanchors": reanchors - before})
         res_k = float(np.linalg.norm(displacement(system, end_k, target)))
         if res_k > lift_tol:
             raise ConvergenceError(
@@ -171,100 +212,8 @@ def lift_path(
         controls.append(u_k)
         residuals.append(res_k)
 
-    return LiftResult(
-        path=path,
-        controls=controls,
-        residuals=np.array(residuals),
-        reanchor_events=events,
-        params=params,
-        alpha=alpha,
-    )
-
-
-def _reach_target(
-    system,
-    x0,
-    anchor_u,
-    anchor_end,
-    target,
-    params,
-    steer_tol,
-    substeps,
-    prev,
-    reanchors_left,
-    alpha,
-):
-    """One sample's control: a single concatenation onto the current anchor.
-
-    The anchor stays fixed across samples (so consecutive controls differ by
-    one shrinking correction, keeping the lift L^p-continuous).  Only when
-    the chart refuses the target does the lift re-anchor: first at the
-    previous sample's control (prev, with its endpoint), then, if even that
-    hop fails, at bisection stepping stones between the anchor endpoint and
-    the target.  When the anchor is the previous sample's control already,
-    it bisects at once.  Returns the control, its endpoint, the anchor and
-    its endpoint for the next sample, and the re-anchors used.
-    """
-    used = 0
-
-    def hop(u_cur, end_cur, y, depth, may_bisect=True):
-        """Steer end_cur -> y; the composed control and its endpoint."""
-        try:
-            # the plan must be solved on the same per-segment grid the lift
-            # will integrate it with, or the check sees the discretization gap
-            if system.is_driftless:
-                plan = cross_section(
-                    system, end_cur, y, params, steer_tol=steer_tol, flow_substeps=substeps
-                )
-            else:
-                # with drift, time compression skews the anchor's drift
-                # exposure, so the chart solves against the composed endpoint
-                def composed(plan_sig):
-                    w = u_cur
-                    if plan_sig.segments:
-                        w = concatenate_rescaled(u_cur, plan_sig, plan_sig.total_time)
-                    return _endpoint(system, x0, w, substeps=substeps)
-
-                plan = cross_section_drift(
-                    system, end_cur, y, p=params.p, alpha=alpha, steer_tol=steer_tol,
-                    flow_substeps=substeps, verify_endpoint=composed,
-                )
-        except (ChartRadiusError, ConvergenceError):
-            if not may_bisect:
-                raise
-            return bisect(u_cur, end_cur, y, depth)
-        u_new = concatenate_rescaled(u_cur, plan.sigma, plan.T)
-        if system.is_driftless:
-            return u_new, _endpoint(system, x0, u_new, substeps=substeps)
-        # the drift chart's plan reached composed(plan.sigma): this control
-        return u_new, plan.reached
-
-    def bisect(u_cur, end_cur, y, depth):
-        """Re-anchor at the midpoint of end_cur -> y and hop both halves."""
-        nonlocal used
-        if depth >= MAX_BISECT or used >= reanchors_left:
-            raise ConvergenceError("steering failed after max subdivision while lifting")
-        used += 1
-        mid = end_cur + 0.5 * displacement(system, end_cur, y)
-        u_mid, end_mid = hop(u_cur, end_cur, mid, depth + 1)
-        return hop(u_mid, end_mid, y, depth + 1)
-
-    try:
-        u_k, end_k = hop(anchor_u, anchor_end, target, 0, may_bisect=False)
-        return u_k, end_k, anchor_u, anchor_end, used
-    except (ChartRadiusError, ConvergenceError):
-        pass
-
-    prev_control, prev_end = prev
-    if prev_control is anchor_u:
-        # re-anchoring there would repeat the steer that just failed
-        u_k, end_k = bisect(anchor_u, anchor_end, target, 0)
-    else:
-        # re-anchor at the previous sample's control and hop (with bisection)
-        used += 1
-        u_k, end_k = hop(prev_control, prev_end, target, 0)
-    # the composed control becomes the anchor for subsequent samples
-    return u_k, end_k, u_k, end_k, used
+    return LiftResult(path=path, controls=controls, residuals=np.array(residuals),
+                      params=params, reanchor_events=events, alpha=alpha)
 
 
 def continuity_report(result: LiftResult) -> dict:

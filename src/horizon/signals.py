@@ -97,8 +97,7 @@ class ControlSignal:
         """Exact L^p norm, componentwise over all entries: (sum_k h_k sum_i |v_ki|^p)^(1/p)."""
         if self.segments == 0:
             return 0.0
-        h = self.durations
-        return float(np.sum(h[:, None] * np.abs(self.values) ** p) ** (1.0 / p))
+        return _lp_norm_of_values(self.values, self.durations, p)
 
     # -- algebra ----------------------------------------------------------
 
@@ -234,6 +233,22 @@ def energy_of_values(values: np.ndarray, h: np.ndarray, p: float, mode: str) -> 
     if mode == "vector":
         return float(np.sum(h * np.linalg.norm(values, axis=1) ** p))
     raise ConfigError(f"unknown energy mode {mode!r}")
+
+
+def _lp_norm_of_values(values: np.ndarray, h: np.ndarray, p: float) -> float:
+    """(sum_k h_k sum_i |v_ki|^p)^(1/p) of the segment values (m, d) or (m,).
+
+    When the sum leaves the normal floating-point range, as it does for large
+    p, the values are first divided by their largest magnitude, so the norm
+    neither underflows to 0 nor overflows to inf.
+    """
+    a = np.abs(values).reshape(len(h), -1)
+    with np.errstate(over="ignore"):
+        total = float(np.sum(h[:, None] * a**p))
+    peak = float(a.max()) if a.size else 0.0
+    if np.finfo(float).tiny <= total < np.inf or not 0.0 < peak < np.inf:
+        return total ** (1.0 / p)
+    return peak * float(np.sum(h[:, None] * (a / peak) ** p)) ** (1.0 / p)
 
 
 def gradient_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:

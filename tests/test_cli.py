@@ -107,6 +107,23 @@ def test_jacobian_matches_library(capsys, line_control):
     assert doc["shape"] == [3, 2]
 
 
+def test_jacobian_csv_holds_the_matrix_column_by_column(capsys, tmp_path):
+    sig = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, 0.5], [-0.3, 2.0]]))
+    control = tmp_path / "u.json"
+    control.write_text(sig.to_json())
+    code, _, _ = run(capsys, "jacobian", "--system", "heisenberg", "--x", "0.1,0,0",
+                     "--control", str(control), "--out", str(tmp_path / "out"))
+    assert code == 0
+    matrix = differential(catalog_load("heisenberg"), [0.1, 0, 0], sig).matrix
+    lines = (tmp_path / "out" / "jacobian.csv").read_text().splitlines()
+    assert lines[0] == "segment,component,dF_1,dF_2,dF_3"
+    assert len(lines) == 1 + matrix.shape[1]
+    for col, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert cells[:2] == [str(col // 2), str(col % 2 + 1)]
+        assert [float(c) for c in cells[2:]] == matrix[:, col].tolist()
+
+
 def test_steer_zero_plan(capsys):
     code, out, _ = run(capsys, "steer", "--system", "heisenberg",
                        "--x", "0.2,0.1,0", "--y", "0.2,0.1,0")
@@ -248,6 +265,14 @@ def test_geodesics_counts_below_one_exit_2(capsys, flag):
                        "--y", "0,0,0.1", "--n-seeds", "2", "--m-seed", "8", flag, "0")
     assert code == 2
     assert "must be at least 1" in err
+
+
+def test_geodesics_far_target_exit_2(capsys):
+    # |y| overflows to inf, and so would the seed amplitudes drawn from it
+    code, _, err = run(capsys, "geodesics", "--system", "heisenberg", "--x", "0,0,0",
+                       "--y", "0,0,1e200", "--n-seeds", "1", "--m-seed", "4")
+    assert code == 2
+    assert "seed scale" in err
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizon.endpoint import endpoint
+from horizon.endpoint import differential, endpoint
 from horizon.errors import ConfigError, ConvergenceError
 from horizon.geodesics import (
     GeodesicOptions,
@@ -16,7 +16,7 @@ from horizon.geodesics import (
     multistart,
     solve_critical,
 )
-from horizon.signals import ControlSignal, energy
+from horizon.signals import ControlSignal, energy, gradient_density
 from horizon.systems import ControlSystem, catalog_load, polynomial_field
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "data" / "heisenberg_shooting.json"
@@ -217,6 +217,42 @@ def test_failed_seeds_logged_not_fatal():
     assert rep.failed_seeds  # the budget above is too small to converge
     for f in rep.failed_seeds:
         assert set(f) == {"seed_index", "reason"}
+
+
+def test_diverging_seed_is_logged_as_domain_escape():
+    # seeds a million times too large leave the state bound during the first
+    # integration; the reason names the error class, which failure counts read
+    heis = catalog_load("heisenberg")
+    rep = multistart(heis, [0, 0, 0], [0, 0, 0.1], n_seeds=2, m_seed=8, seed_scale=1e7)
+    assert rep.records == []
+    assert [f["seed_index"] for f in rep.failed_seeds] == [0, 1]
+    assert all(f["reason"].startswith("DomainEscapeError") for f in rep.failed_seeds)
+
+
+@pytest.mark.parametrize("seed_scale", [np.inf, np.nan, 1e308, 5e-324, 0.0, -1.0])
+def test_seed_scale_must_leave_finite_amplitudes(seed_scale):
+    # amplitudes span [0.5, 20] * scale: both ends must be positive and finite
+    with pytest.raises(ConfigError, match="seed scale"):
+        multistart(catalog_load("heisenberg"), [0, 0, 0], [0, 0, 0.1], n_seeds=1, m_seed=4,
+                   seed_scale=seed_scale)
+
+
+@pytest.mark.parametrize("p", [1.0000001, 1.0001])
+def test_stationarity_near_p_one_is_not_lost_to_underflow(p):
+    # q = p/(p-1) is 1e7 or 1e4, so |density|^q underflows; a converged
+    # record must still report its stationarity and meet stat_tol
+    heis = catalog_load("heisenberg")
+    opts = GeodesicOptions(p=p)
+    rep = multistart(heis, [0, 0, 0], [0, 0, 0.3], n_seeds=6, m_seed=8, opts=opts)
+    assert rep.records
+    for rec in rep.records:
+        w_bar = differential(heis, np.zeros(3), rec.control, substeps=rec.substeps).w_bar
+        dens = gradient_density(rec.control.values, p, rec.mode) - np.einsum(
+            "j,kjd->kd", rec.lam, w_bar)
+        worst = float(np.abs(dens).max())
+        # the L^q norm on the 1/8 grid is at least (1/8)^(1/q) max |density|
+        assert rec.stationarity_residual >= (1.0 - 1e-9) * 0.125 ** (1.0 / opts.q) * worst
+        assert worst <= (1.0 + 1e-6) * opts.stat_tol * rec.stationarity_scale
 
 
 def test_solver_raises_on_exhausted_budget():

@@ -195,6 +195,41 @@ def test_refused_first_hop_bisects_without_repeating_the_steer(monkeypatch):
     assert continuity_report(res)["reanchor_count"] == 1
 
 
+def test_refused_hop_from_the_previous_control_bisects_from_it(monkeypatch):
+    # at k = 2 the chart refuses the anchor's steer and the re-anchored steer
+    # from the previous control; the lift bisects from the previous control:
+    # one stone at the midpoint, then the sample, two re-anchors in all
+    import horizon.lifting as lifting
+
+    heis = catalog_load("heisenberg")
+    real = lifting.cross_section
+    t1, t2 = np.array([0.1, 0.0, 0.0]), np.array([0.2, 0.0, 0.0])
+    calls, refused = [], []
+
+    def refusing(system, base, target, params=None, **kw):
+        calls.append((np.array(base), np.array(target)))
+        if np.linalg.norm(target - t2) < 1e-12 and len(refused) < 2:
+            refused.append(base)
+            raise ChartRadiusError("refused")
+        return real(system, base, target, params, **kw)
+
+    monkeypatch.setattr(lifting, "cross_section", refusing)
+    path = TargetPath(np.array([0.0, 1.0, 2.0]), np.array([np.zeros(3), t1, t2]))
+    res = lift_path(heis, np.zeros(3), zero_signal(2), path)
+    end1 = endpoint(heis, np.zeros(3), res.controls[1], substeps=64)
+    mid = end1 + 0.5 * displacement(heis, end1, t2)
+    steered = [target for _, target in calls]
+    assert len(steered) == 5
+    for got, want in zip(steered, [t1, t2, t2, mid, t2]):
+        assert np.linalg.norm(got - want) <= 1e-12
+    assert np.linalg.norm(refused[0]) <= 1e-12
+    assert np.array_equal(refused[1], end1)
+    assert np.linalg.norm(calls[4][0] - mid) <= 1e-6
+    assert continuity_report(res)["reanchor_count"] == 2
+    assert res.reanchor_events == [{"sample_index": 2, "reanchors": 2}]
+    assert res.residuals.max() <= 1e-6
+
+
 def test_stepping_stone_takes_the_short_way_around_a_periodic_coordinate(monkeypatch):
     # theta runs from pi - 0.05 to -pi + 0.05, a 0.1 turn across the wrap;
     # with the first steer refused, the bisection stone must sit at theta =

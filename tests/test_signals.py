@@ -67,6 +67,14 @@ def test_lp_norm_against_quadrature():
         assert np.isclose(sig.lp_norm(p), dense_lp(sig, p), rtol=1e-3)
 
 
+@pytest.mark.parametrize("value", [0.4, 5.0])
+def test_lp_norm_of_a_constant_survives_large_p(value):
+    # |v|^1000 leaves the floating-point range (0.4 underflows, 5.0
+    # overflows), but the norm of a constant on [0, 1] is |v| itself
+    sig = constant_signal(np.array([value]), 1.0)
+    assert sig.lp_norm(1000.0) == pytest.approx(value, rel=1e-12)
+
+
 def test_subtract_on_union_grid():
     rng = np.random.default_rng(1)
     u = random_signal(rng, d=2, m=4)
