@@ -1,23 +1,25 @@
-"""Trajectory integration and the first-order endpoint differential.
+"""Trajectory integration, the endpoint differential and its curvature.
 
 Everything runs on a fixed-step RK4 grid: each signal segment is cut into
 `substeps` equal steps.  The differential is the exact tangent of that
 discrete map, not of the ODE: the same RK4 stages that advance the state
 advance its derivatives with respect to the segment's start and control, so
 the Jacobian the solver uses is the Jacobian of the map it constrains, to
-rounding.  No adaptive stepping.  Second-order terms are never assembled
-here.
+rounding.  EndpointDifferential.hessian(lam) goes one order further on the
+same recorded stages: the exact Hessian of lam . F, for the solver's Newton
+steps.  No adaptive stepping.
 
-`rk4_step` is the one RK4 step function.  The state run and the steering
-charts' single-field flows advance n Python floats through it, the state run
-on ControlSystem.float_rhs (no BLAS call per stage, and numpy scalars only
-where Python floats are unsafe); the tangent blocks, all segments' as one
-batch on the state run's recorded stages, advance as the one-component list
-[Z].  This module alone decides what an empty signal reaches (its start) and
-when a state has blown up (|x|_inf > BLOWUP_BOUND, raised as
-DomainEscapeError).  `_backtrack`, the halving line search of every damped
-Newton loop (feasibilization, the KKT phase, the chart solve), lives here
-because it rejects a trial step whose state blows up.
+The state run advances n Python floats by ControlSystem.float_step, one
+generated straight-line RK4 step (no BLAS call per stage, and numpy scalars
+only where Python floats are unsafe).  `rk4_step` is the generic RK4 step
+with the same arithmetic: the steering charts' single-field flows advance
+through it, and so do the tangent blocks, all segments' as one batch on the
+state run's recorded stages, as the one-component list [Z].  This module
+alone decides what an empty signal reaches (its start) and when a state has
+blown up (|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
+`_backtrack`, the halving line search of every damped Newton loop
+(feasibilization, the KKT phase, the chart solve), lives here because it
+rejects a trial step whose state blows up.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainEscapeError, SingularFiberError
 from .signals import ControlSignal
-from .systems import RANK_TOL, ControlSystem
+from .systems import RANK_TOL, ControlSystem, _with_controls
 
 __all__ = [
     "Trajectory",
@@ -58,6 +60,9 @@ class Trajectory:
     # [P_k^T; S_k^T] of its RK4 steps, all segments advanced together on the
     # recorded stage states (see integrate)
     fundamental: np.ndarray | None = None
+    # (m * 4 * substeps, n) with the blocks: every RK4 stage state of the run,
+    # in evaluation order
+    stages: np.ndarray | None = None
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -115,27 +120,54 @@ def rk4_step(f, z, h, *args):
 
 def _block_rhs(z, lin):
     # one RK4 stage of every segment's block Z = [P^T; S^T]: Z A^T + [0; B^T],
-    # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization
+    # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization.
+    # When the stage also brings H, the right-hand side's second derivative
+    # in zeta = (x, u), Z has second-order rows after the first n + d, and
+    # row (p, q) also gains H[a, b, c] T[p, b] T[q, c] in component a, with
+    # T = [Z | E] the stage's tangent of zeta (E, the tangent of u, is fixed).
     (Z,) = z
-    At, Bt = next(lin)
+    At, Bt, *H = next(lin)
+    m, d, n = len(Z), Bt.shape[1], Z.shape[2]
     W = np.matmul(Z, At)
-    W[:, Z.shape[2]:] += Bt
+    W[:, n:n + d] += Bt
+    if H:
+        P = n + d
+        T = np.concatenate([Z[:, :P], np.broadcast_to(np.eye(P, d, -n), (m, P, d))], axis=2)
+        HT = np.matmul(H[0].reshape(m, n * P, P), T.transpose(0, 2, 1)).reshape(m, n, P, P)
+        W[:, P:] += np.matmul(T[:, None], HT).reshape(m, n, P * P).transpose(0, 2, 1)
     return [W]
 
 
-def _tangent_blocks(system, signal, substeps, stages):
-    # the (m, n + d, n) blocks from [I; 0] on the recorded stage states: one
+def _tangent_blocks(system, signal, substeps, X, second=False):
+    # the (m, n + d, n) blocks from [I; 0] on the recorded stage states X: one
     # Jacobian and one field evaluation at every stage point, then 4 * substeps
-    # batched matmuls
+    # batched matmuls.  With second=True, (n + d)^2 rows follow, from 0: row
+    # n + d + p (n + d) + q holds the second derivative of the segment's end
+    # state in its start and value, directions p and q of zeta = (x, u).
     m, n, d = signal.segments, system.n, system.d
-    per = 4 * substeps  # stage points per segment
-    X = np.array(stages).reshape(m * per, n)
+    P, per = n + d, 4 * substeps  # stage points per segment
     U = np.repeat(signal.values, per, axis=0)
-    At = system.dynamics_jacobian(X, U).reshape(m, per, n, n).transpose(1, 0, 3, 2)
-    Bt = system.field_values_batch(X)[:, 1:].reshape(m, per, d, n).transpose(1, 0, 2, 3)
-    lin = zip(At, Bt)  # stage linearizations of all segments, in stage order
+
+    def by_stage(a):  # (m * per, ...) -> (per, m, ...): all segments, stage by stage
+        return a.reshape((m, per) + a.shape[1:]).swapaxes(0, 1)
+
+    # the second pass also needs the fields' own Jacobians: one stack serves both
+    J = system.field_jacobians(X) if second else None
+    A = system.dynamics_jacobian(X, U) if J is None else _with_controls(J, U)
+    lin = [by_stage(A).swapaxes(2, 3), by_stage(system.field_values_batch(X)[:, 1:])]
+    z = np.eye(P, n)
+    if second:
+        # d^2 f / dzeta^2: the fields' second derivatives in x, and X_i's
+        # Jacobian in the (u_i, x) and (x, u_i) blocks
+        H = np.zeros((len(X), n, P, P))
+        H[:, :, :n, :n] = system.dynamics_hessian(X, U)
+        H[:, :, n:, :n] = J[:, 1:].transpose(0, 2, 1, 3)
+        H[:, :, :n, n:] = J[:, 1:].transpose(0, 2, 3, 1)
+        lin.append(by_stage(H))
+        z = np.vstack([z, np.zeros((P * P, n))])
+    lin = zip(*lin)
     h = (np.diff(signal.breakpoints) / substeps)[:, None, None]
-    z = [np.repeat(np.eye(n + d, n)[None], m, axis=0)]
+    z = [np.repeat(z[None], m, axis=0)]
     for _ in range(substeps):
         z = rk4_step(_block_rhs, z, h, lin)
     return z[0]
@@ -169,14 +201,8 @@ def integrate(
     m, n = signal.segments, system.n
     z = x0.tolist()
     _check_state(z, 0.0)
-    f = rhs = system.float_rhs
-    if with_fundamental:
-        stages = []  # every stage state, in evaluation order
-
-        def f(x, u):
-            stages.append(x)
-            return rhs(x, u)
-
+    step = system.float_step
+    stages = [] if with_fundamental else None  # every stage state's coordinates, in order
     times, rows = [0.0], [z]
     bps = signal.breakpoints.tolist()
     for k in range(m):
@@ -184,17 +210,19 @@ def integrate(
         t0 = bps[k]
         h = (bps[k + 1] - t0) / substeps
         for j in range(substeps):
-            z = rk4_step(f, z, h, u)
+            z = step(z, h, u, stages)
             t = t0 + (j + 1) * h
             _check_state(z, t)
             times.append(t)
             rows.append(z)
     times[-1] = signal.total_time  # exact final time
     times, states = np.array(times), np.array(rows)
-    fund = np.empty((0, n + system.d, n)) if with_fundamental else None
-    if with_fundamental and m:
-        fund = _tangent_blocks(system, signal, substeps, stages)
-    return Trajectory(times=times, states=states, signal=signal, substeps=substeps, fundamental=fund)
+    fund = X = None
+    if with_fundamental:
+        X = np.array(stages, dtype=float).reshape(-1, n)
+        fund = _tangent_blocks(system, signal, substeps, X) if m else np.empty((0, n + system.d, n))
+    return Trajectory(times=times, states=states, signal=signal, substeps=substeps,
+                      fundamental=fund, stages=X)
 
 
 def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
@@ -245,6 +273,37 @@ class EndpointDifferential:
         lam = np.asarray(lam, dtype=float)
         vals = np.einsum("j,kjd->kd", lam, self.w_bar)
         return ControlSignal(self.signal.breakpoints, vals)
+
+    def hessian(self, lam) -> np.ndarray:
+        """The exact Hessian of lam . F in the segment values, (m*d, m*d),
+        ordered as matrix's columns.
+
+        With x_{k+1} = Phi_k(x_k, u_k) the segment maps, H = sum_k J_k^T Q_k J_k:
+        Q_k = mu_{k+1} . D^2 Phi_k, contracted with the adjoint
+        mu_{k+1} = Psi_k^T lam, and J_k = d(x_k, u_k)/dU.  One second-order
+        pass of the tangent recursion over the recorded stages gives every
+        D^2 Phi_k, all segments together; one backward sweep then carries the
+        second derivative of lam . F in x_{k+1} (W) and in x_{k+1} and the
+        later values (V) from segment to segment.
+        """
+        traj, sig = self.trajectory, self.signal
+        m, d, n = sig.segments, sig.d, self.n
+        P = n + d
+        D2 = _tangent_blocks(self.system, sig, self.substeps, traj.stages, second=True)[:, P:]
+        H = np.zeros((m, d, m, d))
+        W, V = np.zeros((n, n)), np.zeros((n, m, d))
+        mu = np.asarray(lam, dtype=float)
+        for k in range(m - 1, -1, -1):
+            F = traj.fundamental[k]  # d x_{k+1} / d(x_k, u_k), transposed
+            M = F @ W @ F.T + (D2[k] @ mu).reshape(P, P)  # in (x_k, u_k)
+            G = (F @ V.reshape(n, m * d)).reshape(P, m, d)
+            H[k] = G[n:]
+            H[k, :, k] = 0.5 * M[n:, n:]
+            V, W = G[:n], M[:n, :n]
+            V[:, k] = M[:n, n:]
+            mu = F[:n] @ mu
+        H = H.reshape(m * d, m * d)
+        return H + H.T
 
 
 def differential(

@@ -5,9 +5,12 @@ three stages: (a) feasibilization, damped minimal-norm Newton steps toward
 the fiber (these move perpendicular to the fiber, so the seed's homotopy
 content survives); (b) a multiplier estimate by weighted least squares
 against the dual rows; (c) a Lagrange-Newton phase on the full first-order
-system, solved matrix-free by preconditioned GMRES with the exact
-no-curvature KKT block as preconditioner and a line search on the residual
-norm.  Stages (a) and (c) damp their steps with the halving line search
+system.  Each of its steps forms the Lagrangian's Hessian in the controls
+once, exactly (the energy's, minus the curvature lam . D^2F that
+EndpointDifferential.hessian assembles from the recorded RK4 stages), and
+solves the KKT system by preconditioned GMRES, with the no-curvature KKT
+block as preconditioner, then takes a line search on the residual norm.
+Stages (a) and (c) damp their steps with the halving line search
 endpoint._backtrack, and each ends when no damped step helps.  Stage (c)
 converges to critical points of any index, which matters because on
 compact-fiber problems most of the ladder consists of saddles; pure descent
@@ -24,8 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .endpoint import _backtrack, differential, endpoint as _endpoint
-from .errors import ConfigError, ConvergenceError, HorizonError
+from .endpoint import _backtrack, differential, endpoint as _endpoint, regular_value_test
+from .errors import ConfigError, ConvergenceError, HorizonError, UnsupportedRepresentationError
 from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
                       energy_of_values, gradient_density)
 from .systems import ControlSystem, displacement
@@ -51,12 +54,11 @@ DEDUP_LAMBDA_TOL = 1e-2
 # scipy's gmres reads its maxiter as restart cycles of 20 iterations each, so
 # 25 allows up to 500 matvecs per Newton step
 GMRES_RESTARTS = 25
-# The KKT matvec takes its curvature term by a forward difference of step
-# sqrt(eps_mach) (relative), so it is accurate to about that step; a GMRES
-# forcing term below 10 * sqrt(eps_mach) = 1.49e-7 asks for digits the
-# operator does not have and only burns the budget (Eisenstat & Walker, 1996).
-FD_STEP = float(np.sqrt(np.finfo(float).eps))
-MIN_FORCING = 10.0 * FD_STEP
+# GMRES forcing floor, 10 * sqrt(eps_mach) = 1.49e-7.  It dates from a
+# finite-difference curvature term that had no more digits; the curvature is
+# exact now, and the floor stays so that GMRES stops where it did until a
+# direct solve of the small dense KKT system replaces it.
+MIN_FORCING = 10.0 * float(np.sqrt(np.finfo(float).eps))
 # seed rotations draw their frequency from 1..SEED_BANDWIDTH
 SEED_BANDWIDTH = 5
 # coincidence_check passes at J_2 stationarity <= COINCIDENCE_TOL * its scale
@@ -145,33 +147,24 @@ class GeodesicRecord:
 # -- densities of the energy and its derivatives ------------------------------
 
 
-def _speed_powers(U, p):
-    """|u_k|^(p-2) and |u_k|^(p-4) per row, for the vector-mode Hessian."""
+def _hess_density_blocks(U, p, mode):
+    """Second derivative of the energy density at each row of U: (m, d, d)."""
+    m, d = U.shape
+    if mode == "component":
+        blocks = np.zeros((m, d, d))
+        blocks[:, range(d), range(d)] = p * (p - 1.0) * _abs_power(U, p - 2.0)
+        return blocks
     speeds = np.linalg.norm(U, axis=1)
-    return _abs_power(speeds, p - 2.0), _abs_power(speeds, p - 4.0)
-
-
-def _hess_density_matvec(U, V, p, mode):
-    """Action of the second derivative of the energy density on V (rows)."""
-    if mode == "component":
-        return _hess_density_diag(U, p, mode) * V
-    s2, s4 = _speed_powers(U, p)
-    dots = np.sum(U * V, axis=1)
-    return p * s2[:, None] * V + p * (p - 2.0) * (s4 * dots)[:, None] * U
-
-
-def _hess_density_diag(U, p, mode):
-    if mode == "component":
-        return p * (p - 1.0) * _abs_power(U, p - 2.0)
-    s2, s4 = _speed_powers(U, p)
-    return p * s2[:, None] + p * (p - 2.0) * s4[:, None] * U * U
+    s2, s4 = _abs_power(speeds, p - 2.0), _abs_power(speeds, p - 4.0)
+    return (p * s2[:, None, None] * np.eye(d)
+            + p * (p - 2.0) * s4[:, None, None] * U[:, :, None] * U[:, None, :])
 
 
 # -- stationarity -------------------------------------------------------------
 
 
 class _Workspace:
-    """Cached assembly of F, dF and derived quantities at the current U."""
+    """Cached differential of F, and quantities derived from it, at the current U."""
 
     def __init__(self, system, x0, u: ControlSignal, substeps):
         self.system = system
@@ -183,13 +176,12 @@ class _Workspace:
         self._cache_U = None
 
     def assemble(self, U):
-        """(F, dF, w_bar) at U, re-assembled only when U changes."""
+        """The EndpointDifferential at U, re-assembled only when U changes."""
         if self._cache_U is None or not np.array_equal(U, self._cache_U):
             sig = ControlSignal(self.bps, U)
-            diff = differential(self.system, self.x0, sig, substeps=self.substeps)
+            self._diff = differential(self.system, self.x0, sig, substeps=self.substeps)
             self._cache_U = U.copy()
-            self._cached = (diff.endpoint, diff.matrix, diff.w_bar)
-        return self._cached
+        return self._diff
 
 
 class _Residual(NamedTuple):
@@ -201,10 +193,10 @@ class _Residual(NamedTuple):
 
 
 def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
-    F, _, wbar = ws.assemble(U)
+    diff = ws.assemble(U)
     g = gradient_density(U, opts.p, opts.mode)
-    dens = g - np.einsum("j,kjd->kd", lam, wbar)
-    r2 = -displacement(ws.system, F, y)
+    dens = g - np.einsum("j,kjd->kd", lam, diff.w_bar)
+    r2 = -displacement(ws.system, diff.endpoint, y)
     stat_q = _lp_norm_of_values(dens, ws.h, opts.q)
     scale = max(1.0, _lp_norm_of_values(g, ws.h, opts.q))
     R1 = (ws.h[:, None] * dens).ravel()
@@ -235,8 +227,9 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
 def _feasibilize(ws, U, y, opts, log):
     """Damped minimal-L^2-norm Newton onto the fiber."""
     for _ in range(opts.feas_iter):
-        F, A, _ = ws.assemble(U)
-        r = displacement(ws.system, F, y)
+        diff = ws.assemble(U)
+        A = diff.matrix
+        r = displacement(ws.system, diff.endpoint, y)
         rn = np.linalg.norm(r)
         log.append(rn)
         if rn <= 0.5 * opts.end_tol:
@@ -263,23 +256,23 @@ def _feasibilize(ws, U, y, opts, log):
 
 
 def _lambda_least_squares(ws, U, opts):
-    """Weighted LS fit of the multiplier to the gradient density."""
-    _, _, wbar = ws.assemble(U)
+    """Weighted LS fit of the multiplier to the gradient density, and whether
+    the differential fails regular_value_test's rank rule there."""
+    diff = ws.assemble(U)
+    wbar = diff.w_bar
     g = gradient_density(U, opts.p, opts.mode)
     G = np.einsum("k,kjd,kld->jl", ws.h, wbar, wbar)
     rhs = np.einsum("k,kjd,kd->j", ws.h, wbar, g)
     n = G.shape[0]
     ridge = RIDGE * (np.trace(G) / n + 1.0)
     lam = np.linalg.solve(G + ridge * np.eye(n), rhs)
-    svals = np.linalg.svd(G, compute_uv=False)
-    rank_warning = bool(svals[-1] <= 1e-10 * svals[0])
-    return lam, rank_warning
+    return lam, not regular_value_test(diff).regular
 
 
 def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
     """Lagrange-Newton iterations; returns the last (U, lam), its residual and
     the iteration index.  gmres_log gets one entry per GMRES solve."""
-    md = U.size
+    (m, d), md = U.shape, U.size
     n = len(lam)
     it = 0
     res = _kkt_residual(ws, U, lam, y, opts)
@@ -289,9 +282,14 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         if _converged(res, opts):
             break
 
-        _, A, _ = ws.assemble(U)
-        At_lam = A.T @ lam
-        Hdiag = (ws.h[:, None] * _hess_density_diag(U, opts.p, opts.mode)).ravel()
+        diff = ws.assemble(U)
+        A = diff.matrix
+        # the Lagrangian's Hessian in U: the energy's, block diagonal, minus
+        # the exact curvature of lam . F
+        blocks = ws.h[:, None, None] * _hess_density_blocks(U, opts.p, opts.mode)
+        L = -diff.hessian(lam)
+        L.reshape(m, d, m, d)[range(m), :, range(m)] += blocks
+        Hdiag = np.diagonal(blocks, axis1=1, axis2=2).ravel()
         mu = 1e-8 * (np.mean(np.abs(Hdiag)) + 1.0)
         Hdd = Hdiag + mu
         Aw = A / Hdd[None, :]
@@ -308,23 +306,13 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
             du = (a + A.T @ dlam) / Hdd
             return np.concatenate([du, dlam])
 
-        U_norm = np.linalg.norm(U)
         matvecs = 0
 
         def matvec(z):
             nonlocal matvecs
             matvecs += 1
             du, dlam = z[:md], z[md:]
-            dU = du.reshape(U.shape)
-            row1 = (ws.h[:, None] * _hess_density_matvec(U, dU, opts.p, opts.mode)).ravel()
-            dn = np.linalg.norm(du)
-            if dn > 0.0:
-                eps = FD_STEP * (1.0 + U_norm) / dn
-                curv = (ws.assemble(U + eps * dU)[1].T @ lam - At_lam) / eps
-                row1 = row1 - curv
-            row1 = row1 - A.T @ dlam
-            row2 = A @ du
-            return np.concatenate([row1, row2])
+            return np.concatenate([L @ du - A.T @ dlam, A @ du])
 
         R = np.concatenate([res.R1, res.r2])
         # an explicit dtype spares LinearOperator its probe call on a zero vector
@@ -373,10 +361,15 @@ def solve_critical(
     critical points of any Morse index.  Raises ConvergenceError when
     opts.raise_on_failure and the tolerances were not met.  The exponent is
     opts.p; a p given beside opts must equal it (ConfigError otherwise).
+    The Newton steps need the fields' exact second derivatives, so a system
+    with a non-symbolic field raises UnsupportedRepresentationError.
     """
     opts = _options(p, opts)
     if u_init is None:
         raise ConfigError("solve_critical needs an initial control signal")
+    if not system.all_symbolic():
+        raise UnsupportedRepresentationError(f"{system.name}: the Newton steps need second derivatives, "
+                                             "which need symbolic fields")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 

@@ -1,13 +1,12 @@
 """Affine control systems: vector fields, catalogs, brackets, frames.
 
 Fields are held as sympy expressions so that Jacobians, Hessians and Lie
-brackets are exact.  Each compiled quantity (a field's values, Jacobian or
-second derivative; a system's value stack, Jacobian stack or state-run
-right-hand side ControlSystem.float_rhs) is one lambdified evaluator, built
-once on first use and called directly; the right-hand side fuses the control
-sum into the value stack's call, on Python floats.  Opaque callable fields
-are accepted for integration but rejected wherever exact derivatives are
-needed.
+brackets are exact.  Each compiled quantity (a field's values or Jacobian;
+a system's value, Jacobian or second-derivative stack) is one lambdified
+evaluator, built once on first use and called directly.  The state run's RK4
+step ControlSystem.float_step is generated code that fuses the control sum
+into the value stack's calls, on Python floats.  Opaque callable fields are
+accepted for integration but rejected wherever exact derivatives are needed.
 """
 
 from __future__ import annotations
@@ -63,13 +62,14 @@ class _LambdifiedStack:
     several times faster than numpy scalars and rounds alike.  Two cases keep
     numpy scalars, whose inf/nan semantics the blow-up check relies on: a
     fractional power, which gives a Python float a complex value at a
-    negative base, and `**` raising on overflow or a zero base.  The fused
-    float right-hand side (ControlSystem.float_rhs) follows the same rule.
+    negative base, and `**` raising on overflow or a zero base.  The
+    generated state step (ControlSystem.float_step) follows the same rule.
     """
 
     def __init__(self, coords, exprs, shape):
         exprs = list(exprs)
         self._shape = shape
+        self._size = len(exprs)
         self._fn = sp.lambdify(coords, exprs, "numpy")
         self._floats = all(p.exp.is_integer for e in exprs for p in e.atoms(sp.Pow))
 
@@ -82,16 +82,14 @@ class _LambdifiedStack:
 
     def batch(self, pts):
         pts = np.asarray(pts, dtype=float)
-        cols = [pts[:, i] for i in range(pts.shape[1])]
-        out = self._fn(*cols)
-        nb = pts.shape[0]
-        arrs = [np.broadcast_to(np.asarray(o, dtype=float), (nb,)) for o in out]
-        flat = np.stack(arrs, axis=1)  # (nb, size)
-        return flat.reshape((nb,) + self._shape)
+        flat = np.empty((len(pts), self._size))
+        for j, col in enumerate(self._fn(*pts.T)):
+            flat[:, j] = col
+        return flat.reshape((len(pts),) + self._shape)
 
 
 class VectorField:
-    """Interface: value(x), jacobian(x), second_derivative(x)."""
+    """Interface: value(x), jacobian(x)."""
 
     n: int
 
@@ -99,10 +97,6 @@ class VectorField:
         raise NotImplementedError
 
     def jacobian(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def second_derivative(self, x) -> np.ndarray:
-        """(n, n, n) array D[i, j, k] = d^2 f_i / dx_j dx_k."""
         raise NotImplementedError
 
 
@@ -128,19 +122,11 @@ class SymbolicField(VectorField):
         ex = [sp.diff(e, c) for e in self.exprs for c in self.coords]
         return _LambdifiedStack(self.coords, ex, (self.n, self.n))
 
-    @cached_property
-    def _second(self):
-        ex = [sp.diff(e, c1, c2) for e in self.exprs for c1 in self.coords for c2 in self.coords]
-        return _LambdifiedStack(self.coords, ex, (self.n, self.n, self.n))
-
     def value(self, x):
         return self._values(np.asarray(x, dtype=float))
 
     def jacobian(self, x):
         return self._jacobians(np.asarray(x, dtype=float))
-
-    def second_derivative(self, x):
-        return self._second(np.asarray(x, dtype=float))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exprs)
@@ -170,11 +156,6 @@ class CallableField(VectorField):
                 "field has no Jacobian closure; exact derivatives unavailable"
             )
         return np.asarray(self._jacobian_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def second_derivative(self, x):
-        raise UnsupportedRepresentationError(
-            "callable field has no second-derivative closure"
-        )
 
 
 def polynomial_field(component_terms, n: int) -> SymbolicField:
@@ -314,6 +295,15 @@ class ControlSystem:
             exprs = [sp.diff(e, c) for f in [self.drift] + self.fields for e in f.exprs for c in coords]
             return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n))
 
+    @cached_property
+    def _second_derivatives(self):
+        # (d+1, n, n, n) stack of their second derivatives; None unless all symbolic
+        if self.all_symbolic():
+            coords = self.drift.coords
+            exprs = [sp.diff(e, a, b) for f in [self.drift] + self.fields for e in f.exprs
+                     for a in coords for b in coords]
+            return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n, self.n))
+
     def field_values(self, x) -> np.ndarray:
         """(d+1, n) stack: row 0 drift, rows 1..d controlled fields at x."""
         stack = self._values
@@ -338,41 +328,62 @@ class ControlSystem:
         return np.stack([self.drift.jacobian(x)] + [f.jacobian(x) for f in self.fields])
 
     @cached_property
-    def float_rhs(self):
-        """The state run's drift(x) + sum_i u_i X_i(x): f(x, u) -> list, on floats.
+    def float_step(self):
+        """One RK4 step of the state run x' = drift(x) + sum_i u_i X_i(x),
+        straight-line code on floats: step(x, h, u, rec) -> list.
 
-        Straight-line code, as lambdify builds its own: one call of the
-        compiled value stack on the point's Python floats, then V[i] +
-        (u0*V[n+i] + u1*V[2n+i] + ...) left to right, with no BLAS call.
-        Where Python floats are unsafe (a stack that cannot take them, a
-        non-symbolic system, or an evaluation raising ArithmeticError) V is
-        field_values on arrays and the same sum runs on numpy scalars, which
-        keeps numpy's inf/nan.
+        The arithmetic is endpoint.rk4_step's, operation for operation.  A
+        stage makes one call of the compiled value stack on its point's
+        Python floats, then V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to
+        right, with no BLAS call and no list.  Where Python floats are unsafe
+        (a stack that cannot take them, a non-symbolic system, or an
+        evaluation raising ArithmeticError) V is field_values on arrays and
+        the stage runs on numpy scalars, which keep numpy's inf/nan.  When
+        rec is a list, the step appends the coordinates of its four stage
+        points to it, flat.
         """
 
         def values(*x):
             return self.field_values(x).ravel()
 
         stack = self._values
-        n, us = self.n, [f"u{j}" for j in range(self.d)]
-        comps = [
-            f"V[{i}] + (" + " + ".join(f"{u} * V[{(j + 1) * n + i}]" for j, u in enumerate(us)) + ")"
-            for i in range(n)
-        ]
+        n, d = self.n, self.d
         scope = {"fn": stack._fn if stack is not None and stack._floats else values, "values": values}
-        exec(
-            "def rhs(x, u):\n    try:\n        V = fn(*x)\n    except ArithmeticError:\n"
-            f"        V = values(*x)\n    {', '.join(us)}, = u\n    return [{', '.join(comps)}]\n",
-            scope,
-        )
-        return scope["rhs"]
+        pts = [[f"{c}{i}" for i in range(n)] for c in "abce"]  # the four stage points
+        lines = ["def step(z, h, u, rec):", f"    {', '.join(f'u{j}' for j in range(d))}, = u",
+                 f"    {', '.join(pts[0])}, = z", "    hh = 0.5 * h"]
+        for s, pt in enumerate(pts):
+            if s:  # the stage point a + (h/2 or h) * the previous stage's slope
+                step = "h" if s == 3 else "hh"
+                lines += [f"    {pt[i]} = a{i} + {step} * k{s - 1}_{i}" for i in range(n)]
+            args = ", ".join(pt)
+            lines += ["    try:", f"        V = fn({args})", "    except ArithmeticError:",
+                      f"        V = values({args})"]
+            lines += [f"    k{s}_{i} = V[{i}] + ("
+                      + " + ".join(f"u{j} * V[{(j + 1) * n + i}]" for j in range(d)) + ")"
+                      for i in range(n)]
+        lines += [
+            "    if rec is not None:",
+            f"        rec += ({', '.join(sum(pts, []))})",
+            "    h6 = h / 6.0",
+            "    return [" + ", ".join(f"a{i} + h6 * (k0_{i} + 2.0 * k1_{i} + 2.0 * k2_{i} + k3_{i})"
+                                       for i in range(n)) + "]",
+        ]
+        exec("\n".join(lines) + "\n", scope)
+        return scope["step"]
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
         """State Jacobians of the right-hand side: (N, n, n) at (N, n) points, (N, d) controls."""
-        J = self.field_jacobians(x)
-        N, n, d = len(J), self.n, self.d
-        uJ = np.matmul(np.reshape(u, (N, 1, d)), J[:, 1:].reshape(N, d, n * n))
-        return J[:, 0] + uJ.reshape(N, n, n)
+        return _with_controls(self.field_jacobians(x), u)
+
+    def dynamics_hessian(self, x, u) -> np.ndarray:
+        """Second state derivatives of the right-hand side, [i, j, k] = d^2 f_i / dx_j dx_k:
+        (N, n, n, n) at (N, n) points, (N, d) controls.  Needs symbolic fields;
+        the stack of the fields' second derivatives is compiled on first use."""
+        stack = self._second_derivatives
+        if stack is None:
+            raise UnsupportedRepresentationError(f"{self.name}: second derivatives need symbolic fields")
+        return _with_controls(stack.batch(x), u)
 
     # -- bracket evaluation ------------------------------------------------
 
@@ -393,6 +404,14 @@ class ControlSystem:
     def __repr__(self):
         kind = "driftless" if self.is_driftless else "drift"
         return f"ControlSystem({self.name!r}, n={self.n}, d={self.d}, {kind})"
+
+
+def _with_controls(S, u):
+    # S[:, 0] + sum_i u_i S[:, i]: an (N, d+1, ...) stack of the drift's and
+    # the fields' quantities at N points, weighted by the (N, d) controls
+    N, d = len(S), S.shape[1] - 1
+    uS = np.matmul(np.reshape(u, (N, 1, d)), S[:, 1:].reshape(N, d, int(np.prod(S.shape[2:]))))
+    return S[:, 0] + uS.reshape(S[:, 0].shape)
 
 
 def _word_candidates(d: int, with_drift: bool, length: int):

@@ -13,6 +13,7 @@ from horizon import (
     DomainEscapeError,
     NotBracketGeneratingError,
     SingularFiberError,
+    UnsupportedRepresentationError,
     SymbolicField,
     ControlSystem,
     bracket_frame,
@@ -225,6 +226,61 @@ def test_random_polynomial_differential_is_exact(data, system, substeps):
     # smaller than the endpoint is measured against the endpoint's size
     gap, scale, size = _jacobian_gap(system, x0, u, substeps)
     assert gap <= 1e-9 * max(scale, size)
+
+
+def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4):
+    # (max |H - FD|, max |FD|, max |dF| |lam|_1): the reference differentiates
+    # dF^T lam by five-point central differences (Richardson on steps eps and
+    # 2 eps), one control entry at a time, and rounds at about eps_mach / eps
+    # times the size of the terms of dF^T lam
+    def grad(values):
+        return differential(system, x0, ControlSignal(u.breakpoints, values), substeps).matrix.T @ lam
+
+    diff = differential(system, x0, u, substeps)
+    H = diff.hessian(lam)
+    assert np.array_equal(H, H.T)
+    fd = np.empty_like(H)
+    for k in range(u.values.size):
+        step = np.zeros_like(u.values)
+        step.flat[k] = eps
+        g = [grad(u.values + c * step) for c in (-2, -1, 1, 2)]
+        fd[:, k] = (8 * (g[2] - g[1]) - (g[3] - g[0])) / (12 * eps)
+    return np.abs(H - fd).max(), np.abs(fd).max(), np.abs(diff.matrix).max() * np.abs(lam).sum()
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
+@pytest.mark.parametrize("name", [name.replace("(k)", "(3)") for name in catalog_names()] + ["poly_drift"])
+def test_hessian_is_the_exact_second_derivative(name, substeps):
+    # lam . F differentiated twice through the recorded RK4 stages, on
+    # non-uniform breakpoints
+    system = system_from_json(_POLY_WITH_DRIFT) if name == "poly_drift" else catalog_load(name)
+    rng = np.random.default_rng(10 + substeps)
+    for _ in range(2):
+        u = random_signal(rng, system.d, m=4)
+        x0 = 0.3 * rng.normal(size=system.n)
+        gap, scale, size = _hessian_gap(system, x0, u, substeps, rng.normal(size=system.n))
+        assert gap <= 1e-9 * max(scale, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), system=_small_polynomial_system(), substeps=st.integers(1, 3))
+def test_random_polynomial_hessian_is_exact(data, system, substeps):
+    u = data.draw(_short_signal(system.d))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    lam = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 4
+    try:
+        endpoint(system, x0, u, substeps)
+    except DomainEscapeError:
+        assume(False)
+    gap, scale, size = _hessian_gap(system, x0, u, substeps, lam)
+    assert gap <= 1e-9 * max(scale, size)
+
+
+def test_hessian_needs_symbolic_fields():
+    u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    diff = differential(_callable_heisenberg(True), np.zeros(3), u, substeps=2)
+    with pytest.raises(UnsupportedRepresentationError, match="second derivatives"):
+        diff.hessian(np.ones(3))
 
 
 def _reference_states(system, x0, u, substeps):
@@ -469,6 +525,22 @@ def test_blowup_bound_is_inclusive():
     heis = catalog_load("heisenberg")
     x0 = np.array([0.0, -1e6, 0.0])
     assert np.array_equal(endpoint(heis, x0, zero_signal(2)), x0)
+
+
+def test_stage_that_raises_on_floats_falls_back_to_numpy():
+    # exp(-1/x0^2) divides by zero on Python floats at x0 = 0, where numpy
+    # gives exp(-inf) = 0; x0 stays 0, so a stage of every generated step is
+    # evaluated on numpy scalars, the same arithmetic as the reference's
+    x = state_symbols(2)
+    system = ControlSystem("flat", [SymbolicField([0, 1], coords=x),
+                                    SymbolicField([sp.exp(-1 / x[0] ** 2), x[0] + 1], coords=x)])
+    u = ControlSignal(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_states_match_reference(system, [0.0, 0.25], u, 3)
+        plain = integrate(system, [0.0, 0.25], u, substeps=3)
+        traj = integrate(system, [0.0, 0.25], u, substeps=3, with_fundamental=True)
+    assert traj.states.tobytes() == plain.states.tobytes()
+    assert traj.stages.shape == (2 * 4 * 3, 2)
 
 
 def test_fundamental_run_keeps_states_bitwise():

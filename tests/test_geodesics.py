@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizon.endpoint import differential, endpoint
-from horizon.errors import ConfigError, ConvergenceError
+from horizon.endpoint import differential, endpoint, regular_value_test
+from horizon.errors import ConfigError, ConvergenceError, UnsupportedRepresentationError
 from horizon.geodesics import (
     GeodesicOptions,
     coincidence_check,
@@ -18,6 +18,8 @@ from horizon.geodesics import (
 )
 from horizon.signals import ControlSignal, energy, gradient_density
 from horizon.systems import ControlSystem, catalog_load, polynomial_field
+
+from test_systems import _callable_heisenberg
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "data" / "heisenberg_shooting.json"
 
@@ -101,6 +103,37 @@ def test_gmres_forcing_stops_at_fd_accuracy():
     assert sum(s["matvecs"] for s in solves) <= 100
     assert all(s["rtol_used"] >= 10.0 * np.sqrt(np.finfo(float).eps) for s in solves)
     assert min(s["rtol_asked"] for s in solves) < 10.0 * np.sqrt(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("a", [1e-5, 1e-6, 1e-7, 1e-9])
+def test_rank_warning_follows_the_rank_rule(a):
+    # grushin from 0 with u = (a, 0): the L^2-scaled differential's
+    # sigma_min / sigma_max is about 0.58 a, so the record warns exactly where
+    # regular_value_test finds it not regular, here only at a = 1e-9
+    grushin = catalog_load("grushin")
+    u = ControlSignal(np.linspace(0.0, 1.0, 9), np.tile([a, 0.0], (8, 1)))
+    y = endpoint(grushin, [0.0, 0.0], u, substeps=2)
+    rec = solve_critical(grushin, [0.0, 0.0], y, u_init=u,
+                         opts=GeodesicOptions(feas_iter=0, max_iter=0, raise_on_failure=False))
+    report = regular_value_test(differential(grushin, np.zeros(2), u, substeps=2))
+    assert report.regular == (a > 1e-8)
+    assert rec.rank_warning == (not report.regular)
+
+
+def test_callable_system_has_no_exact_curvature():
+    # the Lagrange-Newton step needs the fields' second derivatives, which a
+    # callable field does not offer: solve_critical refuses the system before
+    # any work, whatever the seed, and multistart logs the refusal per seed
+    system = _callable_heisenberg(True)
+    u0 = ControlSignal(np.linspace(0.0, 1.0, 9), generate_seeds(0, 1, 8, 2, 0.5)[0])
+    y = endpoint(system, [0, 0, 0], u0)  # u0 is already on the fiber
+    for opts in (GeodesicOptions(), GeodesicOptions(feas_iter=0, max_iter=0, raise_on_failure=False)):
+        with pytest.raises(UnsupportedRepresentationError, match="second derivatives"):
+            solve_critical(system, [0, 0, 0], y, u_init=u0, opts=opts)
+    rep = multistart(system, [0, 0, 0], [0, 0, 0.5], n_seeds=2, m_seed=8)
+    assert rep.records == []
+    assert [f["seed_index"] for f in rep.failed_seeds] == [0, 1]
+    assert all(f["reason"].startswith("UnsupportedRepresentationError") for f in rep.failed_seeds)
 
 
 def test_lagrange_residual_perturbation_scales_linearly():

@@ -51,7 +51,8 @@ def test_second_derivative_symmetric():
     x0, x1 = state_symbols(2)
     f = SymbolicField([x0**2 * x1, x0 * x1**2], coords=(x0, x1))
     pt = np.array([0.7, -1.3])
-    D = f.second_derivative(pt)
+    # the system's second-derivative stack, with the one field's control at 1
+    D = ControlSystem("quadratic", [f]).dynamics_hessian(pt[None], [[1.0]])[0]
     assert np.allclose(D, np.swapaxes(D, 1, 2))
     # check one entry by hand: d^2 f_0 / dx0 dx1 = 2 x0
     assert np.isclose(D[0, 0, 1], 2 * 0.7)
@@ -175,7 +176,7 @@ def test_dynamics_and_jacobian():
     u = np.array([1.0, 2.0])
 
     def rhs(z):
-        return np.array(al.float_rhs(z.tolist(), u.tolist()))
+        return np.concatenate([[1.0], u]) @ al.field_values(z)
 
     # drift (0, x1^2) + u1 (1,0) + u2 (0, x1^3)
     assert np.allclose(rhs(x), [1.0, 0.25 + 2 * 0.125])
