@@ -27,10 +27,8 @@ from .signals import (
 from .systems import (
     RANK_TOL,
     BracketWord,
-    CallableField,
     ControlSystem,
     SymbolicField,
-    VectorField,
     bracket_frame,
     catalog_load,
     catalog_names,

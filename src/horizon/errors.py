@@ -38,7 +38,7 @@ class UnsupportedStepError(HorizonError):
 
 
 class UnsupportedRepresentationError(HorizonError):
-    """Operation needs exact derivatives but the field only offers callables."""
+    """The system has no form the operation needs (a non-polynomial field in JSON)."""
 
 
 class NotBracketGeneratingError(HorizonError):

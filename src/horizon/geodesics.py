@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .endpoint import _backtrack, differential, endpoint as _endpoint, regular_value_test
-from .errors import ConfigError, ConvergenceError, HorizonError, UnsupportedRepresentationError
+from .errors import ConfigError, ConvergenceError, HorizonError
 from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
                       energy_of_values, gradient_density)
 from .systems import ControlSystem, displacement
@@ -361,15 +361,10 @@ def solve_critical(
     critical points of any Morse index.  Raises ConvergenceError when
     opts.raise_on_failure and the tolerances were not met.  The exponent is
     opts.p; a p given beside opts must equal it (ConfigError otherwise).
-    The Newton steps need the fields' exact second derivatives, so a system
-    with a non-symbolic field raises UnsupportedRepresentationError.
     """
     opts = _options(p, opts)
     if u_init is None:
         raise ConfigError("solve_critical needs an initial control signal")
-    if not system.all_symbolic():
-        raise UnsupportedRepresentationError(f"{system.name}: the Newton steps need second derivatives, "
-                                             "which need symbolic fields")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 

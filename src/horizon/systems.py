@@ -5,8 +5,9 @@ brackets are exact.  Each compiled quantity (a field's values or Jacobian;
 a system's value, Jacobian or second-derivative stack) is one lambdified
 evaluator, built once on first use and called directly.  The state run's RK4
 step ControlSystem.float_step is generated code that fuses the control sum
-into the value stack's calls, on Python floats.  Opaque callable fields are
-accepted for integration but rejected wherever exact derivatives are needed.
+into the value stack's calls, on Python floats.  Fields are symbolic only, and
+the generated code prints a positive integer power as a product, so Python
+floats and numpy arrays evaluate it with the same IEEE multiplications.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from itertools import product
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.precedence import precedence
 
 from .errors import (
     ConfigError,
@@ -27,9 +30,7 @@ from .errors import (
 )
 
 __all__ = [
-    "VectorField",
     "SymbolicField",
-    "CallableField",
     "ControlSystem",
     "BracketWord",
     "polynomial_field",
@@ -52,6 +53,17 @@ def state_symbols(n: int):
     return sp.symbols(f"x0:{n}", real=True)
 
 
+class _ProductPrinter(NumPyPrinter):
+    """lambdify's numpy printer, except that x**k for a positive integer k is
+    the parenthesized product (x*x*...*x), multiplied left to right."""
+
+    def _print_Pow(self, expr, rational=False):
+        if expr.exp.is_integer and expr.exp.is_positive:
+            base = self.parenthesize(expr.base, precedence(expr))
+            return "(" + "*".join([base] * int(expr.exp)) + ")"
+        return super()._print_Pow(expr, rational=rational)
+
+
 class _LambdifiedStack:
     """Flat list of sympy expressions compiled once, reshaped on call.
 
@@ -59,18 +71,24 @@ class _LambdifiedStack:
     against its length.
 
     A point is passed as Python floats, which the generated code evaluates
-    several times faster than numpy scalars and rounds alike.  Two cases keep
-    numpy scalars, whose inf/nan semantics the blow-up check relies on: a
-    fractional power, which gives a Python float a complex value at a
-    negative base, and `**` raising on overflow or a zero base.  The
-    generated state step (ControlSystem.float_step) follows the same rule.
+    several times faster than numpy scalars and rounds alike: positive integer
+    powers are printed as products, and `**` runs only for fractional or
+    negative exponents.  Two cases keep numpy scalars, whose inf/nan semantics
+    the blow-up check relies on: a fractional power, which gives a Python
+    float a complex value at a negative base, and an evaluation raising
+    ArithmeticError (a division by zero, or `**` overflowing or at a zero
+    base).  The generated state step (ControlSystem.float_step) follows the
+    same rule.
     """
 
     def __init__(self, coords, exprs, shape):
         exprs = list(exprs)
         self._shape = shape
         self._size = len(exprs)
-        self._fn = sp.lambdify(coords, exprs, "numpy")
+        # the settings lambdify gives its own numpy printer
+        printer = _ProductPrinter({"fully_qualified_modules": False, "inline": True,
+                                   "allow_unknown_functions": True})
+        self._fn = sp.lambdify(coords, exprs, "numpy", printer=printer)
         self._floats = all(p.exp.is_integer for e in exprs for p in e.atoms(sp.Pow))
 
     def __call__(self, x):
@@ -88,19 +106,7 @@ class _LambdifiedStack:
         return flat.reshape((len(pts),) + self._shape)
 
 
-class VectorField:
-    """Interface: value(x), jacobian(x)."""
-
-    n: int
-
-    def value(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def jacobian(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-
-class SymbolicField(VectorField):
+class SymbolicField:
     def __init__(self, exprs, coords=None, n=None):
         if coords is None:
             if n is None:
@@ -133,29 +139,6 @@ class SymbolicField(VectorField):
 
     def __repr__(self):
         return f"SymbolicField({list(self.exprs)})"
-
-
-class CallableField(VectorField):
-    """Opaque field given by callables; no symbolic structure.
-
-    Usable for integration; bracket/steering operations reject it because
-    they need exact derivatives.
-    """
-
-    def __init__(self, n, value_fn, jacobian_fn=None):
-        self.n = int(n)
-        self._value_fn = value_fn
-        self._jacobian_fn = jacobian_fn
-
-    def value(self, x):
-        return np.asarray(self._value_fn(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian(self, x):
-        if self._jacobian_fn is None:
-            raise UnsupportedRepresentationError(
-                "field has no Jacobian closure; exact derivatives unavailable"
-            )
-        return np.asarray(self._jacobian_fn(np.asarray(x, dtype=float)), dtype=float)
 
 
 def polynomial_field(component_terms, n: int) -> SymbolicField:
@@ -191,12 +174,8 @@ def polynomial_field(component_terms, n: int) -> SymbolicField:
     return SymbolicField(exprs, coords=coords)
 
 
-def lie_bracket(f: VectorField, g: VectorField) -> SymbolicField:
+def lie_bracket(f: SymbolicField, g: SymbolicField) -> SymbolicField:
     """Commutator [f, g] = (dg) f - (df) g, computed symbolically."""
-    if not isinstance(f, SymbolicField) or not isinstance(g, SymbolicField):
-        raise UnsupportedRepresentationError(
-            "lie_bracket needs symbolic fields with exact derivatives"
-        )
     if f.coords != g.coords:
         raise ConfigError("fields live on different coordinate tuples")
     coords = f.coords
@@ -242,6 +221,9 @@ class ControlSystem:
             raise ConfigError("need at least one controlled field")
         self.name = str(name)
         self.fields = list(fields)
+        given = self.fields if drift is None else self.fields + [drift]
+        if not all(isinstance(f, SymbolicField) for f in given):
+            raise ConfigError(f"{self.name}: the fields and the drift must be SymbolicField instances")
         self.n = self.fields[0].n
         self.d = len(self.fields)
         for f in self.fields:
@@ -263,9 +245,9 @@ class ControlSystem:
 
     @property
     def is_driftless(self) -> bool:
-        return isinstance(self.drift, SymbolicField) and self.drift.is_zero()
+        return self.drift.is_zero()
 
-    def field_by_index(self, i: int) -> VectorField:
+    def field_by_index(self, i: int) -> SymbolicField:
         """0 is the drift, 1..d the controlled fields."""
         if i == 0:
             return self.drift
@@ -273,59 +255,40 @@ class ControlSystem:
             return self.fields[i - 1]
         raise ConfigError(f"field index {i} outside 0..{self.d}")
 
-    def all_symbolic(self) -> bool:
-        return isinstance(self.drift, SymbolicField) and all(
-            isinstance(f, SymbolicField) for f in self.fields
-        )
-
     # -- compiled evaluation -----------------------------------------------
 
     @cached_property
     def _values(self):
-        # (d+1, n) stack of the drift and the fields; None unless all symbolic
-        if self.all_symbolic():
-            exprs = [e for f in [self.drift] + self.fields for e in f.exprs]
-            return _LambdifiedStack(self.drift.coords, exprs, (self.d + 1, self.n))
+        # (d+1, n) stack of the drift and the fields
+        exprs = [e for f in [self.drift] + self.fields for e in f.exprs]
+        return _LambdifiedStack(self.drift.coords, exprs, (self.d + 1, self.n))
 
     @cached_property
     def _jacobians(self):
-        # (d+1, n, n) stack of their Jacobians; None unless all symbolic
-        if self.all_symbolic():
-            coords = self.drift.coords
-            exprs = [sp.diff(e, c) for f in [self.drift] + self.fields for e in f.exprs for c in coords]
-            return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n))
+        # (d+1, n, n) stack of their Jacobians
+        coords = self.drift.coords
+        exprs = [sp.diff(e, c) for f in [self.drift] + self.fields for e in f.exprs for c in coords]
+        return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n))
 
     @cached_property
     def _second_derivatives(self):
-        # (d+1, n, n, n) stack of their second derivatives; None unless all symbolic
-        if self.all_symbolic():
-            coords = self.drift.coords
-            exprs = [sp.diff(e, a, b) for f in [self.drift] + self.fields for e in f.exprs
-                     for a in coords for b in coords]
-            return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n, self.n))
+        # (d+1, n, n, n) stack of their second derivatives
+        coords = self.drift.coords
+        exprs = [sp.diff(e, a, b) for f in [self.drift] + self.fields for e in f.exprs
+                 for a in coords for b in coords]
+        return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n, self.n))
 
     def field_values(self, x) -> np.ndarray:
         """(d+1, n) stack: row 0 drift, rows 1..d controlled fields at x."""
-        stack = self._values
-        if stack is not None:
-            return stack(np.asarray(x, dtype=float))
-        return np.stack([self.drift.value(x)] + [f.value(x) for f in self.fields])
+        return self._values(np.asarray(x, dtype=float))
 
     def field_values_batch(self, pts) -> np.ndarray:
-        stack = self._values
-        if stack is not None:
-            return stack.batch(pts)
-        return np.stack([self.field_values(p) for p in np.asarray(pts, dtype=float)])
+        return self._values.batch(pts)
 
     def field_jacobians(self, x) -> np.ndarray:
         """(d+1, n, n) Jacobians at x; (N, d+1, n, n) at an (N, n) point stack."""
         x = np.asarray(x, dtype=float)
-        stack = self._jacobians
-        if stack is not None:
-            return stack(x) if x.ndim == 1 else stack.batch(x)
-        if x.ndim == 2:  # no compiled stack: point by point
-            return np.stack([self.field_jacobians(p) for p in x])
-        return np.stack([self.drift.jacobian(x)] + [f.jacobian(x) for f in self.fields])
+        return self._jacobians(x) if x.ndim == 1 else self._jacobians.batch(x)
 
     @cached_property
     def float_step(self):
@@ -336,8 +299,8 @@ class ControlSystem:
         stage makes one call of the compiled value stack on its point's
         Python floats, then V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to
         right, with no BLAS call and no list.  Where Python floats are unsafe
-        (a stack that cannot take them, a non-symbolic system, or an
-        evaluation raising ArithmeticError) V is field_values on arrays and
+        (a stack with a fractional power, or an evaluation raising
+        ArithmeticError) V is field_values on arrays and
         the stage runs on numpy scalars, which keep numpy's inf/nan.  When
         rec is a list, the step appends the coordinates of its four stage
         points to it, flat.
@@ -348,7 +311,7 @@ class ControlSystem:
 
         stack = self._values
         n, d = self.n, self.d
-        scope = {"fn": stack._fn if stack is not None and stack._floats else values, "values": values}
+        scope = {"fn": stack._fn if stack._floats else values, "values": values}
         pts = [[f"{c}{i}" for i in range(n)] for c in "abce"]  # the four stage points
         lines = ["def step(z, h, u, rec):", f"    {', '.join(f'u{j}' for j in range(d))}, = u",
                  f"    {', '.join(pts[0])}, = z", "    hh = 0.5 * h"]
@@ -378,12 +341,9 @@ class ControlSystem:
 
     def dynamics_hessian(self, x, u) -> np.ndarray:
         """Second state derivatives of the right-hand side, [i, j, k] = d^2 f_i / dx_j dx_k:
-        (N, n, n, n) at (N, n) points, (N, d) controls.  Needs symbolic fields;
-        the stack of the fields' second derivatives is compiled on first use."""
-        stack = self._second_derivatives
-        if stack is None:
-            raise UnsupportedRepresentationError(f"{self.name}: second derivatives need symbolic fields")
-        return _with_controls(stack.batch(x), u)
+        (N, n, n, n) at (N, n) points, (N, d) controls.  The stack of the
+        fields' second derivatives is compiled on first use."""
+        return _with_controls(self._second_derivatives.batch(x), u)
 
     # -- bracket evaluation ------------------------------------------------
 
@@ -393,8 +353,6 @@ class ControlSystem:
         if got is None:
             if len(leaves) == 1:
                 got = self.field_by_index(leaves[0])
-                if not isinstance(got, SymbolicField):
-                    raise UnsupportedRepresentationError("bracket words need symbolic fields")
             else:
                 inner = self.word_field(BracketWord(leaves[1:]))
                 got = lie_bracket(self.field_by_index(leaves[0]), inner)
@@ -601,8 +559,6 @@ def _field_to_terms(f: SymbolicField):
 
 def system_to_json(system: ControlSystem) -> str:
     """Serialize a polynomial system back to the JSON schema."""
-    if not system.all_symbolic():
-        raise UnsupportedRepresentationError("only symbolic systems serialize")
     for f in [system.drift] + list(system.fields):
         for e in f.exprs:
             if not e.is_polynomial(*f.coords):

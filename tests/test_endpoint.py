@@ -13,7 +13,6 @@ from horizon import (
     DomainEscapeError,
     NotBracketGeneratingError,
     SingularFiberError,
-    UnsupportedRepresentationError,
     SymbolicField,
     ControlSystem,
     bracket_frame,
@@ -35,7 +34,6 @@ import sympy as sp
 from horizon.endpoint import EndpointDifferential
 from horizon.steering import _single_field_flow
 from test_steering import _driftless_system
-from test_systems import _callable_heisenberg
 
 
 def random_signal(rng, d, m=6):
@@ -276,13 +274,6 @@ def test_random_polynomial_hessian_is_exact(data, system, substeps):
     assert gap <= 1e-9 * max(scale, size)
 
 
-def test_hessian_needs_symbolic_fields():
-    u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
-    diff = differential(_callable_heisenberg(True), np.zeros(3), u, substeps=2)
-    with pytest.raises(UnsupportedRepresentationError, match="second derivatives"):
-        diff.hessian(np.ones(3))
-
-
 def _reference_states(system, x0, u, substeps):
     # RK4 on numpy arrays with elementwise operations only: the control sum is
     # V[0] + (u[0]*V[1] + u[1]*V[2]), left to right, with no @ or dot
@@ -345,7 +336,6 @@ def _fractional_power_drift_system():
 
 _FALLBACK_SYSTEMS = {
     "fractional_power_drift": _fractional_power_drift_system(),
-    "callable_heisenberg": _callable_heisenberg(True),
 }
 
 

@@ -75,3 +75,12 @@ def test_every_private_definition_is_referenced(name):
             and node.name.startswith("_") and not node.name.startswith("__")
             and PACKAGE_REFS[node.name] == _references(node)[node.name]]
     assert dead == [], f"{name}.py defines private names nothing references: {dead}"
+
+
+def test_one_lambdify_site():
+    # every compiled field quantity goes through one generator and one printer,
+    # so the float and batch evaluations cannot drift apart in rounding
+    sites = [f"{name}.py:{node.lineno}" for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lambdify"]
+    assert len(sites) == 1, f"sp.lambdify is called at {sites}"
