@@ -7,14 +7,17 @@ advance its derivatives with respect to the segment's start and control, so
 the Jacobian the solver uses is the Jacobian of the map it constrains, to
 rounding.  EndpointDifferential.hessian(lam) goes one order further on the
 same recorded stages: the exact Hessian of lam . F, for the solver's Newton
-steps.  No adaptive stepping.
+steps, by the discrete second-order adjoint of the RK4 steps (stage
+adjoints run backward over the stage tangents the first-order pass kept).
+No adaptive stepping.
 
 The state run advances n Python floats by ControlSystem.float_step, one
-generated straight-line RK4 step (no BLAS call per stage, and numpy scalars
-only where Python floats are unsafe).  `rk4_step` is the generic RK4 step
-with the same arithmetic: the steering charts' single-field flows advance
-through it, and so do the tangent blocks, all segments' as one batch on the
-state run's recorded stages, as the one-component list [Z].  This module
+generated straight-line RK4 step with the field expressions inlined (no
+call or BLAS per stage, and numpy scalars only where Python floats are
+unsafe).  `rk4_step` is the generic RK4 step with the same arithmetic: the
+steering charts' single-field flows advance through it, and so do the
+tangent blocks, all segments' as one batch on the state run's recorded
+stages, as the one-component list [Z].  This module
 alone decides what an empty signal reaches (its start) and when a state has
 blown up (|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 `_backtrack`, the halving line search of every damped Newton loop
@@ -63,6 +66,8 @@ class Trajectory:
     # (m * 4 * substeps, n) with the blocks: every RK4 stage state of the run,
     # in evaluation order
     stages: np.ndarray | None = None
+    # with the blocks: the 4 * substeps (m, n + d, n) blocks entering the stages
+    tangents: list | None = None
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -78,6 +83,13 @@ class Trajectory:
         for t, x in zip(self.times, self.states):
             lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in x]))
         return "\n".join(lines) + "\n"
+
+
+def _shaped(a, shape, what):
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ConfigError(f"{what} must have shape {shape}, got {a.shape}")
+    return a
 
 
 def _check_state(x, t):
@@ -118,59 +130,36 @@ def rk4_step(f, z, h, *args):
     return [a + (h / 6.0) * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(z, k1, k2, k3, k4)]
 
 
-def _block_rhs(z, lin):
+def _block_rhs(z, lin, tangents):
     # one RK4 stage of every segment's block Z = [P^T; S^T]: Z A^T + [0; B^T],
-    # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization.
-    # When the stage also brings H, the right-hand side's second derivative
-    # in zeta = (x, u), Z has second-order rows after the first n + d, and
-    # row (p, q) also gains H[a, b, c] T[p, b] T[q, c] in component a, with
-    # T = [Z | E] the stage's tangent of zeta (E, the tangent of u, is fixed).
+    # with A^T and B^T = (X_1..X_d)^T the next recorded stage's linearization;
+    # tangents keeps the stage's input Z
     (Z,) = z
-    At, Bt, *H = next(lin)
-    m, d, n = len(Z), Bt.shape[1], Z.shape[2]
+    tangents.append(Z)
+    At, Bt = next(lin)
     W = np.matmul(Z, At)
-    W[:, n:n + d] += Bt
-    if H:
-        P = n + d
-        T = np.concatenate([Z[:, :P], np.broadcast_to(np.eye(P, d, -n), (m, P, d))], axis=2)
-        HT = np.matmul(H[0].reshape(m, n * P, P), T.transpose(0, 2, 1)).reshape(m, n, P, P)
-        W[:, P:] += np.matmul(T[:, None], HT).reshape(m, n, P * P).transpose(0, 2, 1)
+    W[:, Z.shape[2]:] += Bt
     return [W]
 
 
-def _tangent_blocks(system, signal, substeps, X, second=False):
+def _tangent_blocks(system, signal, substeps, X):
     # the (m, n + d, n) blocks from [I; 0] on the recorded stage states X: one
     # Jacobian and one field evaluation at every stage point, then 4 * substeps
-    # batched matmuls.  With second=True, (n + d)^2 rows follow, from 0: row
-    # n + d + p (n + d) + q holds the second derivative of the segment's end
-    # state in its start and value, directions p and q of zeta = (x, u).
+    # batched matmuls.  Also returns the blocks entering the stages, in order.
     m, n, d = signal.segments, system.n, system.d
-    P, per = n + d, 4 * substeps  # stage points per segment
+    per = 4 * substeps  # stage points per segment
     U = np.repeat(signal.values, per, axis=0)
 
     def by_stage(a):  # (m * per, ...) -> (per, m, ...): all segments, stage by stage
         return a.reshape((m, per) + a.shape[1:]).swapaxes(0, 1)
 
-    # the second pass also needs the fields' own Jacobians: one stack serves both
-    J = system.field_jacobians(X) if second else None
-    A = system.dynamics_jacobian(X, U) if J is None else _with_controls(J, U)
-    lin = [by_stage(A).swapaxes(2, 3), by_stage(system.field_values_batch(X)[:, 1:])]
-    z = np.eye(P, n)
-    if second:
-        # d^2 f / dzeta^2: the fields' second derivatives in x, and X_i's
-        # Jacobian in the (u_i, x) and (x, u_i) blocks
-        H = np.zeros((len(X), n, P, P))
-        H[:, :, :n, :n] = system.dynamics_hessian(X, U)
-        H[:, :, n:, :n] = J[:, 1:].transpose(0, 2, 1, 3)
-        H[:, :, :n, n:] = J[:, 1:].transpose(0, 2, 3, 1)
-        lin.append(by_stage(H))
-        z = np.vstack([z, np.zeros((P * P, n))])
-    lin = zip(*lin)
+    lin = zip(by_stage(system.dynamics_jacobian(X, U)).swapaxes(2, 3),
+              by_stage(system.field_values_batch(X)[:, 1:]))
     h = (np.diff(signal.breakpoints) / substeps)[:, None, None]
-    z = [np.repeat(z[None], m, axis=0)]
+    z, tangents = [np.repeat(np.eye(n + d, n)[None], m, axis=0)], []
     for _ in range(substeps):
-        z = rk4_step(_block_rhs, z, h, lin)
-    return z[0]
+        z = rk4_step(_block_rhs, z, h, lin, tangents)
+    return z[0], tangents
 
 
 def integrate(
@@ -190,9 +179,7 @@ def integrate(
     block is therefore the derivative of the segment's RK4 steps themselves,
     to rounding, and the states are the plain run's bit for bit.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.n,):
-        raise ConfigError(f"x0 must have shape ({system.n},)")
+    x0 = _shaped(x0, (system.n,), "x0")
     if signal.segments > 0 and signal.d != system.d:
         raise ConfigError(f"signal has d={signal.d}, system expects {system.d}")
     if substeps < 1:
@@ -217,12 +204,13 @@ def integrate(
             rows.append(z)
     times[-1] = signal.total_time  # exact final time
     times, states = np.array(times), np.array(rows)
-    fund = X = None
+    fund = X = tangents = None
     if with_fundamental:
         X = np.array(stages, dtype=float).reshape(-1, n)
-        fund = _tangent_blocks(system, signal, substeps, X) if m else np.empty((0, n + system.d, n))
+        fund, tangents = (_tangent_blocks(system, signal, substeps, X) if m
+                          else (np.empty((0, n + system.d, n)), []))
     return Trajectory(times=times, states=states, signal=signal, substeps=substeps,
-                      fundamental=fund, stages=X)
+                      fundamental=fund, stages=X, tangents=tangents)
 
 
 def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
@@ -247,6 +235,7 @@ class EndpointDifferential:
     trajectory: Trajectory
     matrix: np.ndarray
     w_bar: np.ndarray
+    transitions: list | None = None  # Psi_k^T per segment k, from differential's sweep
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -265,13 +254,11 @@ class EndpointDifferential:
             if not np.array_equal(v.breakpoints, self.signal.breakpoints):
                 raise ConfigError("direction must share the signal's breakpoints")
             v = v.values
-        v = np.asarray(v, dtype=float)
-        return self.matrix @ v.ravel()
+        return self.matrix @ _shaped(v, self.signal.values.shape, "direction").ravel()
 
     def dual_signal(self, lam) -> ControlSignal:
         """Covector pullback sum_j lam_j w_j as a segment-basis dual signal."""
-        lam = np.asarray(lam, dtype=float)
-        vals = np.einsum("j,kjd->kd", lam, self.w_bar)
+        vals = np.einsum("j,kjd->kd", _shaped(lam, (self.n,), "lam"), self.w_bar)
         return ControlSignal(self.signal.breakpoints, vals)
 
     def hessian(self, lam) -> np.ndarray:
@@ -280,29 +267,52 @@ class EndpointDifferential:
 
         With x_{k+1} = Phi_k(x_k, u_k) the segment maps, H = sum_k J_k^T Q_k J_k:
         Q_k = mu_{k+1} . D^2 Phi_k, contracted with the adjoint
-        mu_{k+1} = Psi_k^T lam, and J_k = d(x_k, u_k)/dU.  One second-order
-        pass of the tangent recursion over the recorded stages gives every
-        D^2 Phi_k, all segments together; one backward sweep then carries the
-        second derivative of lam . F in x_{k+1} (W) and in x_{k+1} and the
-        later values (V) from segment to segment.
+        mu_{k+1} = Psi_k^T lam, and J_k = d(x_k, u_k)/dU.  Q_k is the discrete
+        second-order adjoint of the segment's RK4 steps (Hager, Numer. Math.
+        87 (2000)): stage adjoints nu_s run back from mu_{k+1}, all segments
+        together, and Q_k = sum_s T_s (nu_s . D^2 f_s) T_s^T, T_s = [Z_s | E]
+        the stage tangent the first-order pass kept.  With G_k = dx_k/dU from
+        a forward sweep, one gemm and Q_k's (x, u) blocks give H; no
+        integration runs.
         """
-        traj, sig = self.trajectory, self.signal
-        m, d, n = sig.segments, sig.d, self.n
-        P = n + d
-        D2 = _tangent_blocks(self.system, sig, self.substeps, traj.stages, second=True)[:, P:]
-        H = np.zeros((m, d, m, d))
-        W, V = np.zeros((n, n)), np.zeros((n, m, d))
-        mu = np.asarray(lam, dtype=float)
-        for k in range(m - 1, -1, -1):
-            F = traj.fundamental[k]  # d x_{k+1} / d(x_k, u_k), transposed
-            M = F @ W @ F.T + (D2[k] @ mu).reshape(P, P)  # in (x_k, u_k)
-            G = (F @ V.reshape(n, m * d)).reshape(P, m, d)
-            H[k] = G[n:]
-            H[k, :, k] = 0.5 * M[n:, n:]
-            V, W = G[:n], M[:n, :n]
-            V[:, k] = M[:n, n:]
-            mu = F[:n] @ mu
-        H = H.reshape(m * d, m * d)
+        lam = _shaped(lam, (self.n,), "lam")
+        traj, sig, system, per = self.trajectory, self.signal, self.system, 4 * self.substeps
+        m, d, n, N = sig.segments, sig.d, self.n, len(traj.stages)
+        X, U = traj.stages, np.repeat(sig.values, per, axis=0)
+        J = system.field_jacobians(X)
+        A = _with_controls(J, U).reshape(m, per, n, n)
+        # RK4's weights b and offsets a.  Adjoints start from mu / 2: H + H^T at the end
+        # doubles Q's x and u blocks, and the (x, u) block, set above H's diagonal, is 2 Q_xu
+        b, a = (1 / 6, 1 / 3, 1 / 3, 1 / 6), (0.5, 0.5, 1.0, 0.0)
+        ybar, h = 0.5 * (np.stack(self.transitions) @ lam), (sig.durations / self.substeps)[:, None]
+        nu = np.empty((m, per, 1, n))
+        for j in range(per - 4, -1, -4):  # each step from the last; ybar: its end's adjoint
+            g, start = 0.0, ybar  # g: A^T nu of the later stage; start: the step start's adjoint
+            for t in (3, 2, 1, 0):
+                nu[:, j + t, 0] = h * (b[t] * ybar + a[t] * g)
+                g = np.matmul(nu[:, j + t], A[:, j + t])[:, 0]
+                start = start + g
+            ybar = start
+        nu = nu.reshape(N, 1, n)
+        w = (np.hstack([np.ones((N, 1)), U])[:, :, None] * nu).reshape(N, 1, (d + 1) * n)
+        Cxx = np.matmul(w, system.field_second_derivatives(X).reshape(N, (d + 1) * n, n * n))
+        Cxu = np.matmul(nu, J[:, 1:].transpose(0, 2, 3, 1).reshape(N, n, n * d))
+        Z = np.stack(traj.tangents, axis=2)  # (m, n + d, per, n)
+        Y = np.matmul(Z[..., None, :], Cxx.reshape(m, 1, per, n, n)).reshape(m, n + d, per * n)
+        Z = Z.reshape(m, n + d, per * n)
+        Q = np.matmul(Y, Z.transpose(0, 2, 1))
+        R = np.matmul(Z, Cxu.reshape(m, per * n, d))
+        Q[:, :, n:] += R
+        Q[:, n:] += R.transpose(0, 2, 1)
+        F = traj.fundamental  # G_{k+1} = P_k G_k + S_k in u_k's columns
+        G = np.zeros((m, n, m * d))
+        G.reshape(m, n, m, d)[range(1, m), :, range(m - 1)] = F[:-1, n:].transpose(0, 2, 1)
+        for k in range(1, m - 1):
+            np.matmul(F[k, :n].T, G[k, :, :k * d], out=G[k + 1, :, :k * d])
+        H = G.reshape(m * n, m * d).T @ np.matmul(Q[:, :n, :n], G).reshape(m * n, m * d)
+        C = np.matmul(G.transpose(0, 2, 1), 2 * Q[:, :n, n:])  # G_k^T Q_xu, in u_k's columns
+        H.reshape(m * d, m, d)[:] += C.transpose(1, 0, 2)
+        H.reshape(m, d, m, d)[range(m), :, range(m)] += Q[:, n:, n:]
         return H + H.T
 
 
@@ -326,11 +336,11 @@ def differential(
     m, d, n = signal.segments, signal.d, system.n
 
     rows = np.empty((m, d, n))  # rows[k] = (Psi_k S_k)^T
-    psi_t = np.eye(n)
+    psi_t = [np.eye(n)]  # Psi_{m-1}^T, Psi_{m-2}^T, ...
     for k in range(m - 1, -1, -1):
-        G = traj.fundamental[k] @ psi_t
+        G = traj.fundamental[k] @ psi_t[-1]
         rows[k] = G[n:]
-        psi_t = G[:n]
+        psi_t.append(G[:n])
 
     matrix = rows.reshape(m * d, n).T
     w_bar = np.transpose(rows, (0, 2, 1)) / signal.durations[:, None, None]  # (m, n, d)
@@ -343,6 +353,7 @@ def differential(
         trajectory=traj,
         matrix=matrix,
         w_bar=w_bar,
+        transitions=psi_t[-2::-1],
     )
 
 

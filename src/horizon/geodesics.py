@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .endpoint import _backtrack, differential, endpoint as _endpoint, regular_value_test
+from .endpoint import _backtrack, _shaped, differential, endpoint as _endpoint, regular_value_test
 from .errors import ConfigError, ConvergenceError, HorizonError
 from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
                       energy_of_values, gradient_density)
@@ -214,7 +214,7 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
     Assembles lambda o d_uF as the dual signal sum_j lambda_j w_j and measures
     its L^q distance to the p-energy gradient density.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _shaped(lam, (system.n,), "lam")
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
     ws = _Workspace(system, x, u, substeps)

@@ -4,10 +4,11 @@ Fields are held as sympy expressions so that Jacobians, Hessians and Lie
 brackets are exact.  Each compiled quantity (a field's values or Jacobian;
 a system's value, Jacobian or second-derivative stack) is one lambdified
 evaluator, built once on first use and called directly.  The state run's RK4
-step ControlSystem.float_step is generated code that fuses the control sum
-into the value stack's calls, on Python floats.  Fields are symbolic only, and
-the generated code prints a positive integer power as a product, so Python
-floats and numpy arrays evaluate it with the same IEEE multiplications.
+step ControlSystem.float_step is generated code that prints the value stack's
+expressions, with the control sum, into each stage, on Python floats.  Fields
+are symbolic only, and the generated code prints a positive integer power as
+a product (its base evaluated once), so Python floats and numpy arrays
+evaluate it with the same IEEE multiplications.
 """
 
 from __future__ import annotations
@@ -55,12 +56,15 @@ def state_symbols(n: int):
 
 class _ProductPrinter(NumPyPrinter):
     """lambdify's numpy printer, except that x**k for a positive integer k is
-    the parenthesized product (x*x*...*x), multiplied left to right."""
+    the parenthesized product (x*x*...*x), multiplied left to right; a base
+    that is not a symbol or a number is evaluated once: ((_b := cos(x1))*_b)."""
 
     def _print_Pow(self, expr, rational=False):
         if expr.exp.is_integer and expr.exp.is_positive:
-            base = self.parenthesize(expr.base, precedence(expr))
-            return "(" + "*".join([base] * int(expr.exp)) + ")"
+            factors = [self.parenthesize(expr.base, precedence(expr))] * int(expr.exp)
+            if not expr.base.is_Atom:  # evaluated once
+                factors = [f"(_b := {factors[0]})"] + ["_b"] * (len(factors) - 1)
+            return "(" + "*".join(factors) + ")"
         return super()._print_Pow(expr, rational=rational)
 
 
@@ -82,14 +86,13 @@ class _LambdifiedStack:
     """
 
     def __init__(self, coords, exprs, shape):
-        exprs = list(exprs)
+        self.exprs = list(exprs)
         self._shape = shape
-        self._size = len(exprs)
         # the settings lambdify gives its own numpy printer
-        printer = _ProductPrinter({"fully_qualified_modules": False, "inline": True,
-                                   "allow_unknown_functions": True})
-        self._fn = sp.lambdify(coords, exprs, "numpy", printer=printer)
-        self._floats = all(p.exp.is_integer for e in exprs for p in e.atoms(sp.Pow))
+        self.printer = _ProductPrinter({"fully_qualified_modules": False, "inline": True,
+                                        "allow_unknown_functions": True})
+        self._fn = sp.lambdify(coords, self.exprs, "numpy", printer=self.printer)
+        self._floats = all(p.exp.is_integer for e in self.exprs for p in e.atoms(sp.Pow))
 
     def __call__(self, x):
         try:
@@ -100,7 +103,7 @@ class _LambdifiedStack:
 
     def batch(self, pts):
         pts = np.asarray(pts, dtype=float)
-        flat = np.empty((len(pts), self._size))
+        flat = np.empty((len(pts), len(self.exprs)))
         for j, col in enumerate(self._fn(*pts.T)):
             flat[:, j] = col
         return flat.reshape((len(pts),) + self._shape)
@@ -296,35 +299,42 @@ class ControlSystem:
         straight-line code on floats: step(x, h, u, rec) -> list.
 
         The arithmetic is endpoint.rk4_step's, operation for operation.  A
-        stage makes one call of the compiled value stack on its point's
-        Python floats, then V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to
-        right, with no BLAS call and no list.  Where Python floats are unsafe
-        (a stack with a fractional power, or an evaluation raising
-        ArithmeticError) V is field_values on arrays and
-        the stage runs on numpy scalars, which keep numpy's inf/nan.  When
-        rec is a list, the step appends the coordinates of its four stage
-        points to it, flat.
+        stage forms V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to right on
+        its point's Python floats, with no call, BLAS or list: each V[j] is
+        the value stack's expression as the stack prints it, parenthesized,
+        on the stage point's names.  Where Python floats are unsafe (a stack
+        with a fractional power, or an evaluation raising ArithmeticError) V
+        is field_values on arrays and the stage runs on numpy scalars, which
+        keep numpy's inf/nan.  When rec is a list, the step appends the
+        coordinates of its four stage points to it, flat.
         """
 
         def values(*x):
             return self.field_values(x).ravel()
 
-        stack = self._values
-        n, d = self.n, self.d
-        scope = {"fn": stack._fn if stack._floats else values, "values": values}
+        stack, n, d = self._values, self.n, self.d
+        names = {str(c): i for i, c in enumerate(self.drift.coords)}
+        coord = re.compile(r"(?<![\w.])(" + "|".join(map(re.escape, names)) + r")(?!\w)")
+        texts = [stack.printer.doprint(e) for e in stack.exprs]
+        scope = dict(stack._fn.__globals__, values=values)  # the stack's functions
         pts = [[f"{c}{i}" for i in range(n)] for c in "abce"]  # the four stage points
+
+        def slopes(s, V):  # stage s's slope lines from the stack's entries V
+            return [f"        k{s}_{i} = {V[i]} + ("
+                    + " + ".join(f"u{j} * {V[(j + 1) * n + i]}" for j in range(d)) + ")"
+                    for i in range(n)]
+
         lines = ["def step(z, h, u, rec):", f"    {', '.join(f'u{j}' for j in range(d))}, = u",
                  f"    {', '.join(pts[0])}, = z", "    hh = 0.5 * h"]
         for s, pt in enumerate(pts):
             if s:  # the stage point a + (h/2 or h) * the previous stage's slope
                 step = "h" if s == 3 else "hh"
                 lines += [f"    {pt[i]} = a{i} + {step} * k{s - 1}_{i}" for i in range(n)]
-            args = ", ".join(pt)
-            lines += ["    try:", f"        V = fn({args})", "    except ArithmeticError:",
-                      f"        V = values({args})"]
-            lines += [f"    k{s}_{i} = V[{i}] + ("
-                      + " + ".join(f"u{j} * V[{(j + 1) * n + i}]" for j in range(d)) + ")"
-                      for i in range(n)]
+            arrays = [f"        V = values({', '.join(pt)})",
+                      *slopes(s, [f"V[{j}]" for j in range(len(texts))])]
+            inline = slopes(s, [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts])
+            lines += ["    try:", *(inline if stack._floats else arrays),
+                      "    except ArithmeticError:", *arrays]
         lines += [
             "    if rec is not None:",
             f"        rec += ({', '.join(sum(pts, []))})",
@@ -339,11 +349,10 @@ class ControlSystem:
         """State Jacobians of the right-hand side: (N, n, n) at (N, n) points, (N, d) controls."""
         return _with_controls(self.field_jacobians(x), u)
 
-    def dynamics_hessian(self, x, u) -> np.ndarray:
-        """Second state derivatives of the right-hand side, [i, j, k] = d^2 f_i / dx_j dx_k:
-        (N, n, n, n) at (N, n) points, (N, d) controls.  The stack of the
-        fields' second derivatives is compiled on first use."""
-        return _with_controls(self._second_derivatives.batch(x), u)
+    def field_second_derivatives(self, pts) -> np.ndarray:
+        """(N, d+1, n, n, n) second derivatives at (N, n) points, [.., i, j, k] =
+        d^2 X_i / dx_j dx_k; the stack is compiled on first use."""
+        return self._second_derivatives.batch(pts)
 
     # -- bracket evaluation ------------------------------------------------
 

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 
@@ -33,6 +34,7 @@ import sympy as sp
 
 from horizon.endpoint import EndpointDifferential
 from horizon.steering import _single_field_flow
+from oracle_hessian import reference_hessian
 from test_steering import _driftless_system
 
 
@@ -189,8 +191,8 @@ def _monomials(n):
 
 
 @st.composite
-def _small_polynomial_system(draw):
-    # n <= 3, d <= 2, total degree <= 3, optional drift
+def _small_polynomial_system(draw, drift=st.booleans()):
+    # n <= 3, d <= 2, total degree <= 3, a drift where drift draws True
     n = draw(st.integers(1, 3))
     d = draw(st.integers(1, 2))
     term = st.fixed_dictionaries(
@@ -198,14 +200,14 @@ def _small_polynomial_system(draw):
     )
     field = st.lists(st.lists(term, max_size=3), min_size=n, max_size=n)
     obj = {"n": n, "d": d, "fields": draw(st.lists(field, min_size=d, max_size=d))}
-    if draw(st.booleans()):
+    if draw(drift):
         obj["drift"] = draw(field)
     return system_from_json(json.dumps(obj))
 
 
 @st.composite
-def _short_signal(draw, d):
-    m = draw(st.integers(1, 4))
+def _short_signal(draw, d, max_m=4):
+    m = draw(st.integers(1, max_m))
     durations = draw(st.lists(st.floats(0.05, 0.3), min_size=m, max_size=m))
     values = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d), min_size=m, max_size=m))
     return ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]), np.array(values))
@@ -228,8 +230,9 @@ def test_random_polynomial_differential_is_exact(data, system, substeps):
 
 def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4):
     # (max |H - FD|, max |FD|, max |dF| |lam|_1): the reference differentiates
-    # dF^T lam by five-point central differences (Richardson on steps eps and
-    # 2 eps), one control entry at a time, and rounds at about eps_mach / eps
+    # dF^T lam by five-point central differences (Richardson on steps e and
+    # 2 e) at e = eps and eps/2, extrapolated once more as their step^4 errors
+    # dictate, one control entry at a time, and rounds at about eps_mach / eps
     # times the size of the terms of dF^T lam
     def grad(values):
         return differential(system, x0, ControlSignal(u.breakpoints, values), substeps).matrix.T @ lam
@@ -239,10 +242,13 @@ def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4):
     assert np.array_equal(H, H.T)
     fd = np.empty_like(H)
     for k in range(u.values.size):
-        step = np.zeros_like(u.values)
-        step.flat[k] = eps
-        g = [grad(u.values + c * step) for c in (-2, -1, 1, 2)]
-        fd[:, k] = (8 * (g[2] - g[1]) - (g[3] - g[0])) / (12 * eps)
+        R = []
+        for e in (eps, eps / 2):
+            step = np.zeros_like(u.values)
+            step.flat[k] = e
+            g = [grad(u.values + c * step) for c in (-2, -1, 1, 2)]
+            R.append((8 * (g[2] - g[1]) - (g[3] - g[0])) / (12 * e))
+        fd[:, k] = (16 * R[1] - R[0]) / 15
     return np.abs(H - fd).max(), np.abs(fd).max(), np.abs(diff.matrix).max() * np.abs(lam).sum()
 
 
@@ -272,6 +278,74 @@ def test_random_polynomial_hessian_is_exact(data, system, substeps):
         assume(False)
     gap, scale, size = _hessian_gap(system, x0, u, substeps, lam)
     assert gap <= 1e-9 * max(scale, size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), system=_small_polynomial_system(drift=st.just(True)),
+       substeps=st.integers(1, 4))
+def test_hessian_matches_the_forward_second_order_reference(data, system, substeps):
+    # the stage-adjoint Hessian against the second-order forward tangent
+    # recursion of tests/oracle_hessian.py, on the same recorded stages and
+    # non-uniform breakpoints
+    u = data.draw(_short_signal(system.d, max_m=8))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    lam = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 4
+    try:
+        diff = differential(system, x0, u, substeps)
+    except DomainEscapeError:
+        assume(False)
+    # the two sum the same terms in different orders, so they agree to rounding
+    # in the size of those terms, which can cancel to an exact 0 in ref
+    H, ref = diff.hessian(lam), reference_hessian(diff, lam)
+    terms = reference_hessian(diff, lam, magnitudes=True)
+    assert np.array_equal(H, H.T)
+    assert np.abs(H - ref).max() <= 1e-12 * terms.max()
+
+
+def test_hessian_integrates_nothing_and_evaluates_second_derivatives_once(monkeypatch):
+    # everything hessian needs beyond the stage states, the kept stage
+    # tangents and the transitions is one Jacobian and one second-derivative
+    # evaluation at the recorded stages
+    system = system_from_json(_POLY_WITH_DRIFT)
+    u = random_signal(np.random.default_rng(3), system.d, m=5)
+    diff = differential(system, np.full(3, 0.1), u, substeps=2)
+    lam = np.array([0.5, -1.0, 2.0])
+    first = diff.hessian(lam)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("hessian ran an integration or a tangent pass")
+
+    module = importlib.import_module("horizon.endpoint")
+    for name in ("integrate", "differential", "_tangent_blocks", "rk4_step"):
+        monkeypatch.setattr(module, name, refused)
+
+    class Counted:
+        def __init__(self, stack):
+            self.stack, self.calls = stack, 0
+
+        def batch(self, pts):
+            self.calls += 1
+            return self.stack.batch(pts)
+
+    stack = Counted(system._second_derivatives)
+    monkeypatch.setattr(system, "_second_derivatives", stack)
+    assert np.array_equal(diff.hessian(lam), first)
+    assert stack.calls == 1
+
+
+@pytest.mark.parametrize("entry", ["hessian", "dual_signal", "apply"])
+def test_differential_refuses_wrongly_shaped_multipliers_and_directions(entry):
+    heis = catalog_load("heisenberg")
+    u = random_signal(np.random.default_rng(4), heis.d, m=3)
+    diff = differential(heis, np.zeros(3), u, substeps=2)
+    if entry == "apply":
+        for v in (np.ones(6), np.ones((3, 3)), ControlSignal(u.breakpoints, np.ones((3, 1)))):
+            with pytest.raises(ConfigError, match=r"direction must have shape \(3, 2\)"):
+                diff.apply(v)
+        return
+    for lam in (np.ones(4), np.ones((3, 1)), 1.0):
+        with pytest.raises(ConfigError, match=r"lam must have shape \(3,\), got"):
+            getattr(diff, entry)(lam)
 
 
 def _reference_states(system, x0, u, substeps):

@@ -136,6 +136,14 @@ def test_lagrange_residual_perturbation_scales_linearly():
     assert 1.5 < res[1] / res[0] < 2.5
 
 
+def test_lagrange_residual_refuses_a_wrongly_shaped_multiplier():
+    heis = catalog_load("heisenberg")
+    u = ControlSignal(np.linspace(0.0, 1.0, 4), np.ones((3, 2)))
+    for lam in (np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ConfigError, match=r"lam must have shape \(3,\), got"):
+            lagrange_residual(heis, np.zeros(3), [1.0, 0.0, 0.0], u, lam, 2.0)
+
+
 def test_coincidence_p2_and_p3():
     heis = catalog_load("heisenberg")
     bps = np.linspace(0.0, 1.0, 17)

@@ -20,6 +20,7 @@ from horizon import (
     differential,
     displacement,
     endpoint,
+    integrate,
     lie_bracket,
     polynomial_field,
     state_symbols,
@@ -51,8 +52,8 @@ def test_second_derivative_symmetric():
     x0, x1 = state_symbols(2)
     f = SymbolicField([x0**2 * x1, x0 * x1**2], coords=(x0, x1))
     pt = np.array([0.7, -1.3])
-    # the system's second-derivative stack, with the one field's control at 1
-    D = ControlSystem("quadratic", [f]).dynamics_hessian(pt[None], [[1.0]])[0]
+    # the system's second-derivative stack: the zero drift, then the one field
+    D = ControlSystem("quadratic", [f]).field_second_derivatives(pt[None])[0, 1]
     assert np.allclose(D, np.swapaxes(D, 1, 2))
     # check one entry by hand: d^2 f_0 / dx0 dx1 = 2 x0
     assert np.isclose(D[0, 0, 1], 2 * 0.7)
@@ -287,6 +288,37 @@ def test_catalog_batch_evaluation_is_bitwise_numpy(name, X, U):
 def test_polynomial_batch_evaluation_is_bitwise_numpy(system, X, U):
     U = (U * len(X))[: len(X)]
     _assert_batch_matches_numpy_reference(system, X, U)
+
+
+def test_power_of_a_function_evaluates_the_function_once(monkeypatch):
+    # cos(x1)**2 prints as ((_b := cos(x1))*_b): one cos per evaluation in the
+    # value stack and per stage in the generated state step, which prints
+    # the stack's expressions, and the float, batch and state-run paths
+    # still agree bit for bit
+    from test_endpoint import _reference_states
+
+    x = state_symbols(2)
+    system = ControlSystem("cos_squared", [SymbolicField([1, 0], coords=x),
+                                           SymbolicField([0, sp.cos(x[1]) ** 2], coords=x)])
+    scope = system._values._fn.__globals__
+    real_cos, calls = scope["cos"], []
+
+    def cos(a):
+        calls.append(a)
+        return real_cos(a)
+
+    monkeypatch.setitem(scope, "cos", cos)  # before float_step copies the scope
+    X = np.array([[0.3, 0.7], [-1.1, 2.5], [0.0, -0.4]])
+    V = system.field_values_batch(X)
+    assert len(calls) == 1
+    for i in range(len(X)):
+        assert _same_bits(system.field_values(X[i]), V[i])
+    assert len(calls) == 1 + len(X)
+    system.float_step([0.3, 0.7], 0.1, [1.0, -0.5], None)
+    assert len(calls) == 1 + len(X) + 4
+    u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    states = integrate(system, [0.3, 0.7], u, substeps=3).states
+    assert states.tobytes() == _reference_states(system, [0.3, 0.7], u, 3).tobytes()
 
 
 def test_float_state_run_reaches_dynamics_only_where_floats_are_unsafe(monkeypatch):

@@ -1,0 +1,198 @@
+"""Kernel timings of two horizon checkouts, alternated in one process.
+
+    python3 tools/bench_kernels.py --base ../horizon-parent --repeats 15 --out BENCH.json
+
+Loads the base checkout's package as ``horizon_base`` and this checkout's as
+``horizon_change`` (both from their ``src/horizon``), then times, on the
+same inputs and alternately, the solver's kernels on the two multistart
+shapes of perfbench:
+
+* ``ladder``: Heisenberg, m = 64, target (0, 0, 0.5), the criterion-7 seed 0;
+* ``floor``: agrachev_lee(3), m = 24, target (0, -0.1), the criterion-5 seed 2.
+
+The kernels are the state run (``integrate``), ``differential``,
+``EndpointDifferential.hessian`` and one ``solve_critical`` from the seed,
+all at 2 substeps.  Each sample times a batch of calls (at least --sample-s
+seconds) and records the time per call; base and change take turns, in
+ABBA order over the repeats.  The result gives, per kernel and side, the
+median and quartiles in milliseconds, the ratio of the medians, the share of
+repeats in which the change was faster, the work per call, and how far the
+two sides' outputs differ.  Without --base the checkout is compared with
+itself, which shows the noise floor.  BLAS runs on one thread and the
+process pins itself to one CPU where the platform allows it.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SUBSTEPS = 2
+
+
+def load(root: Path, name: str):
+    """Import root/src/horizon as the package `name`."""
+    pkg = root / "src" / "horizon"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    if spec is None:
+        sys.exit(f"no horizon package under {root}")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def shapes(h):
+    """name -> (system, x, y, seed signal, options, seed index)."""
+    out = {}
+    heis = h.catalog_load("heisenberg")
+    seeds = h.geodesics.generate_seeds(0, 8, 64, heis.d, 0.5)
+    out["ladder"] = (heis, np.zeros(3), np.array([0.0, 0.0, 0.5]),
+                     h.ControlSignal(np.linspace(0.0, 1.0, 65), seeds[0]), h.GeodesicOptions(), 0)
+    al3 = h.catalog_load("agrachev_lee(3)")
+    seeds = h.geodesics.generate_seeds(3, 16, 24, al3.d, 1.0)
+    opts = h.GeodesicOptions(raise_on_failure=False, feas_iter=60, max_iter=60)
+    out["floor"] = (al3, np.zeros(2), np.array([0.0, -0.1]),
+                    h.ControlSignal(np.linspace(0.0, 1.0, 25), seeds[2]), opts, 2)
+    return out
+
+
+def kernels(h, shape):
+    """kernel name -> (zero-argument call, its output as an array, work per call)."""
+    system, x, y, sig, opts, idx = shape
+    diff = h.differential(system, x, sig, substeps=SUBSTEPS)
+    lam = np.linspace(1.0, -0.5, system.n)
+    steps = sig.segments * SUBSTEPS
+
+    def solve():
+        return h.solve_critical(system, x, y, u_init=sig, opts=opts, seed_index=idx)
+
+    rec = solve()
+    return {
+        "state": (lambda: h.integrate(system, x, sig, substeps=SUBSTEPS),
+                  h.integrate(system, x, sig, substeps=SUBSTEPS).states, {"rk4_steps": steps}),
+        "differential": (lambda: h.differential(system, x, sig, substeps=SUBSTEPS), diff.matrix,
+                         {"rk4_steps": steps, "tangent_steps": steps}),
+        "hessian": (lambda: diff.hessian(lam), diff.hessian(lam), {"integrations": 0}),
+        "solve_critical": (solve, np.array([rec.energy]),
+                           {"kkt_iterations": rec.iterations, "converged": bool(rec.converged),
+                            "feasibilization_steps": len(rec.diagnostics.get("feas_log", []))}),
+    }
+
+
+def batch_size(fn, sample_s):
+    reps, t = 1, 0.0
+    while True:
+        t0 = perf_counter()
+        for _ in range(reps):
+            fn()
+        t = perf_counter() - t0
+        if t >= sample_s:
+            return reps
+        reps = max(reps + 1, int(reps * 1.5 * sample_s / max(t, 1e-9)))
+
+
+def timed(fn, reps):
+    t0 = perf_counter()
+    for _ in range(reps):
+        fn()
+    return (perf_counter() - t0) / reps
+
+
+def quartiles(ms):
+    q1, med, q3 = np.percentile(ms, [25, 50, 75])
+    return {"median_ms": round(float(med), 4), "q1_ms": round(float(q1), 4),
+            "q3_ms": round(float(q3), 4)}
+
+
+def commit(root: Path):
+    try:
+        out = subprocess.run(["git", "-C", str(root), "describe", "--always", "--dirty"],
+                             capture_output=True, text=True, timeout=10)
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
+def environment():
+    import scipy
+    import sympy
+
+    cpu = None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "sympy": sympy.__version__,
+            "platform": platform.platform(), "cpu": cpu, "cpus": os.cpu_count(),
+            "blas_threads": 1}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", type=Path, default=ROOT,
+                    help="checkout root of the base side (default: this checkout)")
+    ap.add_argument("--repeats", type=int, default=15, help="samples per kernel and side")
+    ap.add_argument("--sample-s", type=float, default=0.05, help="least seconds per sample")
+    ap.add_argument("--out", type=Path, help="write the JSON result here as well")
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or not args.sample_s > 0:
+        ap.error("--repeats must be >= 1 and --sample-s > 0")
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[-1]})
+
+    sides = {"base": load(args.base.resolve(), "horizon_base"),
+             "change": load(ROOT, "horizon_change")}
+    result = {"script": "tools/bench_kernels.py", "environment": environment(),
+              "base": {"commit": commit(args.base)}, "change": {"commit": commit(ROOT)},
+              "repeats": args.repeats, "substeps": SUBSTEPS, "kernels": {}}
+    for shape in ("ladder", "floor"):
+        ks = {side: kernels(h, shapes(h)[shape]) for side, h in sides.items()}
+        for name in ks["base"]:
+            fns = {side: ks[side][name][0] for side in sides}
+            reps = batch_size(fns["base"], args.sample_s)
+            ms = {side: [] for side in sides}
+            for r in range(args.repeats):
+                for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+                    ms[side].append(1e3 * timed(fns[side], reps))
+            ref, new = ks["base"][name][1], ks["change"][name][1]
+            gap = float(np.max(np.abs(new - ref)) / max(float(np.max(np.abs(ref))), 1e-300))
+            result["kernels"][f"{shape}.{name}"] = {
+                "base": quartiles(ms["base"]), "change": quartiles(ms["change"]),
+                "ratio": round(float(np.median(ms["change"]) / np.median(ms["base"])), 4),
+                "change_faster": f"{sum(c < b for b, c in zip(ms['base'], ms['change']))}"
+                                 f"/{args.repeats}",
+                "calls_per_sample": reps,
+                "work_per_call": {side: ks[side][name][2] for side in sides},
+                "bitwise_equal": bool(new.tobytes() == ref.tobytes()),
+                "max_relative_difference": gap,
+            }
+            print(f"{shape}.{name}: " + json.dumps(result["kernels"][f"{shape}.{name}"]),
+                  file=sys.stderr)
+    text = json.dumps(result, indent=1, sort_keys=True)
+    if args.out:
+        args.out.write_text(text + "\n")
+    print(text)
+
+
+if __name__ == "__main__":
+    main()
