@@ -8,17 +8,19 @@ the Jacobian the solver uses is the Jacobian of the map it constrains, to
 rounding.  EndpointDifferential.hessian(lam) goes one order further on the
 same recorded stages: the exact Hessian of lam . F, for the solver's Newton
 steps, by the discrete second-order adjoint of the RK4 steps (stage
-adjoints run backward over the stage tangents the first-order pass kept).
+adjoints run backward over the stage tangents the first-order pass kept);
+where the fields are affine its curvature term is 0 and is not formed.
 No adaptive stepping.
 
-The state run advances n Python floats by ControlSystem.float_step, one
-generated straight-line RK4 step with the field expressions inlined (no
-call or BLAS per stage, and numpy scalars only where Python floats are
-unsafe).  `rk4_step` is the generic RK4 step with the same arithmetic: the
-steering charts' single-field flows advance through it, and so do the
-tangent blocks, all segments' as one batch on the state run's recorded
-stages, as the one-component list [Z].  This module
-alone decides what an empty signal reaches (its start) and when a state has
+The state run is one call of ControlSystem.state_run, generated code that
+runs every segment's RK4 steps on n Python floats with the field
+expressions inlined (no call or BLAS per stage, and numpy scalars only
+where Python floats are unsafe) and tests each step's state against the
+bound this module passes it.  `rk4_step` is the generic RK4 step with the
+same arithmetic: the steering charts' single-field flows advance through
+it, and so do the tangent blocks, all segments' as one batch on the state
+run's recorded stages, as the one-component list [Z].  This module alone
+decides what an empty signal reaches (its start) and when a state has
 blown up (|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 `_backtrack`, the halving line search of every damped Newton loop
 (feasibilization, the KKT phase, the chart solve), lives here because it
@@ -90,15 +92,6 @@ def _shaped(a, shape, what):
     if a.shape != shape:
         raise ConfigError(f"{what} must have shape {shape}, got {a.shape}")
     return a
-
-
-def _check_state(x, t):
-    # NaN compares False, so this one test also rejects NaN and inf in every
-    # component (max() would skip a NaN that is not first)
-    if not all(map(BLOWUP_BOUND.__ge__, map(abs, x))):
-        raise DomainEscapeError(
-            f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}", t=t, state=np.array(x)
-        )
 
 
 def _backtrack(trial, accept):
@@ -173,7 +166,9 @@ def integrate(
 
     With with_fundamental=True each segment k also gets its tangent block
     [P_k^T; S_k^T]: P_k the state transition and S_k the sensitivity to u_k,
-    both restarted from [I; 0] at the segment's start.  The state run records
+    both restarted from [I; 0] at the segment's start.  The states come from
+    one ControlSystem.state_run call; the first outside |x|_inf <= BLOWUP_BOUND
+    raises DomainEscapeError at its step's time.  The state run records
     the four stage states of every step; afterwards all m blocks advance
     together through rk4_step on the linearizations at those states.  The
     block is therefore the derivative of the segment's RK4 steps themselves,
@@ -186,24 +181,17 @@ def integrate(
         raise ConfigError("substeps must be >= 1")
 
     m, n = signal.segments, system.n
-    z = x0.tolist()
-    _check_state(z, 0.0)
-    step = system.float_step
     stages = [] if with_fundamental else None  # every stage state's coordinates, in order
-    times, rows = [0.0], [z]
-    bps = signal.breakpoints.tolist()
-    for k in range(m):
-        u = signal.values[k].tolist()
-        t0 = bps[k]
-        h = (bps[k + 1] - t0) / substeps
-        for j in range(substeps):
-            z = step(z, h, u, stages)
-            t = t0 + (j + 1) * h
-            _check_state(z, t)
-            times.append(t)
-            rows.append(z)
+    rows, escaped = system.state_run(x0.tolist(), signal.breakpoints.tolist(),
+                                     signal.values.tolist(), substeps, BLOWUP_BOUND, stages)
+    states, bps = np.array(rows).reshape(-1, n), signal.breakpoints
+    steps = np.arange(1, substeps + 1) * (np.diff(bps) / substeps)[:, None]  # (j + 1) h per segment
+    times = np.concatenate([[0.0], (bps[:-1, None] + steps).ravel()])
+    if escaped:
+        t = float(times[len(states) - 1])
+        raise DomainEscapeError(f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}",
+                                t=t, state=states[-1])
     times[-1] = signal.total_time  # exact final time
-    times, states = np.array(times), np.array(rows)
     fund = X = tangents = None
     if with_fundamental:
         X = np.array(stages, dtype=float).reshape(-1, n)
@@ -273,7 +261,8 @@ class EndpointDifferential:
         together, and Q_k = sum_s T_s (nu_s . D^2 f_s) T_s^T, T_s = [Z_s | E]
         the stage tangent the first-order pass kept.  With G_k = dx_k/dU from
         a forward sweep, one gemm and Q_k's (x, u) blocks give H; no
-        integration runs.
+        integration runs.  Where the system's second derivatives are all 0,
+        Q_k's (x, x) block is 0 and neither it nor its gemm is formed.
         """
         lam = _shaped(lam, (self.n,), "lam")
         traj, sig, system, per = self.trajectory, self.signal, self.system, 4 * self.substeps
@@ -294,13 +283,15 @@ class EndpointDifferential:
                 start = start + g
             ybar = start
         nu = nu.reshape(N, 1, n)
-        w = (np.hstack([np.ones((N, 1)), U])[:, :, None] * nu).reshape(N, 1, (d + 1) * n)
-        Cxx = np.matmul(w, system.field_second_derivatives(X).reshape(N, (d + 1) * n, n * n))
         Cxu = np.matmul(nu, J[:, 1:].transpose(0, 2, 3, 1).reshape(N, n, n * d))
         Z = np.stack(traj.tangents, axis=2)  # (m, n + d, per, n)
-        Y = np.matmul(Z[..., None, :], Cxx.reshape(m, 1, per, n, n)).reshape(m, n + d, per * n)
+        curved = system._second_derivatives is not None  # else Q's curvature term is 0
+        if curved:
+            w = (np.hstack([np.ones((N, 1)), U])[:, :, None] * nu).reshape(N, 1, (d + 1) * n)
+            Cxx = np.matmul(w, system.field_second_derivatives(X).reshape(N, (d + 1) * n, n * n))
+            Y = np.matmul(Z[..., None, :], Cxx.reshape(m, 1, per, n, n)).reshape(m, n + d, per * n)
         Z = Z.reshape(m, n + d, per * n)
-        Q = np.matmul(Y, Z.transpose(0, 2, 1))
+        Q = np.matmul(Y, Z.transpose(0, 2, 1)) if curved else np.zeros((m, n + d, n + d))
         R = np.matmul(Z, Cxu.reshape(m, per * n, d))
         Q[:, :, n:] += R
         Q[:, n:] += R.transpose(0, 2, 1)
@@ -309,7 +300,8 @@ class EndpointDifferential:
         G.reshape(m, n, m, d)[range(1, m), :, range(m - 1)] = F[:-1, n:].transpose(0, 2, 1)
         for k in range(1, m - 1):
             np.matmul(F[k, :n].T, G[k, :, :k * d], out=G[k + 1, :, :k * d])
-        H = G.reshape(m * n, m * d).T @ np.matmul(Q[:, :n, :n], G).reshape(m * n, m * d)
+        H = (G.reshape(m * n, m * d).T @ np.matmul(Q[:, :n, :n], G).reshape(m * n, m * d)
+             if curved else np.zeros((m * d, m * d)))
         C = np.matmul(G.transpose(0, 2, 1), 2 * Q[:, :n, n:])  # G_k^T Q_xu, in u_k's columns
         H.reshape(m * d, m, d)[:] += C.transpose(1, 0, 2)
         H.reshape(m, d, m, d)[range(m), :, range(m)] += Q[:, n:, n:]

@@ -3,12 +3,14 @@
 Fields are held as sympy expressions so that Jacobians, Hessians and Lie
 brackets are exact.  Each compiled quantity (a field's values or Jacobian;
 a system's value, Jacobian or second-derivative stack) is one lambdified
-evaluator, built once on first use and called directly.  The state run's RK4
-step ControlSystem.float_step is generated code that prints the value stack's
-expressions, with the control sum, into each stage, on Python floats.  Fields
-are symbolic only, and the generated code prints a positive integer power as
-a product (its base evaluated once), so Python floats and numpy arrays
-evaluate it with the same IEEE multiplications.
+evaluator, built once on first use and called directly; a second-derivative
+stack whose entries are all 0 (affine fields) is not built.  The state run
+ControlSystem.state_run is generated code, segment and step loops included,
+that prints the value stack's expressions, with the control sum, into each
+stage, on Python floats.  Fields are symbolic only, and the generated code
+prints a positive integer power as a product (its base evaluated once), so
+Python floats and numpy arrays evaluate it with the same IEEE
+multiplications.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class _LambdifiedStack:
     the blow-up check relies on: a fractional power, which gives a Python
     float a complex value at a negative base, and an evaluation raising
     ArithmeticError (a division by zero, or `**` overflowing or at a zero
-    base).  The generated state step (ControlSystem.float_step) follows the
+    base).  The generated state run (ControlSystem.state_run) follows the
     same rule.
     """
 
@@ -275,10 +277,13 @@ class ControlSystem:
 
     @cached_property
     def _second_derivatives(self):
-        # (d+1, n, n, n) stack of their second derivatives
+        # (d+1, n, n, n) stack of their second derivatives; None, and nothing
+        # compiled, when every entry is 0 (affine fields)
         coords = self.drift.coords
         exprs = [sp.diff(e, a, b) for f in [self.drift] + self.fields for e in f.exprs
                  for a in coords for b in coords]
+        if not any(e != 0 for e in exprs):
+            return None
         return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n, self.n))
 
     def field_values(self, x) -> np.ndarray:
@@ -294,56 +299,81 @@ class ControlSystem:
         return self._jacobians(x) if x.ndim == 1 else self._jacobians.batch(x)
 
     @cached_property
-    def float_step(self):
-        """One RK4 step of the state run x' = drift(x) + sum_i u_i X_i(x),
-        straight-line code on floats: step(x, h, u, rec) -> list.
+    def state_run(self):
+        """The RK4 state run of x' = drift(x) + sum_i u_i X_i(x) through a
+        signal, s steps per segment, as generated straight-line code on
+        floats: run(z, bps, U, s, bound, rec) -> (coordinates, escaped).
 
         The arithmetic is endpoint.rk4_step's, operation for operation.  A
         stage forms V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to right on
         its point's Python floats, with no call, BLAS or list: each V[j] is
         the value stack's expression as the stack prints it, parenthesized,
-        on the stage point's names.  Where Python floats are unsafe (a stack
-        with a fractional power, or an evaluation raising ArithmeticError) V
-        is field_values on arrays and the stage runs on numpy scalars, which
-        keep numpy's inf/nan.  When rec is a list, the step appends the
-        coordinates of its four stage points to it, flat.
+        on the stage point's names.  h, h/2 and h/6 are formed once per
+        segment, and so, on a float-safe stack, are the slope and the RK4
+        increment of a component whose V entries are free of the coordinates.
+        Where Python floats are unsafe (a stack with a fractional power, or
+        an evaluation raising ArithmeticError) V is field_values on arrays
+        and the stage runs on numpy scalars, which keep numpy's inf/nan.
+        The run returns the coordinates of z and of every step's state,
+        flat; it stops at the first of these states outside |x_i| <= bound
+        (NaN included) with escaped True.  When rec is a list, each step
+        appends the coordinates of its four stage points to it, flat.
         """
 
         def values(*x):
             return self.field_values(x).ravel()
 
-        stack, n, d = self._values, self.n, self.d
-        names = {str(c): i for i, c in enumerate(self.drift.coords)}
+        stack, n, d, coords = self._values, self.n, self.d, self.drift.coords
+        names = {str(c): i for i, c in enumerate(coords)}
         coord = re.compile(r"(?<![\w.])(" + "|".join(map(re.escape, names)) + r")(?!\w)")
         texts = [stack.printer.doprint(e) for e in stack.exprs]
         scope = dict(stack._fn.__globals__, values=values)  # the stack's functions
         pts = [[f"{c}{i}" for i in range(n)] for c in "abce"]  # the four stage points
+        # the components whose slope is free of the coordinates, formed once per segment
+        fixed = [i for i in range(n) if stack._floats and not any(
+            stack.exprs[j * n + i].free_symbols & set(coords) for j in range(d + 1))]
+        moving = [i for i in range(n) if i not in fixed]
 
-        def slopes(s, V):  # stage s's slope lines from the stack's entries V
-            return [f"        k{s}_{i} = {V[i]} + ("
+        def k(s, i):  # component i's slope at stage s
+            return f"k_{i}" if i in fixed else f"k{s}_{i}"
+
+        def slopes(s, V, comps):  # the slope lines of comps from the stack's entries V
+            return [f"{k(s, i)} = {V[i]} + ("
                     + " + ".join(f"u{j} * {V[(j + 1) * n + i]}" for j in range(d)) + ")"
-                    for i in range(n)]
+                    for i in comps]
 
-        lines = ["def step(z, h, u, rec):", f"    {', '.join(f'u{j}' for j in range(d))}, = u",
-                 f"    {', '.join(pts[0])}, = z", "    hh = 0.5 * h"]
+        def increment(i):  # h/6 (k0 + 2 k1 + 2 k2 + k3)
+            return f"h6 * ({k(0, i)} + 2.0 * {k(1, i)} + 2.0 * {k(2, i)} + {k(3, i)})"
+
+        def printed(pt):  # the stack's entries on the point's names
+            return [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts]
+
+        def tab(block):
+            return ["    " + line for line in block]
+
+        a, inside = ", ".join(pts[0]), " and ".join(f"lo <= a{i} <= bound" for i in range(n))
+        step = []
         for s, pt in enumerate(pts):
             if s:  # the stage point a + (h/2 or h) * the previous stage's slope
-                step = "h" if s == 3 else "hh"
-                lines += [f"    {pt[i]} = a{i} + {step} * k{s - 1}_{i}" for i in range(n)]
-            arrays = [f"        V = values({', '.join(pt)})",
-                      *slopes(s, [f"V[{j}]" for j in range(len(texts))])]
-            inline = slopes(s, [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts])
-            lines += ["    try:", *(inline if stack._floats else arrays),
-                      "    except ArithmeticError:", *arrays]
-        lines += [
-            "    if rec is not None:",
-            f"        rec += ({', '.join(sum(pts, []))})",
-            "    h6 = h / 6.0",
-            "    return [" + ", ".join(f"a{i} + h6 * (k0_{i} + 2.0 * k1_{i} + 2.0 * k2_{i} + k3_{i})"
-                                       for i in range(n)) + "]",
-        ]
-        exec("\n".join(lines) + "\n", scope)
-        return scope["step"]
+                by = "h" if s == 3 else "hh"
+                step += [f"{pt[i]} = a{i} + {by} * {k(s - 1, i)}" for i in range(n)]
+            arrays = [f"V = values({', '.join(pt)})",
+                      *slopes(s, [f"V[{j}]" for j in range(len(texts))], moving)]
+            floats = slopes(s, printed(pt), moving) if stack._floats else arrays
+            if moving:
+                step += ["try:", *tab(floats), "except ArithmeticError:", *tab(arrays)]
+        step += ["if rec is not None:", f"    rec += ({', '.join(sum(pts, []))})",
+                 *(f"a{i} = a{i} + {f'd_{i}' if i in fixed else increment(i)}" for i in range(n)),
+                 f"out += ({a},)", f"if not ({inside}):", "    return out, True"]
+        segment = ["h = (t1 - t0) / s", "hh = 0.5 * h", "h6 = h / 6.0",
+                   *slopes(0, printed(pts[0]), fixed), *(f"d_{i} = {increment(i)}" for i in fixed),
+                   "for _ in range(s):", *tab(step)]
+        us = ", ".join(f"u{j}" for j in range(d))
+        run = ["lo = -bound", f"{a}, = z", f"out = [{a}]", f"if not ({inside}):",
+               "    return out, True", f"for t0, t1, ({us},) in zip(bps, bps[1:], U):",
+               *tab(segment), "return out, False"]
+        exec("\n".join(["def run(z, bps, U, s, bound, rec):", *tab(run)]) + "\n", scope)
+        return scope["run"]
 
     def dynamics_jacobian(self, x, u) -> np.ndarray:
         """State Jacobians of the right-hand side: (N, n, n) at (N, n) points, (N, d) controls."""
@@ -352,6 +382,8 @@ class ControlSystem:
     def field_second_derivatives(self, pts) -> np.ndarray:
         """(N, d+1, n, n, n) second derivatives at (N, n) points, [.., i, j, k] =
         d^2 X_i / dx_j dx_k; the stack is compiled on first use."""
+        if self._second_derivatives is None:
+            return np.zeros((len(pts), self.d + 1, self.n, self.n, self.n))
         return self._second_derivatives.batch(pts)
 
     # -- bracket evaluation ------------------------------------------------

@@ -1,10 +1,11 @@
 import importlib
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horizon import (
@@ -32,7 +33,7 @@ from horizon import (
 )
 import sympy as sp
 
-from horizon.endpoint import EndpointDifferential
+from horizon.endpoint import BLOWUP_BOUND, EndpointDifferential
 from horizon.steering import _single_field_flow
 from oracle_hessian import reference_hessian
 from test_steering import _driftless_system
@@ -186,19 +187,23 @@ def test_differential_is_the_exact_rk4_jacobian(name, substeps):
         assert gap <= 1e-9 * scale
 
 
-def _monomials(n):
-    return [list(e) for e in itertools.product(range(4), repeat=n) if sum(e) <= 3]
+def _monomials(n, degree=3):
+    return [list(e) for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
 
 
 @st.composite
-def _small_polynomial_system(draw, drift=st.booleans()):
-    # n <= 3, d <= 2, total degree <= 3, a drift where drift draws True
+def _small_polynomial_system(draw, drift=st.booleans(), degree=3, fixed=False):
+    # n <= 3, d <= 2, total degree <= degree, a drift where drift draws True;
+    # with fixed, one component is constant in the drift and every field
     n = draw(st.integers(1, 3))
     d = draw(st.integers(1, 2))
-    term = st.fixed_dictionaries(
-        {"coef": st.integers(-8, 8).map(lambda k: k / 4), "exponents": st.sampled_from(_monomials(n))}
-    )
+    coef = st.integers(-8, 8).map(lambda k: k / 4)
+    term = st.fixed_dictionaries({"coef": coef, "exponents": st.sampled_from(_monomials(n, degree))})
     field = st.lists(st.lists(term, max_size=3), min_size=n, max_size=n)
+    if fixed:
+        i = draw(st.integers(0, n - 1))
+        const = st.lists(st.fixed_dictionaries({"coef": coef, "exponents": st.just([0] * n)}), max_size=3)
+        field = st.tuples(field, const).map(lambda fc: fc[0][:i] + [fc[1]] + fc[0][i + 1:])
     obj = {"n": n, "d": d, "fields": draw(st.lists(field, min_size=d, max_size=d))}
     if draw(drift):
         obj["drift"] = draw(field)
@@ -333,6 +338,48 @@ def test_hessian_integrates_nothing_and_evaluates_second_derivatives_once(monkey
     assert stack.calls == 1
 
 
+def _counted_second_derivatives():
+    # counts ControlSystem.field_second_derivatives calls on any system
+    real = ControlSystem.field_second_derivatives
+    return mock.patch.object(ControlSystem, "field_second_derivatives", autospec=True, side_effect=real)
+
+
+def _assert_matches_reference_hessian(diff, H, lam):
+    assert np.array_equal(H, H.T)
+    terms = reference_hessian(diff, lam, magnitudes=True)
+    assert np.abs(H - reference_hessian(diff, lam)).max() <= 1e-12 * terms.max()
+
+
+@pytest.mark.parametrize("name, evaluations", [("heisenberg", 0), ("agrachev_lee(3)", 1)])
+def test_second_derivatives_are_evaluated_only_where_they_are_not_all_zero(name, evaluations):
+    # Heisenberg's fields are affine, so hessian has no curvature pass;
+    # agrachev_lee(3)'s are not, and its stack is evaluated once per call
+    system = catalog_load(name)
+    u = random_signal(np.random.default_rng(8), system.d, m=5)
+    diff = differential(system, np.full(system.n, 0.2), u, substeps=2)
+    lam = np.linspace(1.0, -0.5, system.n)
+    with _counted_second_derivatives() as stack:
+        H = diff.hessian(lam)
+    assert stack.call_count == evaluations
+    _assert_matches_reference_hessian(diff, H, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), system=_small_polynomial_system(degree=1), substeps=st.integers(1, 3))
+def test_affine_fields_skip_the_curvature_pass(data, system, substeps):
+    u = data.draw(_short_signal(system.d, max_m=6))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    lam = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 4
+    with _counted_second_derivatives() as stack:
+        try:
+            diff = differential(system, x0, u, substeps)
+        except DomainEscapeError:
+            assume(False)
+        H = diff.hessian(lam)
+    assert stack.call_count == 0
+    _assert_matches_reference_hessian(diff, H, lam)
+
+
 @pytest.mark.parametrize("entry", ["hessian", "dual_signal", "apply"])
 def test_differential_refuses_wrongly_shaped_multipliers_and_directions(entry):
     heis = catalog_load("heisenberg")
@@ -350,7 +397,9 @@ def test_differential_refuses_wrongly_shaped_multipliers_and_directions(entry):
 
 def _reference_states(system, x0, u, substeps):
     # RK4 on numpy arrays with elementwise operations only: the control sum is
-    # V[0] + (u[0]*V[1] + u[1]*V[2]), left to right, with no @ or dot
+    # V[0] + (u[0]*V[1] + u[1]*V[2]), left to right, with no @ or dot.  A
+    # state outside |x_i| <= BLOWUP_BOUND (NaN included), x0 or a step's,
+    # raises DomainEscapeError at its time, t0 + (j + 1) h for step j
     def f(x, uk):
         V = system.field_values(x)
         acc = uk[0] * V[1]
@@ -358,17 +407,23 @@ def _reference_states(system, x0, u, substeps):
             acc = acc + uk[i] * V[i + 1]
         return V[0] + acc
 
-    z = np.asarray(x0, dtype=float)
+    def checked(z, t):
+        if not np.all(np.abs(z) <= BLOWUP_BOUND):
+            raise DomainEscapeError(f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}",
+                                    t=float(t), state=z)
+        return z
+
+    z = checked(np.asarray(x0, dtype=float), 0.0)
     rows = [z]
     for k in range(u.segments):
         uk = u.values[k]
         h = (u.breakpoints[k + 1] - u.breakpoints[k]) / substeps
-        for _ in range(substeps):
+        for j in range(substeps):
             k1 = f(z, uk)
             k2 = f(z + 0.5 * h * k1, uk)
             k3 = f(z + 0.5 * h * k2, uk)
             k4 = f(z + h * k3, uk)
-            z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            z = checked(z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), u.breakpoints[k] + (j + 1) * h)
             rows.append(z)
     return np.array(rows)
 
@@ -408,8 +463,17 @@ def _fractional_power_drift_system():
     return ControlSystem("fractional_power_drift", fields, drift=drift)
 
 
+def _fractional_power_fixed_first_system():
+    # the first component's slope is free of the coordinates
+    x = state_symbols(2)
+    fields = [SymbolicField([1, 0], coords=x), SymbolicField([0, x[0] ** sp.Rational(3, 2)], coords=x)]
+    drift = SymbolicField([sp.Rational(1, 5), x[0] ** sp.Rational(1, 2)], coords=x)
+    return ControlSystem("fractional_power_fixed_first", fields, drift=drift)
+
+
 _FALLBACK_SYSTEMS = {
     "fractional_power_drift": _fractional_power_drift_system(),
+    "fractional_power_fixed_first": _fractional_power_fixed_first_system(),
 }
 
 
@@ -423,6 +487,98 @@ def test_fallback_states_are_plain_elementwise_rk4(name, data, substeps):
     u = data.draw(_short_signal(system.d))
     x0 = data.draw(st.lists(st.floats(1.0, 2.0), min_size=system.n, max_size=system.n))
     _assert_states_match_reference(system, x0, u, substeps)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), substeps=st.integers(1, 4))
+def test_components_with_a_fixed_slope_are_plain_elementwise_rk4(drift, data, substeps):
+    # a component whose slope is free of the coordinates is formed once per
+    # segment, with the same operations as at every stage
+    system = data.draw(_small_polynomial_system(drift=st.just(drift), fixed=True))
+    u = data.draw(_short_signal(system.d))
+    x0 = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=system.n, max_size=system.n))) / 8
+    _assert_states_match_reference(system, x0, u, substeps)
+
+
+# t0 + 3 h = 0.30000000000000004 on the last segment, short of the exact 0.3
+_SHORT_LAST_STEP = ControlSignal(np.array([0.0, 0.1, 0.3]), np.array([[0.0], [1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=_short_signal(2, max_m=6), substeps=st.integers(1, 5))
+@example(u=ControlSignal(_SHORT_LAST_STEP.breakpoints, np.ones((2, 2))), substeps=3)
+def test_times_are_the_step_grid_with_the_exact_final_time(u, substeps):
+    bps = u.breakpoints.tolist()
+    ref = [0.0] + [bps[k] + (j + 1) * ((bps[k + 1] - bps[k]) / substeps)
+                   for k in range(u.segments) for j in range(substeps)]
+    ref[-1] = u.total_time
+    times = integrate(catalog_load("heisenberg"), np.zeros(3), u, substeps).times
+    assert times.tobytes() == np.array(ref).tobytes()
+
+
+def _square_system():
+    x = state_symbols(1)
+    return ControlSystem("square", [SymbolicField([x[0] ** 2], coords=x)])
+
+
+def _nan_second_system():
+    # (1, x0^400 x1) from x0 = 10: the power overflows to inf and inf * 0 is nan
+    x = state_symbols(2)
+    return ControlSystem("nan_second", [SymbolicField([1, x[0] ** 400 * x[1]], coords=x)])
+
+
+def _outcome(run, *args):
+    # the states' bytes, or the escape's message, time and state bytes
+    try:
+        with np.errstate(all="ignore"):
+            return run(*args).tobytes()
+    except DomainEscapeError as exc:
+        return str(exc), exc.t, np.asarray(exc.state, dtype=float).tobytes()
+
+
+@st.composite
+def _escaping_runs(draw):
+    # quiet and violent segments, so that runs escape at any step, the first
+    # of a later segment included, or not at all
+    system = draw(st.sampled_from([_square_system(), _nan_second_system()]) | _small_polynomial_system())
+    m = draw(st.integers(1, 4))
+    bps = np.concatenate([[0.0], np.cumsum(draw(st.lists(st.floats(0.05, 0.5), min_size=m, max_size=m)))])
+    scale = st.sampled_from([0.0, 1.0, 1e2, 1e4])
+    values = [[draw(scale) * draw(st.floats(-1.0, 1.0)) for _ in range(system.d)] for _ in range(m)]
+    x0 = draw(st.lists(st.sampled_from([0.0, 0.5, -3.0, 10.0, 1e3, 2e6, np.nan]),
+                       min_size=system.n, max_size=system.n))
+    return system, x0, ControlSignal(bps, np.array(values))
+
+
+_LATER_SEGMENT = (_square_system(), [1e3],
+                  ControlSignal(np.array([0.0, 0.3, 0.8]), np.array([[0.0], [1e3]])))
+_NAN_SECOND = (_nan_second_system(), [10.0, 0.0], constant_signal(np.array([1.0]), 1.0))
+# x' = u crosses the bound at the run's last step, whose grid time is not the final time
+_LAST_STEP = (ControlSystem("line", [SymbolicField([1], n=1)]), [BLOWUP_BOUND - 0.15], _SHORT_LAST_STEP)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_escaping_runs(), substeps=st.integers(1, 4))
+@example(run=_LATER_SEGMENT, substeps=2)
+@example(run=_NAN_SECOND, substeps=4)
+@example(run=_LAST_STEP, substeps=3)
+def test_escapes_match_the_step_by_step_reference(run, substeps):
+    # the same DomainEscapeError (message, t, state) or the same states
+    system, x0, u = run
+    assert (_outcome(lambda: integrate(system, x0, u, substeps).states)
+            == _outcome(_reference_states, system, x0, u, substeps))
+
+
+@pytest.mark.parametrize("run, substeps, t", [(_LATER_SEGMENT, 2, 0.3 + 1 * ((0.8 - 0.3) / 2)),
+                                               (_LAST_STEP, 3, 0.1 + 3 * ((0.3 - 0.1) / 3))])
+def test_escape_time_is_the_escaping_steps_grid_time(run, substeps, t):
+    # the first step of a later segment, and the last step of the run
+    system, x0, u = run
+    with pytest.raises(DomainEscapeError, match=f"at t={t:.6g}$") as exc:
+        endpoint(system, x0, u, substeps)
+    assert exc.value.t == t
+    assert not np.abs(exc.value.state[0]) <= BLOWUP_BOUND
 
 
 @settings(max_examples=100, deadline=None)
@@ -555,10 +711,8 @@ def test_random_fiber_projection_follows_the_rank_rule(system, seed, m):
 
 def test_domain_escape():
     x0s = state_symbols(1)
-    f = SymbolicField([x0s[0] ** 2], coords=x0s)
-    blow = ControlSystem("blowup", [f])
     with pytest.raises(DomainEscapeError) as exc:
-        endpoint(blow, np.array([2.0]), constant_signal(np.array([1.0]), 1.0), substeps=256)
+        endpoint(_square_system(), np.array([2.0]), constant_signal(np.array([1.0]), 1.0), substeps=256)
     assert exc.value.t is not None and exc.value.t < 1.0
     # a high power overflows inside an RK4 stage; that is a blow-up too
     f9 = SymbolicField([x0s[0] ** 9], coords=x0s)
@@ -567,13 +721,11 @@ def test_domain_escape():
 
 
 def test_blowup_check_sees_nan_behind_a_finite_component():
-    # X = (1, x0^400 x1) from (10, 0): the power overflows Python floats, so
-    # the stage is evaluated on numpy, where inf * 0 = nan.  The first
-    # component stays finite, so a check built on max() would miss the nan.
-    x = state_symbols(2)
-    system = ControlSystem("nan_second", [SymbolicField([1, x[0] ** 400 * x[1]], coords=x)])
+    # X = (1, x0^400 x1) from (10, 0): the power overflows to inf, and
+    # inf * 0 = nan.  The first component stays finite, so a check built on
+    # max() would miss the nan.
     with np.errstate(all="ignore"), pytest.raises(DomainEscapeError) as exc:
-        endpoint(system, np.array([10.0, 0.0]), constant_signal(np.array([1.0]), 1.0), substeps=4)
+        endpoint(*_NAN_SECOND, substeps=4)
     assert exc.value.t == 0.25
     assert np.isfinite(exc.value.state[0]) and np.isnan(exc.value.state[1])
 

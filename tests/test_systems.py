@@ -292,8 +292,8 @@ def test_polynomial_batch_evaluation_is_bitwise_numpy(system, X, U):
 
 def test_power_of_a_function_evaluates_the_function_once(monkeypatch):
     # cos(x1)**2 prints as ((_b := cos(x1))*_b): one cos per evaluation in the
-    # value stack and per stage in the generated state step, which prints
-    # the stack's expressions, and the float, batch and state-run paths
+    # value stack and per stage of each step of the generated state run, which
+    # prints the stack's expressions, and the float, batch and state-run paths
     # still agree bit for bit
     from test_endpoint import _reference_states
 
@@ -307,15 +307,18 @@ def test_power_of_a_function_evaluates_the_function_once(monkeypatch):
         calls.append(a)
         return real_cos(a)
 
-    monkeypatch.setitem(scope, "cos", cos)  # before float_step copies the scope
+    monkeypatch.setitem(scope, "cos", cos)  # before state_run copies the scope
     X = np.array([[0.3, 0.7], [-1.1, 2.5], [0.0, -0.4]])
     V = system.field_values_batch(X)
     assert len(calls) == 1
     for i in range(len(X)):
         assert _same_bits(system.field_values(X[i]), V[i])
     assert len(calls) == 1 + len(X)
-    system.float_step([0.3, 0.7], 0.1, [1.0, -0.5], None)
+    rows, escaped = system.state_run([0.3, 0.7], [0.0, 0.1], [[1.0, -0.5]], 1, 1e6, None)
+    assert len(rows) == 4 and not escaped  # x0 and one step
     assert len(calls) == 1 + len(X) + 4
+    system.state_run([0.3, 0.7], [0.0, 0.1, 0.3], [[1.0, -0.5], [0.2, 0.7]], 3, 1e6, None)
+    assert len(calls) == 1 + len(X) + 4 + 2 * 3 * 4
     u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
     states = integrate(system, [0.3, 0.7], u, substeps=3).states
     assert states.tobytes() == _reference_states(system, [0.3, 0.7], u, 3).tobytes()

@@ -16,7 +16,8 @@ all at 2 substeps.  Each sample times a batch of calls (at least --sample-s
 seconds) and records the time per call; base and change take turns, in
 ABBA order over the repeats.  The result gives, per kernel and side, the
 median and quartiles in milliseconds, the ratio of the medians, the share of
-repeats in which the change was faster, the work per call, and how far the
+repeats in which the change was faster, the work per call (for ``hessian``,
+how often one call evaluates the second-derivative stack), and how far the
 two sides' outputs differ.  Without --base the checkout is compared with
 itself, which shows the noise floor.  BLAS runs on one thread and the
 process pins itself to one CPU where the platform allows it.
@@ -72,12 +73,24 @@ def shapes(h):
     return out
 
 
+def stack_evaluations(system, call):
+    """call()'s output and how often it evaluated the second-derivative stack."""
+    real, calls = system.field_second_derivatives, []
+    system.field_second_derivatives = lambda pts: calls.append(len(pts)) or real(pts)
+    try:
+        out = call()
+    finally:
+        del system.field_second_derivatives
+    return out, len(calls)
+
+
 def kernels(h, shape):
     """kernel name -> (zero-argument call, its output as an array, work per call)."""
     system, x, y, sig, opts, idx = shape
     diff = h.differential(system, x, sig, substeps=SUBSTEPS)
     lam = np.linspace(1.0, -0.5, system.n)
     steps = sig.segments * SUBSTEPS
+    hess, evaluations = stack_evaluations(system, lambda: diff.hessian(lam))
 
     def solve():
         return h.solve_critical(system, x, y, u_init=sig, opts=opts, seed_index=idx)
@@ -88,7 +101,8 @@ def kernels(h, shape):
                   h.integrate(system, x, sig, substeps=SUBSTEPS).states, {"rk4_steps": steps}),
         "differential": (lambda: h.differential(system, x, sig, substeps=SUBSTEPS), diff.matrix,
                          {"rk4_steps": steps, "tangent_steps": steps}),
-        "hessian": (lambda: diff.hessian(lam), diff.hessian(lam), {"integrations": 0}),
+        "hessian": (lambda: diff.hessian(lam), hess,
+                    {"integrations": 0, "second_derivative_evaluations": evaluations}),
         "solve_critical": (solve, np.array([rec.energy]),
                            {"kkt_iterations": rec.iterations, "converged": bool(rec.converged),
                             "feasibilization_steps": len(rec.diagnostics.get("feas_log", []))}),
