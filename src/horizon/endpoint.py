@@ -13,9 +13,9 @@ where the fields are affine its curvature term is 0 and is not formed.
 No adaptive stepping.
 
 The state run is one call of ControlSystem.state_run, generated code that
-runs every segment's RK4 steps on n Python floats with the field
-expressions inlined (no call or BLAS per stage, and numpy scalars only
-where Python floats are unsafe) and tests each step's state against the
+runs every segment's RK4 steps with the field expressions inlined (no call
+or BLAS per stage), on Python floats or, where those are unsafe, on numpy
+scalars, by the value stack's rule, and tests each step's state against the
 bound this module passes it.  `rk4_step` is the generic RK4 step with the
 same arithmetic: the steering charts' single-field flows advance through
 it, and so do the tangent blocks, all segments' as one batch on the state

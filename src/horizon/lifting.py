@@ -111,8 +111,9 @@ def lift_path(
     the sample from there, bisecting into midpoint stepping stones whenever a
     hop is refused; if that control is the anchor, it bisects from the anchor
     at once rather than repeat the refused steer.  The control reached becomes
-    the anchor.  Bisection stops at depth MAX_BISECT, or once the lift has
-    re-anchored 4 * max(K, 1) times in all.
+    the anchor.  Bisection stops at depth MAX_BISECT, and the lift
+    re-anchors at most 4 * max(K, 1) times in all; either limit raises
+    ConvergenceError.
     """
     if params is None:
         params = EnergyParams()
@@ -160,12 +161,17 @@ def lift_path(
         # the drift chart's plan reached composed(plan.sigma): this control
         return concatenate_rescaled(u, plan.sigma, plan.T), plan.reached
 
+    def reanchor():  # the one place that counts and checks re-anchors
+        nonlocal reanchors
+        if reanchors >= max_reanchors:
+            raise ConvergenceError(f"lift used all {max_reanchors} re-anchors")
+        reanchors += 1
+
     def bisect(u, end, y, depth):
         """Re-anchor at the midpoint of end -> y and reach both halves."""
-        nonlocal reanchors
-        if depth >= MAX_BISECT or reanchors >= max_reanchors:
+        if depth >= MAX_BISECT:
             raise ConvergenceError("steering failed after max subdivision while lifting")
-        reanchors += 1
+        reanchor()
         mid = end + 0.5 * displacement(system, end, y)
         u_mid, end_mid = reach(u, end, mid, depth + 1)
         return reach(u_mid, end_mid, y, depth + 1)
@@ -199,7 +205,7 @@ def lift_path(
                 # re-anchoring there would repeat the steer that just failed
                 u_k, end_k = bisect(anchor_u, anchor_end, target, 0)
             else:
-                reanchors += 1
+                reanchor()
                 u_k, end_k = reach(controls[-1], end_k, target, 0)
             anchor_u, anchor_end = u_k, end_k
         if reanchors > before:

@@ -7,10 +7,10 @@ evaluator, built once on first use and called directly; a second-derivative
 stack whose entries are all 0 (affine fields) is not built.  The state run
 ControlSystem.state_run is generated code, segment and step loops included,
 that prints the value stack's expressions, with the control sum, into each
-stage, on Python floats.  Fields are symbolic only, and the generated code
-prints a positive integer power as a product (its base evaluated once), so
-Python floats and numpy arrays evaluate it with the same IEEE
-multiplications.
+stage, and evaluates by the stack's rule.  Fields are symbolic only, and the
+generated code prints a positive integer power as a product (its base
+evaluated once), so Python floats and numpy arrays evaluate it with the same
+IEEE multiplications.
 """
 
 from __future__ import annotations
@@ -74,17 +74,15 @@ class _LambdifiedStack:
     """Flat list of sympy expressions compiled once, reshaped on call.
 
     lambdify returns scalars for constant entries, which a batch broadcasts
-    against its length.
-
-    A point is passed as Python floats, which the generated code evaluates
-    several times faster than numpy scalars and rounds alike: positive integer
-    powers are printed as products, and `**` runs only for fractional or
-    negative exponents.  Two cases keep numpy scalars, whose inf/nan semantics
-    the blow-up check relies on: a fractional power, which gives a Python
-    float a complex value at a negative base, and an evaluation raising
-    ArithmeticError (a division by zero, or `**` overflowing or at a zero
-    base).  The generated state run (ControlSystem.state_run) follows the
-    same rule.
+    against its length.  A point is evaluated by the one rule that the
+    generated state run (ControlSystem.state_run) follows too: on Python
+    floats, several times faster than numpy scalars and rounded alike
+    (positive integer powers print as products); if that raises
+    ArithmeticError (a division by zero, `**` overflowing or at a zero base),
+    once more on numpy float64 scalars, whose inf/nan the blow-up check
+    relies on; and on numpy scalars from the start for a stack with a
+    fractional power, which gives a Python float a complex value at a
+    negative base.
     """
 
     def __init__(self, coords, exprs, shape):
@@ -301,52 +299,45 @@ class ControlSystem:
     @cached_property
     def state_run(self):
         """The RK4 state run of x' = drift(x) + sum_i u_i X_i(x) through a
-        signal, s steps per segment, as generated straight-line code on
-        floats: run(z, bps, U, s, bound, rec) -> (coordinates, escaped).
+        signal, s steps per segment, as generated straight-line code:
+        run(z, bps, U, s, bound, rec) -> (coordinates, escaped).
 
         The arithmetic is endpoint.rk4_step's, operation for operation.  A
-        stage forms V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to right on
-        its point's Python floats, with no call, BLAS or list: each V[j] is
-        the value stack's expression as the stack prints it, parenthesized,
-        on the stage point's names.  h, h/2 and h/6 are formed once per
-        segment, and so, on a float-safe stack, are the slope and the RK4
-        increment of a component whose V entries are free of the coordinates.
-        Where Python floats are unsafe (a stack with a fractional power, or
-        an evaluation raising ArithmeticError) V is field_values on arrays
-        and the stage runs on numpy scalars, which keep numpy's inf/nan.
-        The run returns the coordinates of z and of every step's state,
-        flat; it stops at the first of these states outside |x_i| <= bound
-        (NaN included) with escaped True.  When rec is a list, each step
-        appends the coordinates of its four stage points to it, flat.
+        stage forms V[i] + (u0*V[n+i] + u1*V[2n+i] + ...) left to right, with
+        no call, BLAS or list: each V[j] is the value stack's expression as
+        the stack prints it, parenthesized, on the stage point's names.  h,
+        h/2 and h/6 are formed once per segment, and so are the slope and
+        increment of a component whose V entries are free of the coordinates
+        (its third stage point is its second).  The run evaluates by the
+        stack's rule: a run on Python floats that raises ArithmeticError runs
+        once more from z on numpy scalars.  It returns the coordinates of z
+        and of every step's state, flat, and stops at the first of these
+        outside |x_i| <= bound (NaN included) with escaped True.  When rec is
+        a list, each step appends its four stage points' coordinates to it.
         """
-
-        def values(*x):
-            return self.field_values(x).ravel()
-
         stack, n, d, coords = self._values, self.n, self.d, self.drift.coords
         names = {str(c): i for i, c in enumerate(coords)}
         coord = re.compile(r"(?<![\w.])(" + "|".join(map(re.escape, names)) + r")(?!\w)")
         texts = [stack.printer.doprint(e) for e in stack.exprs]
-        scope = dict(stack._fn.__globals__, values=values)  # the stack's functions
-        pts = [[f"{c}{i}" for i in range(n)] for c in "abce"]  # the four stage points
+        scope = dict(stack._fn.__globals__)  # the stack's functions
         # the components whose slope is free of the coordinates, formed once per segment
-        fixed = [i for i in range(n) if stack._floats and not any(
+        fixed = [i for i in range(n) if not any(
             stack.exprs[j * n + i].free_symbols & set(coords) for j in range(d + 1))]
         moving = [i for i in range(n) if i not in fixed]
+        # the four stage points; a fixed component's third, a + (h/2) k, is its second
+        pts = [[f"{'b' if c == 'c' and i in fixed else c}{i}" for i in range(n)] for c in "abce"]
 
         def k(s, i):  # component i's slope at stage s
             return f"k_{i}" if i in fixed else f"k{s}_{i}"
 
-        def slopes(s, V, comps):  # the slope lines of comps from the stack's entries V
+        def slopes(s, pt, comps):  # the slope lines of comps from the stack's entries at pt
+            V = [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts]
             return [f"{k(s, i)} = {V[i]} + ("
                     + " + ".join(f"u{j} * {V[(j + 1) * n + i]}" for j in range(d)) + ")"
                     for i in comps]
 
         def increment(i):  # h/6 (k0 + 2 k1 + 2 k2 + k3)
             return f"h6 * ({k(0, i)} + 2.0 * {k(1, i)} + 2.0 * {k(2, i)} + {k(3, i)})"
-
-        def printed(pt):  # the stack's entries on the point's names
-            return [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts]
 
         def tab(block):
             return ["    " + line for line in block]
@@ -355,23 +346,25 @@ class ControlSystem:
         step = []
         for s, pt in enumerate(pts):
             if s:  # the stage point a + (h/2 or h) * the previous stage's slope
-                by = "h" if s == 3 else "hh"
-                step += [f"{pt[i]} = a{i} + {by} * {k(s - 1, i)}" for i in range(n)]
-            arrays = [f"V = values({', '.join(pt)})",
-                      *slopes(s, [f"V[{j}]" for j in range(len(texts))], moving)]
-            floats = slopes(s, printed(pt), moving) if stack._floats else arrays
-            if moving:
-                step += ["try:", *tab(floats), "except ArithmeticError:", *tab(arrays)]
+                step += [f"{pt[i]} = a{i} + {'h' if s == 3 else 'hh'} * {k(s - 1, i)}"
+                         for i in range(n) if pt[i] != pts[s - 1][i]]
+            step += slopes(s, pt, moving)
         step += ["if rec is not None:", f"    rec += ({', '.join(sum(pts, []))})",
                  *(f"a{i} = a{i} + {f'd_{i}' if i in fixed else increment(i)}" for i in range(n)),
                  f"out += ({a},)", f"if not ({inside}):", "    return out, True"]
         segment = ["h = (t1 - t0) / s", "hh = 0.5 * h", "h6 = h / 6.0",
-                   *slopes(0, printed(pts[0]), fixed), *(f"d_{i} = {increment(i)}" for i in fixed),
+                   *slopes(0, pts[0], fixed), *(f"d_{i} = {increment(i)}" for i in fixed),
                    "for _ in range(s):", *tab(step)]
         us = ", ".join(f"u{j}" for j in range(d))
-        run = ["lo = -bound", f"{a}, = z", f"out = [{a}]", f"if not ({inside}):",
-               "    return out, True", f"for t0, t1, ({us},) in zip(bps, bps[1:], U):",
-               *tab(segment), "return out, False"]
+        run = ["lo = -bound", f"{a}, = z" if stack._floats else f"{a}, = map(float64, z)",
+               f"out = [{a}]", f"if not ({inside}):", "    return out, True",
+               "r = len(rec or ())", "try:",
+               *tab([f"for t0, t1, ({us},) in zip(bps, bps[1:], U):", *tab(segment)]),
+               "except ArithmeticError:",  # once more from z, on numpy scalars
+               "    if isinstance(out[0], float64):", "        raise",
+               "    if rec is not None:", "        del rec[r:]",
+               "    return run(list(map(float64, z)), bps, U, s, bound, rec)",
+               "return out, False"]
         exec("\n".join(["def run(z, bps, U, s, bound, rec):", *tab(run)]) + "\n", scope)
         return scope["run"]
 

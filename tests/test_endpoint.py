@@ -471,9 +471,19 @@ def _fractional_power_fixed_first_system():
     return ControlSystem("fractional_power_fixed_first", fields, drift=drift)
 
 
+def _rational_system():
+    # negative integer powers: float-safe, but Python floats raise
+    # ZeroDivisionError at the pole x0 = 0, where numpy gives inf
+    x = state_symbols(2)
+    fields = [SymbolicField([1, 0], coords=x), SymbolicField([0, 1 / x[0] + x[1] ** 3], coords=x)]
+    drift = SymbolicField([x[1] / (1 + x[0] ** 2), 0], coords=x)
+    return ControlSystem("rational", fields, drift=drift)
+
+
 _FALLBACK_SYSTEMS = {
     "fractional_power_drift": _fractional_power_drift_system(),
     "fractional_power_fixed_first": _fractional_power_fixed_first_system(),
+    "rational": _rational_system(),
 }
 
 
@@ -528,25 +538,34 @@ def _nan_second_system():
     return ControlSystem("nan_second", [SymbolicField([1, x[0] ** 400 * x[1]], coords=x)])
 
 
+def _bits(x):
+    # the bytes, with every NaN as one NaN: IEEE 754 leaves the sign of a NaN
+    # result open, and numpy's array add returns the first NaN of NaN + NaN
+    # where its scalar add returns the second
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 def _outcome(run, *args):
     # the states' bytes, or the escape's message, time and state bytes
     try:
         with np.errstate(all="ignore"):
-            return run(*args).tobytes()
+            return _bits(run(*args))
     except DomainEscapeError as exc:
-        return str(exc), exc.t, np.asarray(exc.state, dtype=float).tobytes()
+        return str(exc), exc.t, _bits(exc.state)
 
 
 @st.composite
 def _escaping_runs(draw):
-    # quiet and violent segments, so that runs escape at any step, the first
-    # of a later segment included, or not at all
-    system = draw(st.sampled_from([_square_system(), _nan_second_system()]) | _small_polynomial_system())
+    # quiet and violent segments, and a rational field's pole, so that runs
+    # escape at any step, the first of a later segment included, or not at all
+    system = draw(st.sampled_from([_square_system(), _nan_second_system(), _FALLBACK_SYSTEMS["rational"]])
+                  | _small_polynomial_system())
     m = draw(st.integers(1, 4))
     bps = np.concatenate([[0.0], np.cumsum(draw(st.lists(st.floats(0.05, 0.5), min_size=m, max_size=m)))])
     scale = st.sampled_from([0.0, 1.0, 1e2, 1e4])
     values = [[draw(scale) * draw(st.floats(-1.0, 1.0)) for _ in range(system.d)] for _ in range(m)]
-    x0 = draw(st.lists(st.sampled_from([0.0, 0.5, -3.0, 10.0, 1e3, 2e6, np.nan]),
+    x0 = draw(st.lists(st.sampled_from([0.0, 1e-200, 0.5, -3.0, 10.0, 1e3, 2e6, np.nan]),
                        min_size=system.n, max_size=system.n))
     return system, x0, ControlSignal(bps, np.array(values))
 
@@ -554,6 +573,8 @@ def _escaping_runs(draw):
 _LATER_SEGMENT = (_square_system(), [1e3],
                   ControlSignal(np.array([0.0, 0.3, 0.8]), np.array([[0.0], [1e3]])))
 _NAN_SECOND = (_nan_second_system(), [10.0, 0.0], constant_signal(np.array([1.0]), 1.0))
+# the rational field's pole at the start: the run goes on numpy scalars from z
+_POLE = (_FALLBACK_SYSTEMS["rational"], [0.0, 0.5], constant_signal(np.array([1.0, 1.0]), 1.0))
 # x' = u crosses the bound at the run's last step, whose grid time is not the final time
 _LAST_STEP = (ControlSystem("line", [SymbolicField([1], n=1)]), [BLOWUP_BOUND - 0.15], _SHORT_LAST_STEP)
 
@@ -562,12 +583,53 @@ _LAST_STEP = (ControlSystem("line", [SymbolicField([1], n=1)]), [BLOWUP_BOUND - 
 @given(run=_escaping_runs(), substeps=st.integers(1, 4))
 @example(run=_LATER_SEGMENT, substeps=2)
 @example(run=_NAN_SECOND, substeps=4)
+@example(run=_POLE, substeps=2)
 @example(run=_LAST_STEP, substeps=3)
 def test_escapes_match_the_step_by_step_reference(run, substeps):
     # the same DomainEscapeError (message, t, state) or the same states
     system, x0, u = run
     assert (_outcome(lambda: integrate(system, x0, u, substeps).states)
             == _outcome(_reference_states, system, x0, u, substeps))
+
+
+class _Record(list):
+    # a stage record that notes its length whenever entries are cut from it
+    cuts = ()
+
+    def __delitem__(self, key):
+        self.cuts += (len(self),)
+        super().__delitem__(key)
+
+
+def test_retry_on_numpy_scalars_restarts_the_run_and_the_stage_record():
+    # x0' = -1 from 0.5 in steps of 1/8: three steps run on Python floats,
+    # then the fourth step's last stage sits at the pole x0 = 0 and raises;
+    # the run starts again from z on numpy scalars and cuts the record back
+    # to its length at entry, so both equal a run started on numpy scalars
+    run = _FALLBACK_SYSTEMS["rational"].state_run
+    args = ([0.0, 1.0], [[-1.0, 0.0]], 8, BLOWUP_BOUND)
+    rec, ref = _Record([7.0]), [7.0]
+    with np.errstate(all="ignore"):
+        out, escaped = run([0.5, 0.0], *args, rec)
+        ref_out, ref_escaped = run([np.float64(0.5), np.float64(0.0)], *args, ref)
+    assert rec.cuts == (1 + 3 * 4 * 2,)
+    assert escaped and ref_escaped and len(out) == 2 * 5
+    assert np.array(out).tobytes() == np.array(ref_out).tobytes()
+    assert np.array(rec).tobytes() == np.array(ref).tobytes()
+
+
+def test_the_retry_on_numpy_scalars_happens_at_most_once(monkeypatch):
+    # with numpy's errors raised, the retry raises too, and that propagates
+    run, calls = _FALLBACK_SYSTEMS["rational"].state_run, []
+
+    def counted(z, *args):
+        calls.append([type(c) for c in z])
+        return run(z, *args)
+
+    monkeypatch.setitem(run.__globals__, "run", counted)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        run([0.0, 0.5], [0.0, 1.0], [[1.0, 0.0]], 2, BLOWUP_BOUND, None)
+    assert calls == [[np.float64, np.float64]]
 
 
 @pytest.mark.parametrize("run, substeps, t", [(_LATER_SEGMENT, 2, 0.3 + 1 * ((0.8 - 0.3) / 2)),
@@ -745,8 +807,8 @@ def test_blowup_bound_is_inclusive():
 
 def test_stage_that_raises_on_floats_falls_back_to_numpy():
     # exp(-1/x0^2) divides by zero on Python floats at x0 = 0, where numpy
-    # gives exp(-inf) = 0; x0 stays 0, so a stage of every generated step is
-    # evaluated on numpy scalars, the same arithmetic as the reference's
+    # gives exp(-inf) = 0; x0 stays 0, so the run goes once more on numpy
+    # scalars, and the reference evaluates every stage on them
     x = state_symbols(2)
     system = ControlSystem("flat", [SymbolicField([0, 1], coords=x),
                                     SymbolicField([sp.exp(-1 / x[0] ** 2), x[0] + 1], coords=x)])

@@ -84,3 +84,20 @@ def test_one_lambdify_site():
              if isinstance(node, ast.Call)
              and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lambdify"]
     assert len(sites) == 1, f"sp.lambdify is called at {sites}"
+
+
+def _handlers(node, where):
+    """(qualified name of the enclosing definition, handler) for every except clause."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield where, child
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _handlers(child, f"{where}.{child.name}" if named else where)
+
+
+def test_one_arithmetic_error_handler():
+    # one evaluation rule, Python floats and then numpy scalars, stated once;
+    # the generated state run follows it by retrying the whole run
+    sites = [where for name, tree in TREES.items() for where, node in _handlers(tree, name)
+             if node.type is not None and "ArithmeticError" in ast.unparse(node.type)]
+    assert sites == ["systems._LambdifiedStack.__call__"]

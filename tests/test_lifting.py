@@ -7,6 +7,7 @@ from horizon import (
     AdmissibilityError,
     ChartRadiusError,
     ConfigError,
+    ConvergenceError,
     EnergyParams,
     catalog_load,
     constant_signal,
@@ -227,6 +228,36 @@ def test_refused_hop_from_the_previous_control_bisects_from_it(monkeypatch):
     assert np.linalg.norm(calls[4][0] - mid) <= 1e-6
     assert continuity_report(res)["reanchor_count"] == 2
     assert res.reanchor_events == [{"sample_index": 2, "reanchors": 2}]
+    assert res.residuals.max() <= 1e-6
+
+
+@pytest.mark.parametrize("refuse_last", [False, True])
+def test_every_reanchor_counts_against_the_budget(monkeypatch, refuse_last):
+    # K = 3 allows 12 re-anchors.  Sample 1 (x = 0.16) takes 12 bisections:
+    # every hop longer than 0.03 is refused, and so are the 0.02 hops up to
+    # x = 0.1, five of the eight.  Refusing the anchor's steer at sample 3
+    # then takes a 13th re-anchor, at the previous sample's control
+    import horizon.lifting as lifting
+
+    heis = catalog_load("heisenberg")
+    real = lifting.cross_section
+
+    def refusing(system, base, target, params=None, **kw):
+        length = np.linalg.norm(target - base)
+        if target[0] <= 0.16 + 1e-6 and (length > 0.03 or (length > 0.015 and target[0] <= 0.1 + 1e-6)):
+            raise ChartRadiusError("refused")
+        if refuse_last and abs(base[0] - 0.16) < 1e-6 and abs(target[0] - 0.24) < 1e-6:
+            raise ChartRadiusError("refused")
+        return real(system, base, target, params, **kw)
+
+    monkeypatch.setattr(lifting, "cross_section", refusing)
+    path = TargetPath(np.arange(4.0), np.array([[x, 0.0, 0.0] for x in (0.0, 0.16, 0.2, 0.24)]))
+    if refuse_last:
+        with pytest.raises(ConvergenceError, match="12 re-anchors"):
+            lift_path(heis, np.zeros(3), zero_signal(2), path)
+        return
+    res = lift_path(heis, np.zeros(3), zero_signal(2), path)
+    assert res.reanchor_events == [{"sample_index": 1, "reanchors": 12}]
     assert res.residuals.max() <= 1e-6
 
 

@@ -1,3 +1,4 @@
+import dis
 import json
 
 import numpy as np
@@ -19,7 +20,6 @@ from horizon import (
     catalog_names,
     differential,
     displacement,
-    endpoint,
     integrate,
     lie_bracket,
     polynomial_field,
@@ -27,6 +27,7 @@ from horizon import (
     system_from_json,
     system_to_json,
 )
+from test_endpoint import _FALLBACK_SYSTEMS
 
 
 def fd_jacobian(field, x, eps=1e-6):
@@ -324,9 +325,15 @@ def test_power_of_a_function_evaluates_the_function_once(monkeypatch):
     assert states.tobytes() == _reference_states(system, [0.3, 0.7], u, 3).tobytes()
 
 
-def test_float_state_run_reaches_dynamics_only_where_floats_are_unsafe(monkeypatch):
-    # counts the fallback rather than timing it: float-safe systems integrate
-    # without field_values on arrays; a fractional power goes through it
+# float-safe catalog systems, and systems whose runs need numpy scalars
+_RUN_SYSTEMS = [*map(catalog_load, ("heisenberg", "unicycle", "agrachev_lee(3)")),
+                *_FALLBACK_SYSTEMS.values()]
+
+
+def test_state_run_never_calls_field_values(monkeypatch):
+    # every stage prints the stack's expressions, also where Python floats
+    # are unsafe: a fractional power runs on numpy scalars from the start, and
+    # a rational field at its pole runs once more on them
     class Reached(Exception):
         pass
 
@@ -335,17 +342,20 @@ def test_float_state_run_reaches_dynamics_only_where_floats_are_unsafe(monkeypat
 
     monkeypatch.setattr(ControlSystem, "field_values", reached)
     u = ControlSignal(np.array([0.0, 0.3, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
-    for name in ("heisenberg", "agrachev_lee(3)"):
-        system = catalog_load(name)
-        x0 = np.full(system.n, 0.1)
-        endpoint(system, x0, u, substeps=3)
-        differential(system, x0, u, substeps=3)
-    x = state_symbols(2)
-    frac = ControlSystem(
-        "frac", [SymbolicField([1, 0], coords=x), SymbolicField([0, x[0] ** sp.Rational(3, 2)], coords=x)]
-    )
-    with pytest.raises(Reached):
-        endpoint(frac, np.full(frac.n, 0.1), u, substeps=3)
+    for system in _RUN_SYSTEMS:
+        for x0 in ([1.1] * system.n, [0.0] * system.n):
+            with np.errstate(all="ignore"):
+                system.state_run(x0, u.breakpoints.tolist(), u.values.tolist(), 3, 1e6, [])
+        differential(system, np.full(system.n, 1.1), u, substeps=3)
+
+
+@pytest.mark.parametrize("system", _RUN_SYSTEMS, ids=[system.name for system in _RUN_SYSTEMS])
+def test_generated_state_run_has_one_retry(system):
+    # one handler for the whole run, none per stage, and no call back into
+    # the value stack's evaluation
+    loads = [i.argval for i in dis.get_instructions(system.state_run) if i.opname == "LOAD_GLOBAL"]
+    assert loads.count("ArithmeticError") == 1
+    assert loads.count("run") == 1 and "values" not in loads
 
 
 def test_field_evaluation_keeps_numpy_inf_and_nan():

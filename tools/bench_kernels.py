@@ -5,10 +5,13 @@
 Loads the base checkout's package as ``horizon_base`` and this checkout's as
 ``horizon_change`` (both from their ``src/horizon``), then times, on the
 same inputs and alternately, the solver's kernels on the two multistart
-shapes of perfbench:
+shapes of perfbench and one system evaluated on numpy scalars:
 
 * ``ladder``: Heisenberg, m = 64, target (0, 0, 0.5), the criterion-7 seed 0;
-* ``floor``: agrachev_lee(3), m = 24, target (0, -0.1), the criterion-5 seed 2.
+* ``floor``: agrachev_lee(3), m = 24, target (0, -0.1), the criterion-5 seed 2;
+* ``fallback``: the tests' fractional_power_drift system (x1/5 + u0,
+  x0^(1/2) + u1 x0^(3/2)), whose runs go on numpy scalars, m = 64, from
+  (1, 0) to (1.2, 1.5), on a seed whose states keep x0 > 0.
 
 The kernels are the state run (``integrate``), ``differential``,
 ``EndpointDifferential.hessian`` and one ``solve_critical`` from the seed,
@@ -40,6 +43,7 @@ from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
+import sympy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SUBSTEPS = 2
@@ -70,6 +74,14 @@ def shapes(h):
     opts = h.GeodesicOptions(raise_on_failure=False, feas_iter=60, max_iter=60)
     out["floor"] = (al3, np.zeros(2), np.array([0.0, -0.1]),
                     h.ControlSignal(np.linspace(0.0, 1.0, 25), seeds[2]), opts, 2)
+    x = h.state_symbols(2)
+    frac = h.ControlSystem(
+        "fractional_power_drift",
+        [h.SymbolicField([1, 0], coords=x), h.SymbolicField([0, x[0] ** sympy.Rational(3, 2)], coords=x)],
+        drift=h.SymbolicField([x[1] / 5, x[0] ** sympy.Rational(1, 2)], coords=x))
+    seeds = h.geodesics.generate_seeds(1, 8, 64, frac.d, 0.3)
+    out["fallback"] = (frac, np.array([1.0, 0.0]), np.array([1.2, 1.5]),
+                       h.ControlSignal(np.linspace(0.0, 1.0, 65), seeds[1]), opts, 1)
     return out
 
 
@@ -145,7 +157,6 @@ def commit(root: Path):
 
 def environment():
     import scipy
-    import sympy
 
     cpu = None
     try:
@@ -179,7 +190,7 @@ def main(argv=None):
     result = {"script": "tools/bench_kernels.py", "environment": environment(),
               "base": {"commit": commit(args.base)}, "change": {"commit": commit(ROOT)},
               "repeats": args.repeats, "substeps": SUBSTEPS, "kernels": {}}
-    for shape in ("ladder", "floor"):
+    for shape in ("ladder", "floor", "fallback"):
         ks = {side: kernels(h, shapes(h)[shape]) for side, h in sides.items()}
         for name in ks["base"]:
             fns = {side: ks[side][name][0] for side in sides}
