@@ -299,7 +299,10 @@ _FLAGS = {
     "--out": dict(help="output directory for files"),
 }
 
-# name: (handler, help, flags, --substeps default)
+# the geodesics --substeps default, GeodesicOptions.substeps_for's rule
+_SOLVER_SUBSTEPS = "1 where one RK4 step is exact, else 2"
+
+# name: (handler, help, flags, --substeps default; None: _SOLVER_SUBSTEPS)
 _COMMANDS = {
     "catalog": (cmd_catalog, "list built-in systems", "--out", None),
     "endpoint": (cmd_endpoint, "integrate a control signal",
@@ -330,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
         # `lift --x` is not taken for `--x0`
         cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in flags.split():
-            cmd.add_argument(flag, **_FLAGS[flag])
+            kwargs = _FLAGS[flag]
+            if flag == "--substeps" and substeps is None:
+                kwargs = dict(kwargs, help="integrator substeps per segment "
+                                           f"(default {_SOLVER_SUBSTEPS})")
+            cmd.add_argument(flag, **kwargs)
         cmd.set_defaults(func=func, substeps=substeps)
     return parser
 

@@ -27,7 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .endpoint import _backtrack, _shaped, differential, endpoint as _endpoint, regular_value_test
+from .endpoint import (EndpointDifferential, _backtrack, _shaped, differential,
+                       endpoint as _endpoint, regular_value_test)
 from .errors import ConfigError, ConvergenceError, HorizonError
 from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
                       energy_of_values, gradient_density)
@@ -69,7 +70,7 @@ COINCIDENCE_TOL = 1e-6
 class GeodesicOptions:
     p: float = 2.0
     mode: str = "vector"  # energy aggregation: "vector" or "component"
-    substeps: int = 2
+    substeps: int | None = None  # RK4 substeps per segment; None: substeps_for's rule
     end_tol: float = 1e-8
     stat_tol: float = 1e-6  # relative to max(1, ||energy gradient||_q)
     max_iter: int = 40
@@ -80,7 +81,7 @@ class GeodesicOptions:
         conjugate_exponent(self.p)
         for name, count, least in (("substeps", self.substeps, 1), ("max_iter", self.max_iter, 0),
                                    ("feas_iter", self.feas_iter, 0)):
-            if not count >= least:
+            if count is not None and not count >= least:
                 raise ConfigError(f"{name} must be at least {least}, got {count}")
         for name, tol in (("end_tol", self.end_tol), ("stat_tol", self.stat_tol)):
             if not 0.0 < tol < np.inf:
@@ -92,6 +93,15 @@ class GeodesicOptions:
     def q(self) -> float:
         return self.p / (self.p - 1.0)
 
+    def substeps_for(self, system: ControlSystem) -> int:
+        """The substeps a solve on system takes: substeps as given, else 1
+        where one RK4 step is the exact flow (ControlSystem.slope_split), so
+        that the endpoint map, its differential and its curvature are the
+        exact flow's, and 2 elsewhere."""
+        if self.substeps is not None:
+            return self.substeps
+        return 1 if system.slope_split.exact else 2
+
 
 @dataclass
 class GeodesicRecord:
@@ -99,7 +109,7 @@ class GeodesicRecord:
     lam: np.ndarray
     p: float
     mode: str
-    substeps: int  # RK4 substeps per segment of the solve; not part of to_dict
+    substeps: int  # RK4 substeps per segment the solve took; not part of to_dict
     energy: float
     stationarity_residual: float
     stationarity_scale: float
@@ -190,6 +200,7 @@ class _Residual(NamedTuple):
     stat: float  # L^q norm of the stationarity density
     scale: float  # max(1, L^q norm of the energy gradient)
     merit: float  # 1/2 (R1 . R1 / h + r2 . r2), the line-search merit
+    diff: EndpointDifferential  # the differential at the residual's control
 
 
 def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
@@ -201,24 +212,26 @@ def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
     scale = max(1.0, _lp_norm_of_values(g, ws.h, opts.q))
     R1 = (ws.h[:, None] * dens).ravel()
     merit = 0.5 * (np.dot(R1 / ws.h_dof, R1) + np.dot(r2, r2))
-    return _Residual(R1, r2, stat_q, scale, merit)
+    return _Residual(R1, r2, stat_q, scale, merit, diff)
 
 
 def _converged(res: _Residual, opts) -> bool:
     return bool(res.stat <= opts.stat_tol * res.scale and np.linalg.norm(res.r2) <= opts.end_tol)
 
 
-def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", substeps=2):
+def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", substeps=None):
     """L^q distance between the pulled-back covector and the energy gradient.
 
     Assembles lambda o d_uF as the dual signal sum_j lambda_j w_j and measures
-    its L^q distance to the p-energy gradient density.
+    its L^q distance to the p-energy gradient density, on substeps RK4 steps
+    per segment (by default the solver's, GeodesicOptions.substeps_for).
     """
     lam = _shaped(lam, (system.n,), "lam")
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
-    ws = _Workspace(system, x, u, substeps)
-    return _kkt_residual(ws, u.values, lam, y, GeodesicOptions(p=p, mode=mode)).stat
+    opts = GeodesicOptions(p=p, mode=mode, substeps=substeps)
+    ws = _Workspace(system, x, u, opts.substeps_for(system))
+    return _kkt_residual(ws, u.values, lam, y, opts).stat
 
 
 # -- the solver ---------------------------------------------------------------
@@ -256,17 +269,14 @@ def _feasibilize(ws, U, y, opts, log):
 
 
 def _lambda_least_squares(ws, U, opts):
-    """Weighted LS fit of the multiplier to the gradient density, and whether
-    the differential fails regular_value_test's rank rule there."""
-    diff = ws.assemble(U)
-    wbar = diff.w_bar
+    """Weighted LS fit of the multiplier to the gradient density."""
+    wbar = ws.assemble(U).w_bar
     g = gradient_density(U, opts.p, opts.mode)
     G = np.einsum("k,kjd,kld->jl", ws.h, wbar, wbar)
     rhs = np.einsum("k,kjd,kd->j", ws.h, wbar, g)
     n = G.shape[0]
     ridge = RIDGE * (np.trace(G) / n + 1.0)
-    lam = np.linalg.solve(G + ridge * np.eye(n), rhs)
-    return lam, not regular_value_test(diff).regular
+    return np.linalg.solve(G + ridge * np.eye(n), rhs)
 
 
 def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
@@ -282,7 +292,7 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         if _converged(res, opts):
             break
 
-        diff = ws.assemble(U)
+        diff = res.diff
         A = diff.matrix
         # the Lagrangian's Hessian in U: the energy's, block diagonal, minus
         # the exact curvature of lam . F
@@ -368,23 +378,24 @@ def solve_critical(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    ws = _Workspace(system, x, u_init, opts.substeps)
+    ws = _Workspace(system, x, u_init, opts.substeps_for(system))
     U = u_init.values.copy()
     diagnostics = {"feas_log": [], "kkt_log": [], "gmres": []}
 
     U = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
 
-    lam, rank_warning = _lambda_least_squares(ws, U, opts)
+    lam = _lambda_least_squares(ws, U, opts)
     U, lam, res, iters = _solve_kkt_newton(
         ws, U, lam, y, opts, diagnostics["kkt_log"], diagnostics["gmres"])
     converged = _converged(res, opts)
+    rank_warning = not regular_value_test(res.diff).regular  # at the control returned
     end_res = float(np.linalg.norm(res.r2))
     record = GeodesicRecord(
         control=ControlSignal(ws.bps, U),
         lam=lam,
         p=opts.p,
         mode=opts.mode,
-        substeps=opts.substeps,
+        substeps=ws.substeps,
         energy=energy_of_values(U, ws.h, opts.p, opts.mode),
         stationarity_residual=res.stat,
         stationarity_scale=res.scale,

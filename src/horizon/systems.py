@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -35,6 +36,7 @@ from .errors import (
 __all__ = [
     "SymbolicField",
     "ControlSystem",
+    "SlopeSplit",
     "BracketWord",
     "polynomial_field",
     "lie_bracket",
@@ -216,6 +218,15 @@ class BracketWord:
         return f"[{nest(self.leaves)}]" if self.length > 1 else f"[{self.leaves[0]}]"
 
 
+class SlopeSplit(NamedTuple):
+    """ControlSystem.slope_split: component indices and one verdict."""
+
+    fixed: tuple  # slope free of the coordinates
+    moving: tuple  # the rest
+    on_fixed: tuple  # moving, with a slope that reads fixed-slope coordinates alone
+    exact: bool  # one RK4 step is the exact flow for every constant control
+
+
 class ControlSystem:
     """State dim n, d controlled fields, optional drift, periodic flags."""
 
@@ -297,6 +308,32 @@ class ControlSystem:
         return self._jacobians(x) if x.ndim == 1 else self._jacobians.batch(x)
 
     @cached_property
+    def slope_split(self) -> SlopeSplit:
+        """The coordinates as RK4 sees them, read from the expressions alone.
+
+        A fixed-slope coordinate's drift and field entries are all free of the
+        coordinates; every other coordinate is moving.  One RK4 step is the
+        exact flow for every constant control when each moving coordinate's
+        entries are polynomials of degree <= 3 in the fixed-slope coordinates
+        alone: those are linear in t, and RK4's update of the moving ones is
+        Simpson's rule on a cubic (their second and third stage slopes
+        coincide).
+        """
+        coords = self.drift.coords
+        entries = [[f.exprs[i] for f in [self.drift] + self.fields] for i in range(self.n)]
+
+        def reads(i):  # the coordinates component i's entries read
+            return set().union(*(e.free_symbols for e in entries[i])) & set(coords)
+
+        fixed = tuple(i for i in range(self.n) if not reads(i))
+        moving = tuple(i for i in range(self.n) if i not in fixed)
+        on_fixed = tuple(i for i in moving if reads(i) <= {coords[j] for j in fixed})
+        exact = on_fixed == moving and all(
+            e.is_polynomial(*coords) and sp.Poly(e, *coords).total_degree() <= 3
+            for i in moving for e in entries[i])
+        return SlopeSplit(fixed, moving, on_fixed, exact)
+
+    @cached_property
     def state_run(self):
         """The RK4 state run of x' = drift(x) + sum_i u_i X_i(x) through a
         signal, s steps per segment, as generated straight-line code:
@@ -307,10 +344,11 @@ class ControlSystem:
         no call, BLAS or list: each V[j] is the value stack's expression as
         the stack prints it, parenthesized, on the stage point's names.  h,
         h/2 and h/6 are formed once per segment, and so are the slope and
-        increment of a component whose V entries are free of the coordinates
-        (its third stage point is its second).  The run evaluates by the
-        stack's rule: a run on Python floats that raises ArithmeticError runs
-        once more from z on numpy scalars.  It returns the coordinates of z
+        increment of a fixed-slope component (slope_split; its third stage
+        point is its second); a moving component that reads fixed-slope
+        coordinates alone takes its second stage slope as its third.  The run
+        evaluates by the stack's rule: a run on Python floats that raises
+        ArithmeticError runs once more from z on numpy scalars.  It returns the coordinates of z
         and of every step's state, flat, and stops at the first of these
         outside |x_i| <= bound (NaN included) with escaped True.  When rec is
         a list, each step appends its four stage points' coordinates to it.
@@ -320,15 +358,12 @@ class ControlSystem:
         coord = re.compile(r"(?<![\w.])(" + "|".join(map(re.escape, names)) + r")(?!\w)")
         texts = [stack.printer.doprint(e) for e in stack.exprs]
         scope = dict(stack._fn.__globals__)  # the stack's functions
-        # the components whose slope is free of the coordinates, formed once per segment
-        fixed = [i for i in range(n) if not any(
-            stack.exprs[j * n + i].free_symbols & set(coords) for j in range(d + 1))]
-        moving = [i for i in range(n) if i not in fixed]
+        fixed, moving, on_fixed, _ = self.slope_split  # fixed slopes are formed once per segment
         # the four stage points; a fixed component's third, a + (h/2) k, is its second
         pts = [[f"{'b' if c == 'c' and i in fixed else c}{i}" for i in range(n)] for c in "abce"]
 
-        def k(s, i):  # component i's slope at stage s
-            return f"k_{i}" if i in fixed else f"k{s}_{i}"
+        def k(s, i):  # component i's slope at stage s (on_fixed: the third is the second)
+            return f"k_{i}" if i in fixed else f"k{1 if s == 2 and i in on_fixed else s}_{i}"
 
         def slopes(s, pt, comps):  # the slope lines of comps from the stack's entries at pt
             V = [f"({coord.sub(lambda c: pt[names[c[0]]], t)})" for t in texts]
@@ -348,7 +383,7 @@ class ControlSystem:
             if s:  # the stage point a + (h/2 or h) * the previous stage's slope
                 step += [f"{pt[i]} = a{i} + {'h' if s == 3 else 'hh'} * {k(s - 1, i)}"
                          for i in range(n) if pt[i] != pts[s - 1][i]]
-            step += slopes(s, pt, moving)
+            step += slopes(s, pt, [i for i in moving if not (s == 2 and i in on_fixed)])
         step += ["if rec is not None:", f"    rec += ({', '.join(sum(pts, []))})",
                  *(f"a{i} = a{i} + {f'd_{i}' if i in fixed else increment(i)}" for i in range(n)),
                  f"out += ({a},)", f"if not ({inside}):", "    return out, True"]

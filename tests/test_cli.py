@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizon.cli import build_parser, main
+from horizon.cli import _SOLVER_SUBSTEPS, build_parser, main
 from horizon.endpoint import differential, integrate, regular_value_test
+from horizon.geodesics import GeodesicOptions, multistart
 from horizon.signals import ControlSignal
 from horizon.steering import cross_section, cross_section_drift
 from horizon.systems import catalog_load, system_from_json
@@ -174,6 +175,24 @@ def test_steer_default_substeps_match_library(capsys, tmp_path):
     assert code == 0
     plan = cross_section_drift(system_from_json(HEIS_DRIFT_JSON), x, y, p=1.5)
     assert out.strip() == plan.to_json()
+
+
+@pytest.mark.parametrize("name, substeps", [("heisenberg", 1), ("unicycle", 2)])
+def test_geodesics_default_substeps_match_library(capsys, name, substeps):
+    # without --substeps the CLI solves as the library does, on
+    # GeodesicOptions.substeps_for's rule, which --help states
+    system, y = catalog_load(name), np.array([0.1, 0.05, 0.1])
+    assert GeodesicOptions().substeps_for(system) == substeps
+    argv = ["geodesics", "--system", name, "--x", "0,0,0", "--y", "0.1,0.05,0.1",
+            "--n-seeds", "2", "--m-seed", "8"]
+    code, out, _ = run(capsys, *argv)
+    report = multistart(system, np.zeros(3), y, n_seeds=2, m_seed=8)
+    assert code == 0 and out.strip() == report.to_json()
+    assert report.records and all(rec.substeps == substeps for rec in report.records)
+    code, explicit, _ = run(capsys, *argv, "--substeps", str(substeps))
+    assert code == 0 and explicit == out
+    help_text = " ".join(_subparsers()["geodesics"].format_help().split())
+    assert f"(default {_SOLVER_SUBSTEPS})" in help_text
 
 
 def test_vector_starting_with_minus_is_a_value(capsys):
@@ -516,7 +535,10 @@ def test_readme_flag_table_matches_parser():
     assert sorted(row[0] for row in rows) == sorted(subparsers)
     for name, flags, substeps in rows:
         assert flags.split() == OPTIONS[name].split(), name
-        assert str(subparsers[name].get_default("substeps") or "") == substeps, name
+        default = subparsers[name].get_default("substeps")
+        if default is None and "--substeps" in flags.split():  # the solver's rule
+            default = _SOLVER_SUBSTEPS
+        assert str(default or "") == substeps, name
 
 
 # Heisenberg with the drift (0, 0, x0 / 10): controlled fields of step 2

@@ -36,7 +36,7 @@ import sympy as sp
 from horizon.endpoint import BLOWUP_BOUND, EndpointDifferential
 from horizon.steering import _single_field_flow
 from oracle_hessian import reference_hessian
-from test_steering import _driftless_system
+from test_steering import _driftless_system, heis_with_drift
 
 
 def random_signal(rng, d, m=6):
@@ -864,3 +864,51 @@ def test_single_field_flow_is_one_hot_endpoint():
                 sig = ControlSignal(np.array([0.0, abs(c)]), row[None, :])
                 flow = _single_field_flow(system, x, b, c, 16)
                 assert flow.tobytes() == endpoint(system, x, sig, substeps=16).tobytes()
+
+
+# -- one RK4 step per segment where it is exact ------------------------------------
+
+
+def _one_vs_eight_substeps(system, x0, u, lam):
+    # the relative gaps of the endpoint, the differential and hessian(lam)
+    one, eight = differential(system, x0, u, 1), differential(system, x0, u, 8)
+    pairs = ((one.endpoint, eight.endpoint), (one.matrix, eight.matrix),
+             (one.hessian(lam), eight.hessian(lam)))
+    return [np.abs(a - b).max() / max(1.0, np.abs(b).max()) for a, b in pairs]
+
+
+def _exact_systems():
+    names = ("heisenberg", "martinet", "grushin", "free_step2_rank2", "agrachev_lee(3)")
+    return [*map(catalog_load, names), heis_with_drift()]
+
+
+@pytest.mark.parametrize("system", _exact_systems(), ids=lambda system: system.name)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), m=st.integers(1, 8))
+def test_one_step_is_exact_where_slope_split_says_so(system, data, m):
+    # the fixed-slope coordinates are linear in t and the others' slopes
+    # cubics in them, so one RK4 step and eight agree to rounding, and so do
+    # the derivatives of the two maps
+    assert system.slope_split.exact
+    unit = st.floats(-1.0, 1.0)
+    durations = data.draw(st.lists(st.floats(0.05, 0.5), min_size=m, max_size=m))
+    values = data.draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=system.d,
+                                         max_size=system.d), min_size=m, max_size=m))
+    u = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]), np.array(values))
+    x0 = np.array(data.draw(st.lists(unit, min_size=system.n, max_size=system.n)))
+    lam = np.array(data.draw(st.lists(unit, min_size=system.n, max_size=system.n)))
+    assert max(_one_vs_eight_substeps(system, x0, u, lam)) <= 1e-13
+
+
+@pytest.mark.parametrize("name, x0, u", [
+    # x0^4 along a line in x0: Simpson's rule misses a quartic
+    ("agrachev_lee(4)", [0.5, 0.0],
+     ControlSignal(np.array([0.0, 0.6, 1.0]), np.array([[1.5, -1.0], [-1.0, 0.5]]))),
+    # turning while driving: cos and sin of a linear heading
+    ("unicycle", [0.0, 0.0, 0.0], constant_signal(np.array([1.0, 1.5]), 1.0)),
+])
+def test_one_step_is_not_exact_where_slope_split_says_not(name, x0, u):
+    system = catalog_load(name)
+    assert not system.slope_split.exact
+    gaps = _one_vs_eight_substeps(system, np.array(x0), u, np.linspace(1.0, -0.5, system.n))
+    assert min(gaps) > 1e-4

@@ -172,7 +172,7 @@ def test_constant_control_is_critical_and_coincides(p, speed, angle, weights):
     bps = np.concatenate([[0.0], np.cumsum(weights) / sum(weights)])
     ab = speed * np.array([np.cos(angle), np.sin(angle)])
     u = ControlSignal(bps, np.tile(ab, (len(weights), 1)))
-    y = endpoint(heis, np.zeros(3), u, substeps=GeodesicOptions.substeps)
+    y = endpoint(heis, np.zeros(3), u, substeps=GeodesicOptions().substeps_for(heis))
     rec = solve_critical(heis, np.zeros(3), y, p=p, u_init=u)
     assert rec.converged and rec.iterations == 0
     assert coincidence_check(rec, heis, np.zeros(3), y).passed
@@ -187,29 +187,30 @@ def test_coincidence_on_curved_record():
 
 
 @pytest.fixture(scope="module")
-def martinet_p3_record():
-    # martinet's RK4 maps move with the substep count (Heisenberg's are exact
-    # on constant controls), so a record's residuals depend on its grid
-    mart = catalog_load("martinet")
-    x = np.array([0.0, 0.5, 0.0])
-    y = x + np.array([0.3, 0.0, 0.05])
-    rep = multistart(mart, x, y, n_seeds=2, m_seed=8, opts=GeodesicOptions(p=3.0, substeps=3))
-    return mart, x, y, rep.records[0]
+def inexact_p3_record():
+    # agrachev_lee(4)'s RK4 maps move with the substep count (x0^4 is not a
+    # cubic; Heisenberg's and martinet's are exact), so a record's residuals
+    # depend on its grid
+    al4 = catalog_load("agrachev_lee(4)")
+    x = np.array([0.0, 0.5])
+    y = x + np.array([0.3, 0.05])
+    rep = multistart(al4, x, y, n_seeds=2, m_seed=8, opts=GeodesicOptions(p=3.0, substeps=3))
+    return al4, x, y, rep.records[0]
 
 
-def test_record_carries_the_substeps_it_was_solved_on(martinet_p3_record):
-    mart, x, y, rec = martinet_p3_record
+def test_record_carries_the_substeps_it_was_solved_on(inexact_p3_record):
+    al4, x, y, rec = inexact_p3_record
     assert rec.substeps == 3 and "substeps" not in rec.to_dict()
-    args = (mart, x, y, rec.control, rec.lam, rec.p, rec.mode)
+    args = (al4, x, y, rec.control, rec.lam, rec.p, rec.mode)
     assert lagrange_residual(*args, rec.substeps) == rec.stationarity_residual
     assert lagrange_residual(*args, 2) != rec.stationarity_residual
-    rep = coincidence_check(rec, mart, x, y)
-    assert rep.residual_2 == lagrange_residual(mart, x, y, rec.control, 2.0 * rep.eta, 2.0,
+    rep = coincidence_check(rec, al4, x, y)
+    assert rep.residual_2 == lagrange_residual(al4, x, y, rec.control, 2.0 * rep.eta, 2.0,
                                                "vector", rec.substeps)
 
 
-def test_record_energy_is_the_energy_in_its_mode(martinet_p3_record):
-    _, _, _, rec = martinet_p3_record
+def test_record_energy_is_the_energy_in_its_mode(inexact_p3_record):
+    _, _, _, rec = inexact_p3_record
     assert rec.mode == "vector"
     assert energy(rec.control, rec.p, rec.mode) == rec.energy
     assert energy(rec.control, rec.p) != rec.energy  # the default mode is "component"
@@ -374,3 +375,42 @@ def test_discretization_refinement_approaches_continuum():
         errs.append(abs(rec.energy - target) / target)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-4
+
+
+def test_rank_warning_is_read_at_the_returned_control():
+    # Martinet's straight line u = (0, 1) is abnormal: seeds that end on it
+    # return a differential of rank 2 (seed 6: sigma_min/sigma_max = 2.8e-12),
+    # however regular the feasibilized seed was
+    mart, x, y = catalog_load("martinet"), np.zeros(3), np.array([0.0, 1.0, 0.0])
+    rep = multistart(mart, x, y, p=2.0, n_seeds=32, rng_seed=0, m_seed=32)
+    flags = {rec.seed_index: rec.rank_warning for rec in rep.records}
+    for rec in rep.records:
+        diff = differential(mart, x, rec.control, substeps=rec.substeps)
+        assert rec.rank_warning == (not regular_value_test(diff).regular), rec.seed_index
+    assert flags[6] and not all(flags.values())
+
+
+@pytest.mark.parametrize("name, x, y", [("unicycle", [0.0, 0.0, 0.0], [0.2, 0.1, 0.3]),
+                                        ("agrachev_lee(4)", [0.0, 0.5], [0.3, 0.55])])
+def test_default_solve_is_the_two_substep_solve_where_one_step_is_not_exact(name, x, y):
+    system = catalog_load(name)
+    assert not system.slope_split.exact
+    sig = ControlSignal(np.linspace(0.0, 1.0, 9), generate_seeds(1, 1, 8, system.d, 0.3)[0])
+    records = [solve_critical(system, x, y, u_init=sig, opts=GeodesicOptions(**kw))
+               for kw in ({}, {"substeps": 2})]
+    assert [rec.substeps for rec in records] == [2, 2]
+    default, explicit = (json.dumps(rec.to_dict(), sort_keys=True) for rec in records)
+    assert default == explicit
+    assert records[0].diagnostics == records[1].diagnostics
+
+
+def test_default_substeps_follow_slope_split():
+    # 1 where one RK4 step is exact, 2 elsewhere; an explicit count is kept
+    for name, substeps in (("heisenberg", 1), ("agrachev_lee(3)", 1), ("agrachev_lee(4)", 2),
+                           ("unicycle", 2)):
+        system = catalog_load(name)
+        assert GeodesicOptions().substeps_for(system) == substeps, name
+        assert GeodesicOptions(substeps=3).substeps_for(system) == 3
+    heis = catalog_load("heisenberg")
+    rec = solve_critical(heis, np.zeros(3), [0.0, 0.0, 0.5], p=2.0, u_init=circle_control(1, m=16))
+    assert rec.substeps == 1

@@ -28,6 +28,7 @@ from horizon import (
     system_to_json,
 )
 from test_endpoint import _FALLBACK_SYSTEMS
+from test_steering import heis_with_drift
 
 
 def fd_jacobian(field, x, eps=1e-6):
@@ -402,3 +403,61 @@ def test_displacement_wraps_periodic():
     assert abs(d[2] - (2 * np.pi - 6.2)) < 1e-12
     heis = catalog_load("heisenberg")
     assert np.allclose(displacement(heis, a, b), b - a)
+
+
+# name -> (fixed-slope, moving, moving on fixed-slope coordinates alone, one step exact)
+_SLOPE_SPLITS = {
+    "heisenberg": ((0, 1), (2,), (2,), True),
+    "martinet": ((0, 1), (2,), (2,), True),
+    "grushin": ((0,), (1,), (1,), True),
+    "free_step2_rank2": ((0, 1), (2,), (2,), True),
+    "agrachev_lee(3)": ((0,), (1,), (1,), True),
+    "heis_drift": ((0, 1), (2,), (2,), True),
+    "agrachev_lee(4)": ((0,), (1,), (1,), False),  # x0^4: Simpson's rule misses a quartic
+    "agrachev_lee(7)": ((0,), (1,), (1,), False),
+    "unicycle": ((2,), (0, 1), (0, 1), False),  # cos, sin of the heading
+}
+
+
+def test_slope_split_classifies_the_catalog():
+    # read from the expressions alone; every catalog family is covered
+    assert {name.split("(")[0] for name in catalog_names()} <= {
+        name.split("(")[0] for name in _SLOPE_SPLITS}
+    for name, split in _SLOPE_SPLITS.items():
+        system = heis_with_drift() if name == "heis_drift" else catalog_load(name)
+        assert tuple(system.slope_split) == split, name
+
+
+def test_slope_split_needs_a_cubic_in_fixed_slope_coordinates_alone():
+    x = state_symbols(3)
+
+    def split(a, b, c):  # fields (1, 0, a), (0, 1, b), drift (0, 0, c)
+        fields = [SymbolicField([1, 0, a], coords=x), SymbolicField([0, 1, b], coords=x)]
+        return ControlSystem("s", fields, drift=SymbolicField([0, 0, c], coords=x)).slope_split
+
+    assert split(x[0] * x[1] ** 2, x[0] ** 3 - 2, 0.5 * x[0] * x[1]).exact  # total degree 3
+    assert not split(x[0] ** 2 * x[1] ** 2, 0, 0).exact  # total degree 4
+    assert not split(sp.sqrt(1 + x[0] ** 2), 0, 0).exact  # not a polynomial
+    assert split(x[2], 0, 0) == ((0, 1), (2,), (), False)  # the third reads itself
+    # a coordinate whose slope is the drift's constant alone is fixed-slope too
+    drifting = ControlSystem("d", [SymbolicField([0, 1], coords=x[:2])],
+                             drift=SymbolicField([1, x[0] ** 3], coords=x[:2])).slope_split
+    assert drifting == ((0,), (1,), (1,), True)
+
+
+def test_third_stage_slope_of_a_component_on_fixed_coordinates_is_its_second(monkeypatch):
+    # the unicycle's position slopes read only the heading, a fixed-slope
+    # coordinate whose second and third stage points coincide: cos is taken at
+    # stages 1, 2 and 4 of a step, and the run is still plain RK4 bit for bit
+    from test_endpoint import _reference_states
+
+    x = state_symbols(3)
+    system = ControlSystem("unicycle", [SymbolicField([sp.cos(x[2]), sp.sin(x[2]), 0], coords=x),
+                                        SymbolicField([0, 0, 1], coords=x)])
+    scope = system._values._fn.__globals__
+    real_cos, calls = scope["cos"], []
+    monkeypatch.setitem(scope, "cos", lambda a: calls.append(a) or real_cos(a))
+    u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    states = integrate(system, [0.3, 0.7, 0.1], u, substeps=3).states
+    assert len(calls) == 3 * 2 * 3
+    assert states.tobytes() == _reference_states(system, [0.3, 0.7, 0.1], u, 3).tobytes()

@@ -15,15 +15,19 @@ shapes of perfbench and one system evaluated on numpy scalars:
 
 The kernels are the state run (``integrate``), ``differential``,
 ``EndpointDifferential.hessian`` and one ``solve_critical`` from the seed,
-all at 2 substeps.  Each sample times a batch of calls (at least --sample-s
-seconds) and records the time per call; base and change take turns, in
-ABBA order over the repeats.  The result gives, per kernel and side, the
-median and quartiles in milliseconds, the ratio of the medians, the share of
-repeats in which the change was faster, the work per call (for ``hessian``,
-how often one call evaluates the second-derivative stack), and how far the
-two sides' outputs differ.  Without --base the checkout is compared with
-itself, which shows the noise floor.  BLAS runs on one thread and the
-process pins itself to one CPU where the platform allows it.
+each side at the RK4 substeps per segment its own solver takes on the shape
+by default (``GeodesicOptions.substeps_for`` where the side has it, else
+``GeodesicOptions.substeps``).  Each sample times a batch of calls (at least
+--sample-s seconds) and records the time per call; base and change take
+turns, in ABBA order over the repeats.  The result gives, per kernel and
+side, the median and quartiles in milliseconds, the ratio of the medians,
+the share of repeats in which the change was faster, the work per call (the
+substeps, the RK4 state steps, and for ``hessian`` how often one call
+evaluates the second-derivative stack), and how far the two sides' outputs
+differ (the state run's at the signal's breakpoints).  Without --base the
+checkout is compared with itself, which shows the noise floor.  BLAS runs on
+one thread and the process pins itself to one CPU where the platform allows
+it.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ import numpy as np  # noqa: E402
 import sympy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-SUBSTEPS = 2
 
 
 def load(root: Path, name: str):
@@ -85,6 +88,28 @@ def shapes(h):
     return out
 
 
+def solver_substeps(opts, system):
+    """The substeps a solve with opts takes on system, on either side."""
+    rule = getattr(opts, "substeps_for", None)
+    return rule(system) if rule else opts.substeps
+
+
+def rk4_steps(system, call):
+    """call()'s output and the RK4 steps of the state runs it made."""
+    real, steps = system.state_run, []
+
+    def counted(z, bps, U, s, *rest):
+        steps.append(len(U) * s)
+        return real(z, bps, U, s, *rest)
+
+    system.state_run = counted
+    try:
+        out = call()
+    finally:
+        system.state_run = real
+    return out, sum(steps)
+
+
 def stack_evaluations(system, call):
     """call()'s output and how often it evaluated the second-derivative stack."""
     real, calls = system.field_second_derivatives, []
@@ -99,24 +124,28 @@ def stack_evaluations(system, call):
 def kernels(h, shape):
     """kernel name -> (zero-argument call, its output as an array, work per call)."""
     system, x, y, sig, opts, idx = shape
-    diff = h.differential(system, x, sig, substeps=SUBSTEPS)
+    s = solver_substeps(opts, system)
+    diff = h.differential(system, x, sig, substeps=s)
     lam = np.linspace(1.0, -0.5, system.n)
-    steps = sig.segments * SUBSTEPS
+    steps = sig.segments * s
     hess, evaluations = stack_evaluations(system, lambda: diff.hessian(lam))
 
     def solve():
         return h.solve_critical(system, x, y, u_init=sig, opts=opts, seed_index=idx)
 
-    rec = solve()
+    rec, solve_steps = rk4_steps(system, solve)
     return {
-        "state": (lambda: h.integrate(system, x, sig, substeps=SUBSTEPS),
-                  h.integrate(system, x, sig, substeps=SUBSTEPS).states, {"rk4_steps": steps}),
-        "differential": (lambda: h.differential(system, x, sig, substeps=SUBSTEPS), diff.matrix,
-                         {"rk4_steps": steps, "tangent_steps": steps}),
+        "state": (lambda: h.integrate(system, x, sig, substeps=s),
+                  h.integrate(system, x, sig, substeps=s).states[::s],  # at the breakpoints
+                  {"substeps": s, "rk4_steps": steps}),
+        "differential": (lambda: h.differential(system, x, sig, substeps=s), diff.matrix,
+                         {"substeps": s, "rk4_steps": steps, "tangent_steps": steps}),
         "hessian": (lambda: diff.hessian(lam), hess,
-                    {"integrations": 0, "second_derivative_evaluations": evaluations}),
+                    {"substeps": s, "rk4_steps": 0,
+                     "second_derivative_evaluations": evaluations}),
         "solve_critical": (solve, np.array([rec.energy]),
-                           {"kkt_iterations": rec.iterations, "converged": bool(rec.converged),
+                           {"substeps": s, "rk4_steps": solve_steps,
+                            "kkt_iterations": rec.iterations, "converged": bool(rec.converged),
                             "feasibilization_steps": len(rec.diagnostics.get("feas_log", []))}),
     }
 
@@ -189,7 +218,7 @@ def main(argv=None):
              "change": load(ROOT, "horizon_change")}
     result = {"script": "tools/bench_kernels.py", "environment": environment(),
               "base": {"commit": commit(args.base)}, "change": {"commit": commit(ROOT)},
-              "repeats": args.repeats, "substeps": SUBSTEPS, "kernels": {}}
+              "repeats": args.repeats, "kernels": {}}
     for shape in ("ladder", "floor", "fallback"):
         ks = {side: kernels(h, shapes(h)[shape]) for side, h in sides.items()}
         for name in ks["base"]:
