@@ -8,8 +8,10 @@ against the dual rows; (c) a Lagrange-Newton phase on the full first-order
 system.  Each of its steps forms the Lagrangian's Hessian in the controls
 once, exactly (the energy's, minus the curvature lam . D^2F that
 EndpointDifferential.hessian assembles from the recorded RK4 stages), and
-solves the KKT system by preconditioned GMRES, with the no-curvature KKT
-block as preconditioner, then takes a line search on the residual norm.
+solves the KKT system by the module's own restarted GMRES (gmres, scipy's
+iteration repeated bit for bit, so the library needs no scipy), with the
+no-curvature KKT block as left preconditioner, then takes a line search on
+the residual norm.
 Stages (a) and (c) damp their steps with the halving line search
 endpoint._backtrack, and each ends when no damped step helps.  Stage (c)
 converges to critical points of any index, which matters because on
@@ -20,12 +22,12 @@ would collapse every seed onto the lowest cluster.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .endpoint import (EndpointDifferential, _backtrack, _shaped, differential,
                        endpoint as _endpoint, regular_value_test)
@@ -52,13 +54,15 @@ RIDGE = 1e-10
 # (both relative)
 DEDUP_ENERGY_TOL = 1e-3
 DEDUP_LAMBDA_TOL = 1e-2
-# scipy's gmres reads its maxiter as restart cycles of 20 iterations each, so
-# 25 allows up to 500 matvecs per Newton step
+# gmres runs cycles of GMRES_CYCLE Arnoldi steps (scipy's default restart)
+# and restarts at most GMRES_RESTARTS times, so a Newton step takes up to 500
+# matvecs, plus one true residual per cycle
+GMRES_CYCLE = 20
 GMRES_RESTARTS = 25
 # GMRES forcing floor, 10 * sqrt(eps_mach) = 1.49e-7.  It dates from a
 # finite-difference curvature term that had no more digits; the curvature is
-# exact now, and the floor stays so that GMRES stops where it did until a
-# direct solve of the small dense KKT system replaces it.
+# exact now, and the floor stays so that gmres stops where scipy's did until
+# a direct solve of the small dense KKT system replaces it.
 MIN_FORCING = 10.0 * float(np.sqrt(np.finfo(float).eps))
 # seed rotations draw their frequency from 1..SEED_BANDWIDTH
 SEED_BANDWIDTH = 5
@@ -121,7 +125,7 @@ class GeodesicRecord:
     rank_warning: bool = False
     # feas_log: endpoint residual per feasibilization step; kkt_log:
     # (stationarity, endpoint residual) per KKT iteration; gmres: per KKT GMRES
-    # solve, the forcing term asked for and used, its matvecs and scipy's info
+    # solve, the forcing term asked for and used, its matvecs and gmres's info
     # (> 0: the budget ran out).  Not part of to_dict.
     diagnostics: dict = field(default_factory=dict)
 
@@ -279,6 +283,118 @@ def _lambda_least_squares(ws, U, opts):
     return np.linalg.solve(G + ridge * np.eye(n), rhs)
 
 
+class _Operator(NamedTuple):
+    """A square linear map as gmres reads it (and a tracer can wrap it)."""
+
+    shape: tuple[int, int]
+    dtype: type
+    matvec: Callable[[np.ndarray], np.ndarray]
+
+
+# LAPACK's safe range for dlartg: 2^-1022 .. 2^1022, and the square roots
+# inside which f*f + g*g neither overflows nor underflows
+_SAFMIN, _SAFMAX = 2.0 ** -1022, 2.0 ** 1022
+_RTMIN, _RTMAX = math.sqrt(_SAFMIN), math.sqrt(_SAFMAX / 2)
+_EPS = float(np.finfo(float).eps)
+
+
+def _lartg(f, g):
+    """LAPACK dlartg's plane rotation (c, s, r): c f + s g = r, c g - s f = 0."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:  # -0.0 included: r = |g|
+        return 0.0, math.copysign(1.0, g), abs(g)
+    if _RTMIN < abs(f) < _RTMAX and _RTMIN < abs(g) < _RTMAX:
+        r = math.copysign(math.sqrt(f * f + g * g), f)
+        return f / r, g / r, r
+    u = min(_SAFMAX, max(_SAFMIN, abs(f), abs(g)))
+    f, g = f / u, g / u
+    r = math.copysign(math.sqrt(f * f + g * g), f)
+    return f / r, g / r, r * u
+
+
+def _norm(v):
+    """numpy.linalg.norm of a vector, by its operations."""
+    return math.sqrt(v.dot(v))
+
+
+def gmres(A, b, rtol, maxiter, M):
+    """Left-preconditioned restarted GMRES(GMRES_CYCLE) from x = 0, stopped at
+    |b - A x| <= rtol |b|; returns (x, info), info = maxiter when maxiter
+    cycles did not reach it, else 0.  A and M need only .matvec.
+
+    It repeats scipy 1.17's scipy.sparse.linalg.gmres(A, b, rtol=rtol,
+    atol=0, maxiter=maxiter, M=M) operation for operation, so x is the same
+    bits: Arnoldi by modified Gram-Schmidt on M A, Givens rotations by
+    LAPACK's dlartg, a cycle that ends when the rotated estimate of |M r|
+    falls below ptol or the Krylov space stops growing, one true residual
+    b - A x per cycle, and ptol adapted between cycles by scipy's gh-8400
+    rule.  The Hessenberg and rotation scalars are Python floats, the vectors
+    numpy arrays.  Two cases the solver never meets are left out: scipy
+    returns x = 0 at once for rtol > 1, and where M r is 0 it goes on in
+    nan, while here 1 / |M r| raises ZeroDivisionError.
+    """
+    matvec, psolve = A.matvec, M.matvec
+    bnrm2 = _norm(b)
+    if bnrm2 == 0.0:
+        return b.copy(), 0
+    atol = rtol * bnrm2
+    n = len(b)
+    x = np.zeros(n)
+    restart = min(GMRES_CYCLE, n)
+    v = np.empty((restart + 1, n))
+    ptol, ptol_max_factor = _norm(psolve(b)) * min(1.0, atol / bnrm2), 1.0
+    r, rnorm = b, bnrm2
+    for _ in range(maxiter):
+        w = psolve(r)
+        S = [_norm(w)]  # the rotated right-hand side of the Hessenberg problem
+        v[0] = w * (1 / S[0])
+        H, rotations = [], []  # H[j]: column j of the rotated Hessenberg matrix
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = _norm(w)
+            h = []
+            for k in range(col + 1):
+                t = float(v[k].dot(w))
+                h.append(t)
+                w -= t * v[k]
+            h1 = _norm(w)
+            breakdown = h1 <= _EPS * h0  # the Krylov space stopped growing
+            if not breakdown:
+                v[col + 1] = w * (1 / h1)
+            h.append(0.0 if breakdown else h1)
+            for k, (c, s) in enumerate(rotations):
+                h[k], h[k + 1] = c * h[k] + s * h[k + 1], -s * h[k] + c * h[k + 1]
+            c, s, h[col] = _lartg(h[col], h[col + 1])
+            rotations.append((c, s))
+            H.append(h)
+            S[col:] = c * S[col], -s * S[col]
+            presid = abs(S[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        if H[col][col] == 0.0:
+            S[col] = 0.0
+        y = S[:col + 1]  # back substitution in H's upper triangle
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= H[k][k]
+                for j in range(k):
+                    y[j] -= y[k] * H[k][j]
+        if y[0] != 0.0:
+            y[0] /= H[0][0]
+        x += np.array(y) @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(_EPS, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else maxiter
+
+
 def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
     """Lagrange-Newton iterations; returns the last (U, lam), its residual and
     the iteration index.  gmres_log gets one entry per GMRES solve."""
@@ -325,12 +441,11 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
             return np.concatenate([L @ du - A.T @ dlam, A @ du])
 
         R = np.concatenate([res.R1, res.r2])
-        # an explicit dtype spares LinearOperator its probe call on a zero vector
-        op = LinearOperator((md + n, md + n), matvec=matvec, dtype=float)
-        M = LinearOperator((md + n, md + n), matvec=precond, dtype=float)
+        op = _Operator((md + n, md + n), float, matvec)
+        M = _Operator((md + n, md + n), float, precond)
         rtol = min(0.1, float(np.sqrt(res.merit / phi0))) if phi0 > 0 else 0.1
         rtol_used = max(rtol, MIN_FORCING)
-        step, info = gmres(op, -R, rtol=rtol_used, atol=0.0, maxiter=GMRES_RESTARTS, M=M)
+        step, info = gmres(op, -R, rtol=rtol_used, maxiter=GMRES_RESTARTS, M=M)
         gmres_log.append({"rtol_asked": rtol, "rtol_used": rtol_used,
                           "matvecs": matvecs, "info": int(info)})
 

@@ -346,12 +346,14 @@ class ControlSystem:
         h/2 and h/6 are formed once per segment, and so are the slope and
         increment of a fixed-slope component (slope_split; its third stage
         point is its second); a moving component that reads fixed-slope
-        coordinates alone takes its second stage slope as its third.  The run
-        evaluates by the stack's rule: a run on Python floats that raises
-        ArithmeticError runs once more from z on numpy scalars.  It returns the coordinates of z
-        and of every step's state, flat, and stops at the first of these
-        outside |x_i| <= bound (NaN included) with escaped True.  When rec is
-        a list, each step appends its four stage points' coordinates to it.
+        coordinates alone takes its second stage slope as its third, and a
+        third stage point that no slope reads is formed for the stage record
+        alone.  The run evaluates by the stack's rule: a run on Python floats
+        that raises ArithmeticError runs once more from z on numpy scalars.
+        It returns the coordinates of z and of every step's state, flat, and
+        stops at the first of these outside |x_i| <= bound (NaN included) with
+        escaped True.  When rec is a list, each step appends its four stage
+        points' coordinates to it.
         """
         stack, n, d, coords = self._values, self.n, self.d, self.drift.coords
         names = {str(c): i for i, c in enumerate(coords)}
@@ -378,13 +380,17 @@ class ControlSystem:
             return ["    " + line for line in block]
 
         a, inside = ", ".join(pts[0]), " and ".join(f"lo <= a{i} <= bound" for i in range(n))
-        step = []
+        third = [i for i in moving if i not in on_fixed]  # the components with a third stage slope
+        read = {names[c] for i in third for t in texts[i::n] for c in coord.findall(t)}
+        step, late = [], []  # late: third stage points that only the stage record reads
         for s, pt in enumerate(pts):
             if s:  # the stage point a + (h/2 or h) * the previous stage's slope
-                step += [f"{pt[i]} = a{i} + {'h' if s == 3 else 'hh'} * {k(s - 1, i)}"
-                         for i in range(n) if pt[i] != pts[s - 1][i]]
-            step += slopes(s, pt, [i for i in moving if not (s == 2 and i in on_fixed)])
-        step += ["if rec is not None:", f"    rec += ({', '.join(sum(pts, []))})",
+                for i in range(n):
+                    if pt[i] != pts[s - 1][i]:
+                        line = f"{pt[i]} = a{i} + {'h' if s == 3 else 'hh'} * {k(s - 1, i)}"
+                        (late if s == 2 and i not in read else step).append(line)
+            step += slopes(s, pt, third if s == 2 else moving)
+        step += ["if rec is not None:", *tab(late), f"    rec += ({', '.join(sum(pts, []))})",
                  *(f"a{i} = a{i} + {f'd_{i}' if i in fixed else increment(i)}" for i in range(n)),
                  f"out += ({a},)", f"if not ({inside}):", "    return out, True"]
         segment = ["h = (t1 - t0) / s", "hh = 0.5 * h", "h6 = h / 6.0",

@@ -3,11 +3,17 @@
 Every module of src/horizon except __init__.py must use each name it
 imports, and every private module-level function or class must be
 referenced somewhere in the package.  Deleting the last caller of a helper
-then fails here instead of leaving dead code behind.
+then fails here instead of leaving dead code behind.  No module imports
+scipy, and the package runs in an interpreter that refuses to load it: scipy
+is a test dependency only.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -101,3 +107,46 @@ def test_one_arithmetic_error_handler():
     sites = [where for name, tree in TREES.items() for where, node in _handlers(tree, name)
              if node.type is not None and "ArithmeticError" in ast.unparse(node.type)]
     assert sites == ["systems._LambdifiedStack.__call__"]
+
+
+def test_no_module_imports_scipy():
+    sites = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy"
+                                                     for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"]
+    assert sites == [], f"scipy is imported at {sites}"
+
+
+_WITHOUT_SCIPY = textwrap.dedent("""
+    import importlib.abc
+    import sys
+
+    class Refuse(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"{name} is refused")
+
+    sys.meta_path.insert(0, Refuse())
+    import numpy as np
+    from horizon import (TargetPath, catalog_load, cross_section, lift_path, multistart,
+                         zero_signal)
+
+    heis = catalog_load("heisenberg")
+    report = multistart(heis, [0, 0, 0], [0, 0, 0.5], p=2.0, n_seeds=2, rng_seed=3, m_seed=8)
+    assert report.records and report.records[0].diagnostics["gmres"]
+    cross_section(heis, np.zeros(3), np.array([0.1, -0.05, 0.02]))
+    path = TargetPath.from_function(lambda s: np.array([0.4 * s, 0.0, 0.05 * s]),
+                                    np.linspace(0.0, 1.0, 3))
+    lift_path(heis, np.zeros(3), zero_signal(2), path)
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""")
+
+
+def test_the_package_runs_without_scipy():
+    # a multistart (with its KKT GMRES solves), one steer and one lift in an
+    # interpreter whose imports of scipy fail
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

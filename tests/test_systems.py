@@ -461,3 +461,47 @@ def test_third_stage_slope_of_a_component_on_fixed_coordinates_is_its_second(mon
     states = integrate(system, [0.3, 0.7, 0.1], u, substeps=3).states
     assert len(calls) == 3 * 2 * 3
     assert states.tobytes() == _reference_states(system, [0.3, 0.7, 0.1], u, 3).tobytes()
+
+
+def _mixed_slopes():
+    # x0 has a fixed slope, x1's slope reads x0 alone, x2's reads x2: the third
+    # stage slope reads x2's third stage point and not x1's
+    x = state_symbols(3)
+    return ControlSystem("mixed_slopes", [SymbolicField([1, x[0] ** 2, x[2] ** 2 / 4], coords=x),
+                                          SymbolicField([0, 1, x[0]], coords=x)])
+
+
+@pytest.mark.parametrize("system, late, early", [
+    (catalog_load("heisenberg"), ["c2"], []),
+    (catalog_load("agrachev_lee(3)"), ["c1"], []),
+    (_mixed_slopes(), ["c1"], ["c2"]),
+])
+def test_third_stage_points_no_slope_reads_are_formed_for_the_stage_record_alone(system, late,
+                                                                                   early):
+    ins = list(dis.get_instructions(system.state_run))
+    stores = {i.argval: j for j, i in enumerate(ins) if i.opname == "STORE_FAST"}
+    last_slope = max(j for name, j in stores.items() if name.startswith("k"))
+    rec_loads = [j for j, i in enumerate(ins) if i.opname == "LOAD_FAST" and i.argval == "rec"]
+    for name in late:  # after the step's last slope, behind a test of rec
+        assert any(last_slope < j < stores[name] for j in rec_loads)
+    for name in early:  # before the third stage slope that reads it
+        assert stores[name] < stores[f"k2_{name[1:]}"]
+    # the stage record is RK4's four stage points, as before
+    assert system.d == 2
+    u = ControlSignal(np.array([0.0, 0.4, 1.0]), np.array([[1.0, -0.5], [0.2, 0.7]]))
+    x0 = np.linspace(0.3, -0.2, system.n)
+    traj = integrate(system, x0, u, substeps=3, with_fundamental=True)
+    ref = []
+    for k in range(u.segments):
+        h = (u.breakpoints[k + 1] - u.breakpoints[k]) / 3
+
+        def f(z, uk=u.values[k]):  # the state run's sum, for two controls
+            V = system.field_values(z)
+            return V[0] + (uk[0] * V[1] + uk[1] * V[2])
+
+        for z in traj.states[3 * k:3 * k + 3]:  # the state entering each step
+            k1 = f(z)
+            k2 = f(z + 0.5 * h * k1)
+            k3 = f(z + 0.5 * h * k2)
+            ref += [z, z + 0.5 * h * k1, z + 0.5 * h * k2, z + h * k3]
+    assert traj.stages.tobytes() == np.array(ref).tobytes()

@@ -14,20 +14,26 @@ shapes of perfbench and one system evaluated on numpy scalars:
   (1, 0) to (1.2, 1.5), on a seed whose states keep x0 > 0.
 
 The kernels are the state run (``integrate``), ``differential``,
-``EndpointDifferential.hessian`` and one ``solve_critical`` from the seed,
-each side at the RK4 substeps per segment its own solver takes on the shape
-by default (``GeodesicOptions.substeps_for`` where the side has it, else
-``GeodesicOptions.substeps``).  Each sample times a batch of calls (at least
---sample-s seconds) and records the time per call; base and change take
-turns, in ABBA order over the repeats.  The result gives, per kernel and
-side, the median and quartiles in milliseconds, the ratio of the medians,
-the share of repeats in which the change was faster, the work per call (the
-substeps, the RK4 state steps, and for ``hessian`` how often one call
-evaluates the second-derivative stack), and how far the two sides' outputs
-differ (the state run's at the signal's breakpoints).  Without --base the
-checkout is compared with itself, which shows the noise floor.  BLAS runs on
-one thread and the process pins itself to one CPU where the platform allows
-it.
+``EndpointDifferential.hessian``, one ``solve_critical`` from the seed, and
+``gmres``.  The first four run at the RK4 substeps per segment each side's
+own solver takes on the shape by default (``GeodesicOptions.substeps_for``
+where the side has it, else ``GeodesicOptions.substeps``).  ``gmres`` is
+the first KKT solve of the change side's ``solve_critical``: its operator,
+preconditioner, right-hand side and forcing are captured once and handed
+to each side's ``geodesics.gmres``.  Each sample times a batch of calls (at
+least --sample-s seconds) and records the time per call; base and change
+take turns, in ABBA order over the repeats.  The result gives, per kernel
+and side, the median and quartiles in milliseconds, the ratio of the
+medians, the share of repeats in which the change was faster, the work per
+call (the substeps, the RK4 state steps, for ``hessian`` how often one call
+evaluates the second-derivative stack, for ``gmres`` its matvecs and info),
+and how far the two sides' outputs differ (the state run's at the signal's
+breakpoints).  A cold-import probe then starts a fresh interpreter per side
+and sample, in the same ABBA order, and reports how long ``import horizon``
+took, the interpreter's peak resident memory and whether any scipy module
+was loaded.  Without --base the checkout is compared with itself, which
+shows the noise floor.  BLAS runs on one thread and the process pins itself
+to one CPU where the platform allows it.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import platform  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -121,8 +128,37 @@ def stack_evaluations(system, call):
     return out, len(calls)
 
 
-def kernels(h, shape):
-    """kernel name -> (zero-argument call, its output as an array, work per call)."""
+def first_kkt_solve(h, shape):
+    """(A, b, keyword arguments) of the first geodesics.gmres call of h's
+    solve_critical on shape."""
+    system, x, y, sig, opts, idx = shape
+    real, calls = h.geodesics.gmres, []
+
+    def capture(A, b, **kwargs):
+        calls.append((A, b.copy(), kwargs))
+        return real(A, b, **kwargs)
+
+    h.geodesics.gmres = capture
+    try:
+        h.solve_critical(system, x, y, u_init=sig, opts=opts, seed_index=idx)
+    finally:
+        h.geodesics.gmres = real
+    return calls[0]
+
+
+def counted_gmres(h, kkt):
+    """x, info and matvecs of h's geodesics.gmres on the captured solve."""
+    A, b, kwargs = kkt
+    matvecs = []
+    op = SimpleNamespace(shape=A.shape, dtype=A.dtype,
+                         matvec=lambda z: matvecs.append(1) or A.matvec(z))
+    x, info = h.geodesics.gmres(op, b, **kwargs)
+    return x, {"matvecs": len(matvecs), "info": int(info)}
+
+
+def kernels(h, shape, kkt):
+    """kernel name -> (zero-argument call, its output as an array, work per call);
+    kkt is first_kkt_solve's capture, the same for both sides."""
     system, x, y, sig, opts, idx = shape
     s = solver_substeps(opts, system)
     diff = h.differential(system, x, sig, substeps=s)
@@ -134,7 +170,7 @@ def kernels(h, shape):
         return h.solve_critical(system, x, y, u_init=sig, opts=opts, seed_index=idx)
 
     rec, solve_steps = rk4_steps(system, solve)
-    return {
+    out = {
         "state": (lambda: h.integrate(system, x, sig, substeps=s),
                   h.integrate(system, x, sig, substeps=s).states[::s],  # at the breakpoints
                   {"substeps": s, "rk4_steps": steps}),
@@ -148,6 +184,9 @@ def kernels(h, shape):
                             "kkt_iterations": rec.iterations, "converged": bool(rec.converged),
                             "feasibilization_steps": len(rec.diagnostics.get("feas_log", []))}),
     }
+    A, b, kwargs = kkt
+    out["gmres"] = (lambda: h.geodesics.gmres(A, b, **kwargs), *counted_gmres(h, kkt))
+    return out
 
 
 def batch_size(fn, sample_s):
@@ -184,6 +223,46 @@ def commit(root: Path):
     return out.stdout.strip() or None
 
 
+# getrusage's ru_maxrss would keep the forking process's peak across exec;
+# VmHWM is the new image's own
+_PROBE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+t0 = time.perf_counter()
+import horizon
+t = time.perf_counter() - t0
+try:
+    with open("/proc/self/status") as f:
+        hwm = next(int(line.split()[1]) / 1024 for line in f if line.startswith("VmHWM"))
+except (OSError, StopIteration):
+    hwm = None
+print(json.dumps({"import_s": t, "peak_rss_mb": hwm,
+                  "scipy_loaded": any(m.split(".")[0] == "scipy" for m in sys.modules)}))
+"""
+
+
+def cold_import(roots, repeats):
+    """Per side: `import horizon` in a fresh interpreter, repeats times in ABBA order."""
+    runs = {side: [] for side in roots}
+    for r in range(repeats):
+        for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+            out = subprocess.run([sys.executable, "-c", _PROBE, str(roots[side] / "src")],
+                                 capture_output=True, text=True, check=True, timeout=120)
+            runs[side].append(json.loads(out.stdout))
+    result = {}
+    for side, rs in runs.items():
+        q1, med, q3 = np.percentile([1e3 * r["import_s"] for r in rs], [25, 50, 75])
+        result[side] = {"median_ms": round(float(med), 1), "q1_ms": round(float(q1), 1),
+                        "q3_ms": round(float(q3), 1),
+                        "peak_rss_mb": (None if rs[0]["peak_rss_mb"] is None else
+                                        round(float(np.median([r["peak_rss_mb"] for r in rs])), 1)),
+                        "scipy_loaded": any(r["scipy_loaded"] for r in rs)}
+    result["ratio"] = round(result["change"]["median_ms"] / result["base"]["median_ms"], 4)
+    faster = sum(c["import_s"] < b["import_s"] for b, c in zip(runs["base"], runs["change"]))
+    result["change_faster"] = f"{faster}/{repeats}"
+    return result
+
+
 def environment():
     import scipy
 
@@ -214,13 +293,15 @@ def main(argv=None):
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {sorted(os.sched_getaffinity(0))[-1]})
 
-    sides = {"base": load(args.base.resolve(), "horizon_base"),
+    roots = {"base": args.base.resolve(), "change": ROOT}
+    sides = {"base": load(roots["base"], "horizon_base"),
              "change": load(ROOT, "horizon_change")}
     result = {"script": "tools/bench_kernels.py", "environment": environment(),
               "base": {"commit": commit(args.base)}, "change": {"commit": commit(ROOT)},
               "repeats": args.repeats, "kernels": {}}
     for shape in ("ladder", "floor", "fallback"):
-        ks = {side: kernels(h, shapes(h)[shape]) for side, h in sides.items()}
+        kkt = first_kkt_solve(sides["change"], shapes(sides["change"])[shape])
+        ks = {side: kernels(h, shapes(h)[shape], kkt) for side, h in sides.items()}
         for name in ks["base"]:
             fns = {side: ks[side][name][0] for side in sides}
             reps = batch_size(fns["base"], args.sample_s)
@@ -242,6 +323,8 @@ def main(argv=None):
             }
             print(f"{shape}.{name}: " + json.dumps(result["kernels"][f"{shape}.{name}"]),
                   file=sys.stderr)
+    result["cold_import"] = cold_import(roots, args.repeats)
+    print("cold_import: " + json.dumps(result["cold_import"]), file=sys.stderr)
     text = json.dumps(result, indent=1, sort_keys=True)
     if args.out:
         args.out.write_text(text + "\n")
