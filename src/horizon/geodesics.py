@@ -47,7 +47,7 @@ __all__ = [
     "coincidence_check",
 ]
 
-# relative Tikhonov shift on the multiplier Gram and Schur matrices
+# relative Tikhonov shift of every weighted Gram (_gram): RIDGE (tr / n + 1)
 RIDGE = 1e-10
 # two converged records are one critical point when their energies agree to
 # DEDUP_ENERGY_TOL and their energy-normalized multipliers to DEDUP_LAMBDA_TOL
@@ -59,11 +59,6 @@ DEDUP_LAMBDA_TOL = 1e-2
 # matvecs, plus one true residual per cycle
 GMRES_CYCLE = 20
 GMRES_RESTARTS = 25
-# GMRES forcing floor, 10 * sqrt(eps_mach) = 1.49e-7.  It dates from a
-# finite-difference curvature term that had no more digits; the curvature is
-# exact now, and the floor stays so that gmres stops where scipy's did until
-# a direct solve of the small dense KKT system replaces it.
-MIN_FORCING = 10.0 * float(np.sqrt(np.finfo(float).eps))
 # seed rotations draw their frequency from 1..SEED_BANDWIDTH
 SEED_BANDWIDTH = 5
 # coincidence_check passes at J_2 stationarity <= COINCIDENCE_TOL * its scale
@@ -125,8 +120,8 @@ class GeodesicRecord:
     rank_warning: bool = False
     # feas_log: endpoint residual per feasibilization step; kkt_log:
     # (stationarity, endpoint residual) per KKT iteration; gmres: per KKT GMRES
-    # solve, the forcing term asked for and used, its matvecs and gmres's info
-    # (> 0: the budget ran out).  Not part of to_dict.
+    # solve, its forcing term rtol, its matvecs and gmres's info (> 0: the
+    # budget ran out).  Not part of to_dict.
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -241,6 +236,14 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
 # -- the solver ---------------------------------------------------------------
 
 
+def _gram(A, w):
+    """A diag(1/w) A^T + RIDGE (tr / n + 1) I: the weighted normal matrix of
+    the rows of A, positive definite for every A, A = 0 included."""
+    G = (A / w) @ A.T
+    n = G.shape[0]
+    return G + RIDGE * (np.trace(G) / n + 1.0) * np.eye(n)
+
+
 def _feasibilize(ws, U, y, opts, log):
     """Damped minimal-L^2-norm Newton onto the fiber."""
     for _ in range(opts.feas_iter):
@@ -251,14 +254,8 @@ def _feasibilize(ws, U, y, opts, log):
         log.append(rn)
         if rn <= 0.5 * opts.end_tol:
             return U
-        Aw = A / ws.h_dof[None, :]
-        G = A @ Aw.T
-        G = G + RIDGE * np.trace(G) / G.shape[0] * np.eye(G.shape[0])
-        try:
-            a = np.linalg.solve(G, r)
-        except np.linalg.LinAlgError:
-            return U
-        v = (Aw.T @ a).reshape(U.shape)
+        # the minimal-L^2-norm solution of A v = r
+        v = (A.T @ np.linalg.solve(_gram(A, ws.h_dof), r) / ws.h_dof).reshape(U.shape)
 
         def trial(alpha):
             cand = U + alpha * v
@@ -273,14 +270,11 @@ def _feasibilize(ws, U, y, opts, log):
 
 
 def _lambda_least_squares(ws, U, opts):
-    """Weighted LS fit of the multiplier to the gradient density."""
-    wbar = ws.assemble(U).w_bar
-    g = gradient_density(U, opts.p, opts.mode)
-    G = np.einsum("k,kjd,kld->jl", ws.h, wbar, wbar)
-    rhs = np.einsum("k,kjd,kd->j", ws.h, wbar, g)
-    n = G.shape[0]
-    ridge = RIDGE * (np.trace(G) / n + 1.0)
-    return np.linalg.solve(G + ridge * np.eye(n), rhs)
+    """Weighted LS fit of the multiplier to the gradient density: the lam
+    minimizing the L^2 norm of g - lam . w_bar, from its normal equations."""
+    A = ws.assemble(U).matrix
+    g = gradient_density(U, opts.p, opts.mode).ravel()
+    return np.linalg.solve(_gram(A, ws.h_dof), A @ g)
 
 
 class _Operator(NamedTuple):
@@ -418,17 +412,11 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         Hdiag = np.diagonal(blocks, axis1=1, axis2=2).ravel()
         mu = 1e-8 * (np.mean(np.abs(Hdiag)) + 1.0)
         Hdd = Hdiag + mu
-        Aw = A / Hdd[None, :]
-        S = Aw @ A.T
-        S = S + RIDGE * (np.trace(S) / n + 1.0) * np.eye(n)
+        S = _gram(A, Hdd)  # the Schur complement of the preconditioner
 
         def precond(z):
             a, b = z[:md], z[md:]
-            t = a / Hdd
-            try:
-                dlam = np.linalg.solve(S, b - A @ t)
-            except np.linalg.LinAlgError:
-                dlam = np.linalg.lstsq(S, b - A @ t, rcond=None)[0]
+            dlam = np.linalg.solve(S, b - A @ (a / Hdd))
             du = (a + A.T @ dlam) / Hdd
             return np.concatenate([du, dlam])
 
@@ -444,10 +432,8 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         op = _Operator((md + n, md + n), float, matvec)
         M = _Operator((md + n, md + n), float, precond)
         rtol = min(0.1, float(np.sqrt(res.merit / phi0))) if phi0 > 0 else 0.1
-        rtol_used = max(rtol, MIN_FORCING)
-        step, info = gmres(op, -R, rtol=rtol_used, maxiter=GMRES_RESTARTS, M=M)
-        gmres_log.append({"rtol_asked": rtol, "rtol_used": rtol_used,
-                          "matvecs": matvecs, "info": int(info)})
+        step, info = gmres(op, -R, rtol=rtol, maxiter=GMRES_RESTARTS, M=M)
+        gmres_log.append({"rtol": rtol, "matvecs": matvecs, "info": int(info)})
 
         def trial(alpha):
             Uc = U + alpha * step[:md].reshape(U.shape)

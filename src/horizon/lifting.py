@@ -149,9 +149,7 @@ def lift_path(
         # with drift, time compression skews the anchor's drift exposure, so
         # the chart solves against the composed endpoint
         def composed(plan_sig):
-            w = u
-            if plan_sig.segments:
-                w = concatenate_rescaled(u, plan_sig, plan_sig.total_time)
+            w = concatenate_rescaled(u, plan_sig, plan_sig.total_time)  # u itself for an empty plan
             return _endpoint(system, x0, w, substeps=substeps)
 
         plan = cross_section_drift(

@@ -207,8 +207,7 @@ def energy(u: ControlSignal, p: float, mode: str = "component") -> float:
     and p != 2, rec.energy is energy(rec.control, rec.p, rec.mode), not the
     default-mode energy(rec.control, rec.p).
     """
-    if p <= 1.0:
-        raise ConfigError("energy needs p > 1")
+    conjugate_exponent(p)
     if u.segments == 0:
         return 0.0
     return energy_of_values(u.values, u.durations, p, mode)
@@ -221,6 +220,7 @@ def energy_gradient(u: ControlSignal, p: float, mode: str = "component") -> Cont
     Zero entries map to zero (the exponent is never evaluated at 0).  Pass
     rec.mode to match a geodesic record ("vector" by default, as in energy).
     """
+    conjugate_exponent(p)
     if u.segments == 0:
         return u
     return ControlSignal(u.breakpoints, gradient_density(u.values, p, mode))
@@ -275,8 +275,7 @@ def dual_map(z: ControlSignal, p: float) -> ControlSignal:
     Entrywise z -> z|z|^((2-p)/(p-1)); satisfies
     dual_map(energy_gradient(u, p)/p, p) == u exactly for p > 1.
     """
-    if p <= 1.0:
-        raise ConfigError("dual_map needs p > 1")
+    conjugate_exponent(p)
     if z.segments == 0:
         return z
     e = (2.0 - p) / (p - 1.0)
@@ -324,8 +323,8 @@ def concatenate_rescaled(u: ControlSignal, v: ControlSignal, T: float) -> Contro
     """
     if u.d != v.d:
         raise ConfigError("signal dimensions differ")
-    if T < 0.0:
-        raise ConfigError("T must be nonnegative")
+    if not 0.0 <= T < np.inf:
+        raise ConfigError(f"T must be nonnegative and finite, got {T}")
     if abs(u.total_time - 1.0) > 1e-12:
         raise ConfigError("first signal must live on [0, 1]")
     if T == 0.0:

@@ -6,10 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horizon import geodesics
 from horizon.endpoint import differential, endpoint, regular_value_test
 from horizon.errors import ConfigError, ConvergenceError
 from horizon.geodesics import (
+    RIDGE,
     GeodesicOptions,
+    _feasibilize,
+    _lambda_least_squares,
+    _Workspace,
     coincidence_check,
     generate_seeds,
     lagrange_residual,
@@ -17,7 +22,7 @@ from horizon.geodesics import (
     solve_critical,
 )
 from horizon.signals import ControlSignal, energy, gradient_density
-from horizon.systems import ControlSystem, catalog_load, polynomial_field
+from horizon.systems import ControlSystem, catalog_load, displacement, polynomial_field
 
 
 ORACLE_PATH = pathlib.Path(__file__).parent / "data" / "heisenberg_shooting.json"
@@ -88,20 +93,85 @@ def test_ladder_matches_frozen_table():
         assert rec.speed_variation <= 1e-3
 
 
-def test_min_forcing_floors_gmres_tolerance_on_ladder_seed_5():
-    # ladder seed 5 (criterion 7) asks GMRES for a forcing term below
-    # MIN_FORCING (10 * sqrt(eps) = 1.49e-7); every solve runs at the floor or
-    # above, converges, and the whole solve stays within 100 matvecs
+def test_gmres_reaches_the_forcing_term_asked_on_ladder_seed_5():
+    # ladder seed 5 (criterion 7): the Eisenstat-Walker forcing
+    # min(0.1, sqrt(merit / merit_0)) falls below 10 sqrt(eps) = 1.49e-7 in
+    # its last solve; GMRES reaches every forcing term within its budget, and
+    # the whole solve stays within 100 matvecs
     heis = catalog_load("heisenberg")
     u0 = ControlSignal(np.linspace(0.0, 1.0, 65), generate_seeds(0, 8, 64, 2, 0.5)[5])
     rec = solve_critical(heis, [0, 0, 0], [0, 0, 0.5], u_init=u0)
     assert rec.converged
     solves = rec.diagnostics["gmres"]
     assert len(solves) == rec.iterations
-    assert all(s["info"] <= 0 for s in solves)
+    assert all(s["info"] == 0 for s in solves)
     assert sum(s["matvecs"] for s in solves) <= 100
-    assert all(s["rtol_used"] >= 10.0 * np.sqrt(np.finfo(float).eps) for s in solves)
-    assert min(s["rtol_asked"] for s in solves) < 10.0 * np.sqrt(np.finfo(float).eps)
+    assert min(s["rtol"] for s in solves) < 10.0 * np.sqrt(np.finfo(float).eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["heisenberg", "agrachev_lee(3)"]), seed=st.integers(0, 2**32 - 1),
+       m=st.integers(2, 12), scale=st.floats(0.1, 1.0))
+def test_normal_equations_are_l2_least_squares(name, seed, m, scale):
+    # the multiplier fit and the first feasibilization direction against
+    # lstsq of the L^2-scaled problems, where the L^2 inner product on the
+    # segment basis is sum h_k u_k . v_k, so B = A / sqrt(h) is the scaled
+    # differential.  Both solve normal equations shifted by delta = RIDGE (tr
+    # G / n + 1), which moves the solution by at most delta / sigma_min(G)
+    # relative, in the scaled norm; rounding is far below that.
+    system = catalog_load(name)
+    rng = np.random.default_rng(seed)
+    widths = rng.uniform(0.5, 1.5, m)
+    bps = np.concatenate([[0.0], np.cumsum(widths) / np.sum(widths)])
+    bps[-1] = 1.0
+    U = scale * rng.standard_normal((m, system.d))
+    opts = GeodesicOptions(feas_iter=1)
+    ws = _Workspace(system, np.zeros(system.n), ControlSignal(bps, U), opts.substeps_for(system))
+    diff = ws.assemble(U)
+    sq = np.sqrt(ws.h_dof)
+    B = diff.matrix / sq
+    G = B @ B.T
+    tol = 2.0 * RIDGE * (np.trace(G) / system.n + 1.0) / np.linalg.eigvalsh(G)[0]
+
+    g = gradient_density(U, opts.p, opts.mode).ravel()
+    lam_ref = np.linalg.lstsq(B.T, sq * g, rcond=None)[0]
+    lam = _lambda_least_squares(ws, U, opts)
+    assert np.linalg.norm(lam - lam_ref) <= tol * np.linalg.norm(lam_ref)
+
+    y = diff.endpoint + 1e-3 * rng.standard_normal(system.n)  # a short step stays in the domain
+    r = displacement(system, diff.endpoint, y)
+    v_ref = np.linalg.lstsq(B, r, rcond=None)[0] / sq  # min sum h v^2 subject to A v = r
+    steps = []
+
+    def first_step(trial, accept):
+        steps.append(trial(1.0)[0] - U)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geodesics, "_backtrack", first_step)
+        _feasibilize(ws, U, y, opts, [])
+    (v,) = steps
+    rounding = 4.0 * np.finfo(float).eps * np.linalg.norm(sq * U.ravel())  # of (U + v) - U
+    assert np.linalg.norm(sq * (v.ravel() - v_ref)) <= tol * np.linalg.norm(sq * v_ref) + rounding
+
+
+def test_feasibilization_stops_where_the_differential_vanishes():
+    # fields x_i e_i vanish at the origin, so from x = 0 the state stays there
+    # and A = 0: the ridged Gram is RIDGE I, the step is 0, no damped step
+    # lowers the residual, and feasibilization stops at the seed
+    fields = []
+    for i in range(2):
+        comps = [[] for _ in range(2)]
+        comps[i] = [{"coef": 1.0, "exponents": [int(j == i) for j in range(2)]}]
+        fields.append(polynomial_field(comps, 2))
+    radial = ControlSystem("radial2", fields)
+    u0 = ControlSignal(np.linspace(0.0, 1.0, 5), np.ones((4, 2)))
+    rec = solve_critical(radial, [0.0, 0.0], [1.0, 0.0], u_init=u0,
+                         opts=GeodesicOptions(max_iter=0, raise_on_failure=False))
+    assert rec.diagnostics["feas_log"] == [1.0]
+    assert np.array_equal(rec.control.values, u0.values)
+    assert np.array_equal(rec.lam, [0.0, 0.0])
+    assert not rec.converged
 
 
 @pytest.mark.parametrize("a", [1e-5, 1e-6, 1e-7, 1e-9])

@@ -222,6 +222,21 @@ def test_energy_params_validation():
     assert np.isclose(EnergyParams(p=3.0).q, 1.5)
 
 
+# p = 1e308 gives p/(p-1) == 1.0 in floats, as in EnergyParams
+@pytest.mark.parametrize("p", [np.nan, np.inf, 1e308, 1.0, -2.0])
+@pytest.mark.parametrize("fn", [energy, energy_gradient, dual_map], ids=lambda fn: fn.__name__)
+def test_p_is_checked_as_conjugate_exponent_checks_it(fn, p):
+    with pytest.raises(ConfigError, match="p must be finite"):
+        fn(random_signal(np.random.default_rng(0)), p)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -0.5])
+def test_concatenate_rejects_a_non_finite_or_negative_horizon(T):
+    u = random_signal(np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="T must be nonnegative and finite"):
+        concatenate_rescaled(u, constant_signal([1.0, 0.0], 2.0), T)
+
+
 def test_json_roundtrip():
     rng = np.random.default_rng(6)
     sig = random_signal(rng, d=2, m=3)
