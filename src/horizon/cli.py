@@ -299,10 +299,13 @@ _FLAGS = {
     "--out": dict(help="output directory for files"),
 }
 
-# the geodesics --substeps default, GeodesicOptions.substeps_for's rule
+# --substeps defaults that are rules the library applies when the flag is
+# left out: GeodesicOptions.substeps_for's, and build_chart's for the chart flows
 _SOLVER_SUBSTEPS = "1 where one RK4 step is exact, else 2"
+_CHART_SUBSTEPS = (f"1 where one RK4 step is exact on every chart field, "
+                   f"else {DEFAULT_FLOW_SUBSTEPS}")
 
-# name: (handler, help, flags, --substeps default; None: _SOLVER_SUBSTEPS)
+# name: (handler, help, flags, --substeps default: a number, or a rule above)
 _COMMANDS = {
     "catalog": (cmd_catalog, "list built-in systems", "--out", None),
     "endpoint": (cmd_endpoint, "integrate a control signal",
@@ -312,13 +315,13 @@ _COMMANDS = {
                  "--system --x --control --substeps --out", DEFAULT_SUBSTEPS),
     "steer": (cmd_steer, "steer x to y through a commutator chart",
               "--system --x --y --p --beta --alpha --substeps --steer-tol --out",
-              DEFAULT_FLOW_SUBSTEPS),
+              _CHART_SUBSTEPS),
     "lift": (cmd_lift, "lift a target path to control space",
              "--system --x0 --anchor-control --path --p --beta --alpha --substeps "
              "--steer-tol --lift-tol --out", DEFAULT_SUBSTEPS),
     "geodesics": (cmd_geodesics, "multistart search for fiber-critical controls",
                   "--system --x --y --n-seeds --m-seed --p --substeps --seed --workers "
-                  "--stat-tol --end-tol --out", GeodesicOptions.substeps),
+                  "--stat-tol --end-tol --out", _SOLVER_SUBSTEPS),
 }
 
 
@@ -332,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
         # allow_abbrev=False: a flag is read only under its own name, so that
         # `lift --x` is not taken for `--x0`
         cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        rule = isinstance(substeps, str)  # None on the command line: the library's rule
         for flag in flags.split():
             kwargs = _FLAGS[flag]
-            if flag == "--substeps" and substeps is None:
-                kwargs = dict(kwargs, help="integrator substeps per segment "
-                                           f"(default {_SOLVER_SUBSTEPS})")
+            if flag == "--substeps" and rule:
+                kwargs = dict(kwargs, help=f"integrator substeps per segment (default {substeps})")
             cmd.add_argument(flag, **kwargs)
-        cmd.set_defaults(func=func, substeps=substeps)
+        cmd.set_defaults(func=func, substeps=None if rule else substeps)
     return parser
 
 

@@ -202,8 +202,11 @@ def integrate(
 
 
 def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
-    """Final state of the controlled trajectory; an empty signal stays at x0."""
-    return integrate(system, x0, signal, substeps).endpoint
+    """Final state of the controlled trajectory; an empty signal stays at x0.
+
+    A copy: the trajectory's endpoint is a view that would keep its whole
+    state array alive."""
+    return integrate(system, x0, signal, substeps).endpoint.copy()
 
 
 @dataclass

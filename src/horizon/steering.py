@@ -14,6 +14,15 @@ the factor's coefficient, so one endpoint differential of the laid-out plan
 gives every column (SteeringChart.jacobian).  With drift the durations enter
 the map on their own, so drift charts keep central differences of compose.
 
+A chart's flows take chart.flow_substeps RK4 steps per factor: the factor
+product, and the laid-out plan's integration and differential (one segment
+per factor).  build_chart takes a given count as it is (lift_path gives its
+own substeps); by default it takes 1 where one RK4 step is the exact
+flow of drift + c X_b for every field X_b a factor uses
+(ControlSystem.field_flow_exact, read from the expressions: true for every
+field of the catalog), and DEFAULT_FLOW_SUBSTEPS elsewhere.  A plan records
+the count it was solved and checked on (SteeringPlan.substeps).
+
 Each steer checks once the state its plan reaches (integrated from the base,
 or the chart's verify_endpoint), and steer_tol is the largest residual that
 check accepts; Newton stops no later than steer_tol, so a plan it accepts
@@ -31,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endpoint import _backtrack, differential, endpoint as _endpoint, rk4_step
+from .endpoint import _backtrack, _shaped, differential, endpoint as _endpoint, rk4_step
 from .errors import (
     AdmissibilityError,
     ChartRadiusError,
@@ -254,7 +263,7 @@ def build_chart(
     params: EnergyParams | None = None,
     max_depth: int = 4,
     alpha: float | None = None,
-    flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
+    flow_substeps: int | None = None,
 ) -> SteeringChart:
     """Expand a bracket frame at x into an elementary factor sequence.
 
@@ -262,18 +271,23 @@ def build_chart(
     controlled-field words only: drift never enters a chart word.  The
     factor layout depends only on the words, never on the target; with
     phi = 0 every coefficient vanishes and the product is the identity.
+    flow_substeps, the RK4 steps per factor flow, is used as given; None
+    takes 1 where one step is exact on every field a factor uses
+    (ControlSystem.field_flow_exact), and DEFAULT_FLOW_SUBSTEPS elsewhere.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (system.n,):
-        raise ConfigError(f"base point must have shape ({system.n},)")
-    if flow_substeps < 1:
-        raise ConfigError(f"flow_substeps must be at least 1, got {flow_substeps}")
+    x = _state_argument(system, x, "x")
+    if flow_substeps is not None and not (
+            isinstance(flow_substeps, (int, np.integer)) and flow_substeps >= 1):
+        raise ConfigError(f"flow_substeps must be an integer of at least 1, got {flow_substeps!r}")
     if params is None:
         params = EnergyParams()
     words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
     factors = []
     for k, w in enumerate(words):
         factors.extend(_word_factors(k, w))
+    if flow_substeps is None:
+        exact = all(system.field_flow_exact[f.field_index - 1] for f in factors)
+        flow_substeps = 1 if exact else DEFAULT_FLOW_SUBSTEPS
     return SteeringChart(
         system=system,
         base=x,
@@ -283,6 +297,15 @@ def build_chart(
         alpha=alpha,
         flow_substeps=flow_substeps,
     )
+
+
+def _state_argument(system: ControlSystem, v, name: str) -> np.ndarray:
+    """v as a state of system: shape (n,) and finite entries, or a ConfigError
+    that names the argument."""
+    v = _shaped(v, (system.n,), name)
+    if not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be finite, got {v.tolist()!r}")
+    return v
 
 
 def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = None):
@@ -340,7 +363,8 @@ class SteeringPlan:
     """Control realizing a chart solution: run sigma for time T from x.
 
     reached is the state the chart's plan_endpoint gives for sigma (the base
-    for the zero plan); it is not part of to_json.
+    for the zero plan), and substeps the chart's flow_substeps, on which the
+    plan was solved and checked; neither is part of to_json.
     """
 
     phi: np.ndarray
@@ -350,6 +374,7 @@ class SteeringPlan:
     factor_count: int
     base: np.ndarray
     target: np.ndarray
+    substeps: int
     alpha: float | None = None
     reached: np.ndarray | None = None
 
@@ -405,6 +430,7 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
         factor_count=chart.factor_count,
         base=x,
         target=y,
+        substeps=chart.flow_substeps,
         alpha=chart.alpha,
         reached=reached,
     )
@@ -416,13 +442,14 @@ def cross_section(
     y,
     params: EnergyParams | None = None,
     steer_tol: float = 1e-9,
-    flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
+    flow_substeps: int | None = None,
 ) -> SteeringPlan:
     """Steer a driftless system from x to y; returns the realized plan.
 
     Solves the chart coordinates against the factor flow product, lays the
-    plan, and integrates it from x once: steer_tol is the largest distance
-    between that endpoint and y that is accepted, and a larger one raises
+    plan, and integrates it from x once, all on the chart's flow_substeps
+    (build_chart's rule): steer_tol is the largest distance between that
+    endpoint and y that is accepted, and a larger one raises
     ChartRadiusError.  Steering a point to itself returns the zero plan
     exactly.
     """
@@ -430,8 +457,9 @@ def cross_section(
         raise ConfigError(
             "cross_section requires a driftless system; use cross_section_drift"
         )
+    x, y = _state_argument(system, x, "x"), _state_argument(system, y, "y")
     chart = build_chart(system, x, params, flow_substeps=flow_substeps)
-    return _steer_on_chart(chart, np.asarray(y, dtype=float), steer_tol)
+    return _steer_on_chart(chart, y, steer_tol)
 
 
 # -- drift admissibility ------------------------------------------------------
@@ -487,7 +515,7 @@ def cross_section_drift(
     p: float,
     alpha: float | None = None,
     steer_tol: float = 1e-9,
-    flow_substeps: int = DEFAULT_FLOW_SUBSTEPS,
+    flow_substeps: int | None = None,
     verify_endpoint=None,
 ) -> SteeringPlan:
     """Steering with drift: factor segments of duration |c|^(2 alpha).
@@ -507,10 +535,9 @@ def cross_section_drift(
     compression does not commute with the drift term, so the standalone plan
     endpoint and the in-context endpoint differ at order T * drift.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
+    x, y = _state_argument(system, x, "x"), _state_argument(system, y, "y")
     if alpha is not None and not np.isfinite(alpha):
         raise ConfigError(f"alpha must be finite, got {alpha}")
     sigma_step, _ = _step_bound(system, x, p)

@@ -319,19 +319,28 @@ class ControlSystem:
         Simpson's rule on a cubic (their second and third stage slopes
         coincide).
         """
-        coords = self.drift.coords
         entries = [[f.exprs[i] for f in [self.drift] + self.fields] for i in range(self.n)]
+        return _coordinate_split(self.drift.coords, entries)
 
-        def reads(i):  # the coordinates component i's entries read
-            return set().union(*(e.free_symbols for e in entries[i])) & set(coords)
+    @cached_property
+    def field_flow_exact(self) -> tuple:
+        """Per controlled field X_b: whether one RK4 step is the exact flow of
+        drift + c X_b for every constant c, read from the expressions alone.
 
-        fixed = tuple(i for i in range(self.n) if not reads(i))
-        moving = tuple(i for i in range(self.n) if i not in fixed)
-        on_fixed = tuple(i for i in moving if reads(i) <= {coords[j] for j in fixed})
-        exact = on_fixed == moving and all(
-            e.is_polynomial(*coords) and sp.Poly(e, *coords).total_degree() <= 3
-            for i in moving for e in entries[i])
-        return SlopeSplit(fixed, moving, on_fixed, exact)
+        slope_split's test on the drift's and X_b's entries, with one more
+        rule: a coordinate whose two entries are both 0 is still (it never
+        moves), so an entry that reads still coordinates alone is a constant
+        slope, and a moving coordinate's entries may be any expression in the
+        still ones times a polynomial of degree <= 3 in the other fixed-slope
+        coordinates.  The unicycle's X_1 = (cos x2, sin x2, 0) passes: x2 is
+        still under it.
+        """
+        out = []
+        for f in self.fields:
+            entries = [[self.drift.exprs[i], f.exprs[i]] for i in range(self.n)]
+            still = tuple(i for i, es in enumerate(entries) if all(e == 0 for e in es))
+            out.append(_coordinate_split(self.drift.coords, entries, still).exact)
+        return tuple(out)
 
     @cached_property
     def state_run(self):
@@ -445,6 +454,28 @@ def _with_controls(S, u):
     N, d = len(S), S.shape[1] - 1
     uS = np.matmul(np.reshape(u, (N, 1, d)), S[:, 1:].reshape(N, d, int(np.prod(S.shape[2:]))))
     return S[:, 0] + uS.reshape(S[:, 0].shape)
+
+
+def _coordinate_split(coords, entries, still=()) -> SlopeSplit:
+    """The SlopeSplit of a constant-control flow whose i-th coordinate has the
+    slope entries entries[i], with the coordinates in still held constant.
+
+    A coordinate is fixed when its entries read still coordinates alone, and
+    moving otherwise; the flow's one RK4 step is exact when every moving
+    coordinate's entries read fixed coordinates alone and are polynomials of
+    degree <= 3 in the fixed ones that are not still, their coefficients any
+    expression in the still ones.
+    """
+    held = {coords[i] for i in still}
+    reads = [set().union(*(e.free_symbols for e in es)) & set(coords) for es in entries]
+    fixed = tuple(i for i, r in enumerate(reads) if r <= held)
+    moving = tuple(i for i in range(len(coords)) if i not in fixed)
+    on_fixed = tuple(i for i in moving if reads[i] <= {coords[j] for j in fixed})
+    free = [coords[j] for j in fixed if j not in still]
+    exact = on_fixed == moving and all(
+        e.is_polynomial(*free) and sp.Poly(e, *free).total_degree() <= 3
+        for i in moving for e in entries[i])
+    return SlopeSplit(fixed, moving, on_fixed, exact)
 
 
 def _word_candidates(d: int, with_drift: bool, length: int):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horizon.cli import _SOLVER_SUBSTEPS, build_parser, main
+from horizon.cli import _CHART_SUBSTEPS, _COMMANDS, _SOLVER_SUBSTEPS, build_parser, main
 from horizon.endpoint import differential, integrate, regular_value_test
 from horizon.geodesics import GeodesicOptions, multistart
 from horizon.signals import ControlSignal
@@ -175,6 +175,9 @@ def test_steer_default_substeps_match_library(capsys, tmp_path):
     assert code == 0
     plan = cross_section_drift(system_from_json(HEIS_DRIFT_JSON), x, y, p=1.5)
     assert out.strip() == plan.to_json()
+    # --help states build_chart's rule
+    help_text = " ".join(_subparsers()["steer"].format_help().split())
+    assert f"(default {_CHART_SUBSTEPS})" in help_text
 
 
 @pytest.mark.parametrize("name, substeps", [("heisenberg", 1), ("unicycle", 2)])
@@ -536,8 +539,8 @@ def test_readme_flag_table_matches_parser():
     for name, flags, substeps in rows:
         assert flags.split() == OPTIONS[name].split(), name
         default = subparsers[name].get_default("substeps")
-        if default is None and "--substeps" in flags.split():  # the solver's rule
-            default = _SOLVER_SUBSTEPS
+        if default is None and "--substeps" in flags.split():  # the library's rule
+            default = _COMMANDS[name][3]
         assert str(default or "") == substeps, name
 
 

@@ -69,6 +69,18 @@ def test_agrachev_drift_endpoint():
     assert np.allclose(y, [1.0, 1.0 / 3.0], atol=1e-14)
 
 
+def test_endpoint_does_not_pin_the_trajectory():
+    # the trajectory's endpoint is a view of its whole state array; endpoint()
+    # returns a copy, so a kept endpoint keeps no trajectory alive
+    heis = catalog_load("heisenberg")
+    u = random_signal(np.random.default_rng(3), 2)
+    traj = integrate(heis, np.zeros(3), u, substeps=4)
+    assert traj.endpoint.base is not None
+    y = endpoint(heis, np.zeros(3), u, substeps=4)
+    assert y.base is None
+    assert y.tobytes() == traj.endpoint.tobytes()
+
+
 def test_zero_length_signal_returns_start():
     heis = catalog_load("heisenberg")
     x0 = np.array([0.3, -0.2, 0.5])

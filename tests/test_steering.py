@@ -25,6 +25,7 @@ from horizon import (
 import horizon.steering as steering
 from horizon.cli import main
 from horizon.steering import (
+    DEFAULT_FLOW_SUBSTEPS,
     build_chart,
     check_admissibility,
     critical_exponent,
@@ -253,7 +254,7 @@ def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
         system = catalog_load("heisenberg")
         steer = lambda tol: cross_section(system, np.zeros(3), y, steer_tol=tol)
     plan = steer(1e-9)
-    end = endpoint(system, np.zeros(3), plan.sigma, substeps=16)
+    end = endpoint(system, np.zeros(3), plan.sigma, substeps=plan.substeps)
     assert 0.0 < plan.residual == float(np.linalg.norm(displacement(system, end, y)))
     with pytest.raises(ChartRadiusError, match="steer_tol"):
         steer(1e-20)
@@ -309,7 +310,7 @@ def test_explicit_steer_tol_below_the_newton_stop_is_met(name, y):
     # stop above an explicit steer_tol of 1e-12 is driven below it
     system, y = catalog_load(name), np.array(y)
     plan = cross_section(system, np.zeros(3), y, steer_tol=1e-12)
-    end = endpoint(system, np.zeros(3), plan.sigma, substeps=16)
+    end = endpoint(system, np.zeros(3), plan.sigma, substeps=plan.substeps)
     assert plan.residual == float(np.linalg.norm(displacement(system, end, y))) <= 1e-12
 
 
@@ -391,7 +392,7 @@ def test_steer_from_a_zero_leading_order_coordinate_converges():
     assert start[1] == 0.0
     np.testing.assert_array_equal(chart.jacobian(start)[:, 1], chart.frame_matrix()[:, 1])
     plan = cross_section(heis, np.zeros(3), y)
-    end = endpoint(heis, np.zeros(3), plan.sigma, substeps=16)
+    end = endpoint(heis, np.zeros(3), plan.sigma, substeps=plan.substeps)
     assert plan.residual == float(np.linalg.norm(end - y)) <= 1e-9
 
 
@@ -450,3 +451,96 @@ def test_driftless_solve_takes_one_differential_per_newton_step(monkeypatch):
     assert calls["differential"] == calls["steps"]
     assert calls["compose"] == 1 + calls["trials"]
     np.testing.assert_array_equal(reached, compose(phi))
+
+
+# -- chart flow substeps ---------------------------------------------------------
+
+_FLOW_SYSTEMS = ["heisenberg", "martinet", "unicycle", "grushin", "free_step2_rank2",
+                 "agrachev_lee(3)", "agrachev_lee(4)", "heis_drift"]
+
+
+def _flow_chart(system, base, substeps):
+    if system.is_driftless:
+        return build_chart(system, base, flow_substeps=substeps)
+    return build_chart(system, base, EnergyParams(p=1.4), max_depth=2, alpha=1.2,
+                       flow_substeps=substeps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(_FLOW_SYSTEMS), seed=st.integers(0, 2**16))
+def test_one_flow_substep_is_exact_where_field_flow_exact_holds(name, seed):
+    # drift + c X_b for every field a factor uses: one RK4 step and 256 give
+    # the same product of flows, to rounding
+    system = heis_with_drift() if name == "heis_drift" else catalog_load(name)
+    rng = np.random.default_rng(seed)
+    base = 0.3 * rng.normal(size=system.n)
+    try:
+        one = _flow_chart(system, base, 1)
+    except NotBracketGeneratingError:
+        assume(False)
+    assume(all(system.field_flow_exact[f.field_index - 1] for f in one.factors))
+    phi = rng.uniform(-0.3, 0.3, size=system.n)
+    many = _flow_chart(system, base, 256).compose(phi)
+    assert np.abs(one.compose(phi) - many).max() <= 1e-12 * np.abs(many).max()
+
+
+@pytest.mark.parametrize("field", ["quartic", "rotation"])
+def test_one_flow_substep_is_not_exact_where_field_flow_exact_fails(field):
+    # X_1 = (1, x0^4): x1's slope is a quartic in t; X_1 = (-x1, x0): a
+    # rotation, whose coordinates read each other
+    x = state_symbols(2)
+    X1 = {"quartic": [1, x[0] ** 4], "rotation": [-x[1], x[0]]}[field]
+    system = ControlSystem(field, [SymbolicField(X1, coords=x), SymbolicField([0, 1], coords=x)])
+    assert system.field_flow_exact == (False, True)
+    base, phi = np.array([0.3, 0.2]), np.array([0.5, 0.0])
+    assert build_chart(system, base).flow_substeps == DEFAULT_FLOW_SUBSTEPS
+    one = build_chart(system, base, flow_substeps=1).compose(phi)
+    many = build_chart(system, base, flow_substeps=256).compose(phi)
+    assert np.abs(one - many).max() > 1e-8
+
+
+def test_explicit_flow_substeps_are_used_as_given():
+    heis, y = catalog_load("heisenberg"), np.array([0.03, -0.02, 0.01])
+    assert build_chart(heis, np.zeros(3)).flow_substeps == 1
+    assert cross_section(heis, np.zeros(3), y).substeps == 1
+    for substeps in (2, DEFAULT_FLOW_SUBSTEPS):
+        assert build_chart(heis, np.zeros(3), flow_substeps=substeps).flow_substeps == substeps
+        plan = cross_section(heis, np.zeros(3), y, flow_substeps=substeps)
+        end = endpoint(heis, np.zeros(3), plan.sigma, substeps=substeps)
+        assert plan.substeps == substeps
+        assert plan.residual == float(np.linalg.norm(end - y))
+    plan = cross_section_drift(heis_with_drift(), np.zeros(3), y, p=1.5, flow_substeps=3)
+    assert plan.substeps == 3
+    assert "substeps" not in json.loads(plan.to_json())
+
+
+@pytest.mark.parametrize("drift", [False, True], ids=["driftless", "drift"])
+def test_plan_reached_state_pins_no_trajectory(drift):
+    y = np.array([0.03, -0.02, 0.01])
+    if drift:
+        plan = cross_section_drift(heis_with_drift(), np.zeros(3), y, p=1.5)
+    else:
+        plan = cross_section(catalog_load("heisenberg"), np.zeros(3), y)
+    assert plan.sigma.segments and plan.reached.base is None
+
+
+def _steer_with(kind, x=(0.0, 0.0, 0.0), y=(0.01, 0.0, 0.0), flow_substeps=None):
+    if kind == "build_chart":
+        return build_chart(catalog_load("heisenberg"), x, flow_substeps=flow_substeps)
+    if kind == "cross_section":
+        return cross_section(catalog_load("heisenberg"), x, y, flow_substeps=flow_substeps)
+    return cross_section_drift(heis_with_drift(), x, y, p=1.5, flow_substeps=flow_substeps)
+
+
+@pytest.mark.parametrize("kind, arg, value", [
+    (kind, arg, value)
+    for kind in ("build_chart", "cross_section", "cross_section_drift")
+    for arg, value in (("x", [np.nan, 0.0, 0.0]), ("x", [0.0, 0.0]), ("y", [0.01, np.nan, 0.0]),
+                       ("y", [0.01, 0.0]), ("y", [np.inf, 0.0, 0.0]), ("flow_substeps", 2.5))
+    if not (kind == "build_chart" and arg == "y")
+])
+def test_steering_names_a_bad_argument(kind, arg, value):
+    # a state of the wrong shape or with a non-finite entry, or a fractional
+    # substep count, is a ConfigError that names the argument
+    with pytest.raises(ConfigError, match=rf"^{arg} must"):
+        _steer_with(kind, **{arg: value})

@@ -445,6 +445,31 @@ def test_slope_split_needs_a_cubic_in_fixed_slope_coordinates_alone():
     assert drifting == ((0,), (1,), (1,), True)
 
 
+def test_unicycle_fields_flow_exactly_though_its_system_does_not():
+    # under X_1 = (cos x2, sin x2, 0) the heading x2 is still, so the position
+    # slopes are constants; a mixed control turns the heading under them
+    uni = catalog_load("unicycle")
+    assert uni.field_flow_exact == (True, True)
+    assert not uni.slope_split.exact
+
+
+def test_field_flow_exact_reads_the_drift_and_one_field():
+    x = state_symbols(2)
+    drift = SymbolicField([0, x[0] ** 2], coords=x)
+    # X_1 moves x0, so x1's slope x0^2 + c x0^4 is a quartic in t; X_2 leaves
+    # x0 still, so x1's slope x0^2 + c x0^5 is a constant
+    system = ControlSystem("s", [SymbolicField([1, x[0] ** 4], coords=x),
+                                 SymbolicField([0, x[0] ** 5], coords=x)], drift=drift)
+    assert system.field_flow_exact == (False, True)
+    # a coefficient may be any expression in the still coordinates (x1 here),
+    # but not in a moving one (x1 reads itself there)
+    x3 = state_symbols(3)
+    scaled = ControlSystem("u", [SymbolicField([1, 0, sp.exp(x3[1]) * x3[0] ** 3], coords=x3)])
+    assert scaled.field_flow_exact == (True,)
+    moving = ControlSystem("t", [SymbolicField([1, sp.exp(x[1]) * x[0] ** 3], coords=x)])
+    assert moving.field_flow_exact == (False,)
+
+
 def test_third_stage_slope_of_a_component_on_fixed_coordinates_is_its_second(monkeypatch):
     # the unicycle's position slopes read only the heading, a fixed-slope
     # coordinate whose second and third stage points coincide: cos is taken at

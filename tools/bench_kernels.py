@@ -13,6 +13,12 @@ shapes of perfbench and one system evaluated on numpy scalars:
   x0^(1/2) + u1 x0^(3/2)), whose runs go on numpy scalars, m = 64, from
   (1, 0) to (1.2, 1.5), on a seed whose states keep x0 > 0.
 
+and one steer through a commutator chart on each system of perfbench's
+steer_lift (``steer.heisenberg``, ``steer.unicycle``, ``steer.martinet``
+with ``cross_section``, ``steer.heis_drift``, Heisenberg with the drift
+(0, 0, x0/10), with ``cross_section_drift`` at p = 1.5), from one fixed
+point to a target 0.07 away, at each side's default chart-flow substeps.
+
 The kernels are the state run (``integrate``), ``differential``,
 ``EndpointDifferential.hessian``, one ``solve_critical`` from the seed, and
 ``gmres``.  The first four run at the RK4 substeps per segment each side's
@@ -26,12 +32,14 @@ take turns, in ABBA order over the repeats.  The result gives, per kernel
 and side, the median and quartiles in milliseconds, the ratio of the
 medians, the share of repeats in which the change was faster, the work per
 call (the substeps, the RK4 state steps, for ``hessian`` how often one call
-evaluates the second-derivative stack, for ``gmres`` its matvecs and info),
-and how far the two sides' outputs differ (the state run's at the signal's
-breakpoints).  A cold-import probe then starts a fresh interpreter per side
-and sample, in the same ABBA order, and reports how long ``import horizon``
-took, the interpreter's peak resident memory and whether any scipy module
-was loaded.  Without --base the checkout is compared with itself, which
+evaluates the second-derivative stack, for ``gmres`` its matvecs and info,
+for a steer its flow substeps, its ``ControlSystem.field_values`` calls,
+which are the driftless chart flows' RK4 stages, and its state runs' RK4
+steps), and how far the two sides' outputs differ (the state run's at the
+signal's breakpoints, a steer's chart coordinates).  A cold-import probe
+then starts a fresh interpreter per side and sample, in the same ABBA
+order, and reports how long ``import horizon`` took, the interpreter's peak
+resident memory and whether any scipy module was loaded.  Without --base the checkout is compared with itself, which
 shows the noise floor.  BLAS runs on one thread and the process pins itself
 to one CPU where the platform allows it.
 """
@@ -189,6 +197,60 @@ def kernels(h, shape, kkt):
     return out
 
 
+def steer_kernels(h):
+    """kernel name -> (zero-argument call, its chart coordinates, work per
+    call) of one steer on each steer_lift system, at h's default flow substeps."""
+    heis = h.catalog_load("heisenberg")
+    x = h.state_symbols(3)
+    drift = h.SymbolicField([sympy.Float(0), sympy.Float(0), sympy.Rational(1, 10) * x[0]],
+                            coords=x)
+    base, step = np.array([0.1, -0.2, 0.15]), np.array([0.04, -0.03, 0.05])
+    out = {}
+    for name, system in (("heisenberg", heis), ("unicycle", h.catalog_load("unicycle")),
+                         ("martinet", h.catalog_load("martinet")),
+                         ("heis_drift", h.ControlSystem("heis_drift", heis.fields, drift=drift))):
+        def steer(system=system):
+            if system.is_driftless:
+                return h.cross_section(system, base, base + step)
+            return h.cross_section_drift(system, base, base + step, p=1.5)
+
+        real, calls = system.field_values, []
+        system.field_values = lambda pts: calls.append(1) or real(pts)
+        try:
+            plan, steps = rk4_steps(system, steer)
+        finally:
+            del system.field_values
+        substeps = getattr(plan, "substeps", h.steering.DEFAULT_FLOW_SUBSTEPS)
+        out[name] = (steer, plan.phi, {"flow_substeps": substeps, "field_values_calls": len(calls),
+                                       "state_run_rk4_steps": steps})
+    return out
+
+
+def time_kernels(result, shape, ks, repeats, sample_s):
+    """Time each kernel of ks (side -> kernels()) in ABBA order into result."""
+    sides = tuple(ks)
+    for name in ks["base"]:
+        fns = {side: ks[side][name][0] for side in sides}
+        reps = batch_size(fns["base"], sample_s)
+        ms = {side: [] for side in sides}
+        for r in range(repeats):
+            for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
+                ms[side].append(1e3 * timed(fns[side], reps))
+        ref, new = ks["base"][name][1], ks["change"][name][1]
+        gap = float(np.max(np.abs(new - ref)) / max(float(np.max(np.abs(ref))), 1e-300))
+        result["kernels"][f"{shape}.{name}"] = {
+            "base": quartiles(ms["base"]), "change": quartiles(ms["change"]),
+            "ratio": round(float(np.median(ms["change"]) / np.median(ms["base"])), 4),
+            "change_faster": f"{sum(c < b for b, c in zip(ms['base'], ms['change']))}/{repeats}",
+            "calls_per_sample": reps,
+            "work_per_call": {side: ks[side][name][2] for side in sides},
+            "bitwise_equal": bool(new.tobytes() == ref.tobytes()),
+            "max_relative_difference": gap,
+        }
+        print(f"{shape}.{name}: " + json.dumps(result["kernels"][f"{shape}.{name}"]),
+              file=sys.stderr)
+
+
 def batch_size(fn, sample_s):
     reps, t = 1, 0.0
     while True:
@@ -302,27 +364,9 @@ def main(argv=None):
     for shape in ("ladder", "floor", "fallback"):
         kkt = first_kkt_solve(sides["change"], shapes(sides["change"])[shape])
         ks = {side: kernels(h, shapes(h)[shape], kkt) for side, h in sides.items()}
-        for name in ks["base"]:
-            fns = {side: ks[side][name][0] for side in sides}
-            reps = batch_size(fns["base"], args.sample_s)
-            ms = {side: [] for side in sides}
-            for r in range(args.repeats):
-                for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
-                    ms[side].append(1e3 * timed(fns[side], reps))
-            ref, new = ks["base"][name][1], ks["change"][name][1]
-            gap = float(np.max(np.abs(new - ref)) / max(float(np.max(np.abs(ref))), 1e-300))
-            result["kernels"][f"{shape}.{name}"] = {
-                "base": quartiles(ms["base"]), "change": quartiles(ms["change"]),
-                "ratio": round(float(np.median(ms["change"]) / np.median(ms["base"])), 4),
-                "change_faster": f"{sum(c < b for b, c in zip(ms['base'], ms['change']))}"
-                                 f"/{args.repeats}",
-                "calls_per_sample": reps,
-                "work_per_call": {side: ks[side][name][2] for side in sides},
-                "bitwise_equal": bool(new.tobytes() == ref.tobytes()),
-                "max_relative_difference": gap,
-            }
-            print(f"{shape}.{name}: " + json.dumps(result["kernels"][f"{shape}.{name}"]),
-                  file=sys.stderr)
+        time_kernels(result, shape, ks, args.repeats, args.sample_s)
+    time_kernels(result, "steer", {side: steer_kernels(h) for side, h in sides.items()},
+                 args.repeats, args.sample_s)
     result["cold_import"] = cold_import(roots, args.repeats)
     print("cold_import: " + json.dumps(result["cold_import"]), file=sys.stderr)
     text = json.dumps(result, indent=1, sort_keys=True)
