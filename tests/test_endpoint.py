@@ -245,12 +245,15 @@ def test_random_polynomial_differential_is_exact(data, system, substeps):
     assert gap <= 1e-9 * max(scale, size)
 
 
-def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4):
+def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4, halvings=3):
     # (max |H - FD|, max |FD|, max |dF| |lam|_1): the reference differentiates
     # dF^T lam by five-point central differences (Richardson on steps e and
-    # 2 e) at e = eps and eps/2, extrapolated once more as their step^4 errors
-    # dictate, one control entry at a time, and rounds at about eps_mach / eps
-    # times the size of the terms of dF^T lam
+    # 2 e) at e = eps / 2^j, j = 0..halvings, extrapolates each neighbouring
+    # pair once more as their step^4 errors dictate, and, one control entry at
+    # a time, keeps the extrapolate that moves least from the one before it
+    # (Ridders' choice of step): near a finite-time blow-up the higher
+    # derivatives leave eps alone a step^6 error above the bound.  It rounds
+    # at about eps_mach 2^halvings / eps times the size of the terms of dF^T lam
     def grad(values):
         return differential(system, x0, ControlSignal(u.breakpoints, values), substeps).matrix.T @ lam
 
@@ -260,12 +263,14 @@ def _hessian_gap(system, x0, u, substeps, lam, eps=5e-4):
     fd = np.empty_like(H)
     for k in range(u.values.size):
         R = []
-        for e in (eps, eps / 2):
+        for e in eps / 2.0 ** np.arange(halvings + 1):
             step = np.zeros_like(u.values)
             step.flat[k] = e
             g = [grad(u.values + c * step) for c in (-2, -1, 1, 2)]
             R.append((8 * (g[2] - g[1]) - (g[3] - g[0])) / (12 * e))
-        fd[:, k] = (16 * R[1] - R[0]) / 15
+        E = [(16 * R[j + 1] - R[j]) / 15 for j in range(halvings)]
+        moves = [np.abs(E[j + 1] - E[j]).max() for j in range(halvings - 1)]
+        fd[:, k] = E[int(np.argmin(moves)) + 1]
     return np.abs(H - fd).max(), np.abs(fd).max(), np.abs(diff.matrix).max() * np.abs(lam).sum()
 
 
