@@ -19,7 +19,11 @@ scalars, by the value stack's rule, and tests each step's state against the
 bound this module passes it.  `rk4_step` is the generic RK4 step with the
 same arithmetic: the steering charts' single-field flows advance through
 it, and so do the tangent blocks, all segments' as one batch on the state
-run's recorded stages, as the one-component list [Z].  This module alone
+run's recorded stages, as the one-component list [Z].  A run recorded for
+differentiation (integrate's with_fundamental=True) keeps its stages and
+forms the blocks on first use, and differential takes such a run
+(trajectory=): a control whose endpoint is judged first is integrated once,
+and one rejected on its endpoint costs no tangent pass.  This module alone
 decides what an empty signal reaches (its start) and when a state has
 blown up (|x|_inf > BLOWUP_BOUND, raised as DomainEscapeError).
 `_backtrack`, the halving line search of every damped Newton loop
@@ -29,7 +33,8 @@ rejects a trial step whose state blows up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,21 +60,60 @@ BLOWUP_BOUND = 1e6
 
 @dataclass
 class Trajectory:
-    """States on the full substep grid, plus the generating data."""
+    """States on the full substep grid, plus the generating data.
 
-    times: np.ndarray  # (K+1,)
+    A run recorded for differentiation (integrate's with_fundamental=True)
+    keeps every RK4 stage state; its tangent blocks are formed from them on
+    first use of fundamental or tangents, so a run whose differential is
+    never needed costs no tangent pass.
+    """
+
     states: np.ndarray  # (K+1, n)
     signal: ControlSignal
     substeps: int
-    # (m, n + d, n) when requested: per segment k the tangent block
-    # [P_k^T; S_k^T] of its RK4 steps, all segments advanced together on the
-    # recorded stage states (see integrate)
-    fundamental: np.ndarray | None = None
-    # (m * 4 * substeps, n) with the blocks: every RK4 stage state of the run,
-    # in evaluation order
-    stages: np.ndarray | None = None
-    # with the blocks: the 4 * substeps (m, n + d, n) blocks entering the stages
-    tangents: list | None = None
+    system: ControlSystem | None = field(default=None, repr=False)  # the run's, for the blocks
+    # in a recorded run: every RK4 stage state's coordinates, flat, in
+    # evaluation order, as the state run appended them
+    recorded: list | None = field(default=None, repr=False)
+
+    @cached_property
+    def stages(self) -> np.ndarray | None:
+        """(m * 4 * substeps, n) in a recorded run, else None: every RK4 stage
+        state of the run, in evaluation order."""
+        if self.recorded is None:
+            return None
+        return np.array(self.recorded, dtype=float).reshape(-1, self.n)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """(K+1,) the step grid: (j + 1) h after each segment's start, and the
+        exact final time last."""
+        bps, s = self.signal.breakpoints, self.substeps
+        steps = np.arange(1, s + 1) * (np.diff(bps) / s)[:, None]  # (j + 1) h per segment
+        times = np.concatenate([[0.0], (bps[:-1, None] + steps).ravel()])
+        times[-1] = self.signal.total_time
+        return times
+
+    @cached_property
+    def _blocks(self):
+        if self.recorded is None:
+            return None, None
+        m, n, d = self.signal.segments, self.n, self.system.d
+        if not m:
+            return np.empty((0, n + d, n)), []
+        return _tangent_blocks(self.system, self.signal, self.substeps, self.stages)
+
+    @property
+    def fundamental(self) -> np.ndarray | None:
+        """(m, n + d, n) in a recorded run, else None: per segment k the tangent
+        block [P_k^T; S_k^T] of its RK4 steps, all segments advanced together
+        on the recorded stage states (see integrate)."""
+        return self._blocks[0]
+
+    @property
+    def tangents(self) -> list | None:
+        """With fundamental: the 4 * substeps (m, n + d, n) blocks entering the stages."""
+        return self._blocks[1]
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -96,7 +140,8 @@ def _shaped(a, shape, what):
 
 def _backtrack(trial, accept):
     """Halving line search: the first of trial(1), trial(1/2), ..., trial(1/512)
-    that accept(alpha, result) takes, or None.  A DomainEscapeError rejects alpha."""
+    that accept(alpha, result) takes, or None.  A DomainEscapeError rejects
+    alpha, and so does a trial that returns None, before accept is asked."""
     alpha = 1.0
     for _ in range(10):
         try:
@@ -104,7 +149,7 @@ def _backtrack(trial, accept):
         except DomainEscapeError:
             pass
         else:
-            if accept(alpha, cand):
+            if cand is not None and accept(alpha, cand):
                 return cand
         alpha *= 0.5
     return None
@@ -164,15 +209,16 @@ def integrate(
 ) -> Trajectory:
     """RK4 integration of dx/dt = drift(x) + sum u_i X_i(x) along a signal.
 
-    With with_fundamental=True each segment k also gets its tangent block
-    [P_k^T; S_k^T]: P_k the state transition and S_k the sensitivity to u_k,
-    both restarted from [I; 0] at the segment's start.  The states come from
-    one ControlSystem.state_run call; the first outside |x|_inf <= BLOWUP_BOUND
-    raises DomainEscapeError at its step's time.  The state run records
-    the four stage states of every step; afterwards all m blocks advance
-    together through rk4_step on the linearizations at those states.  The
-    block is therefore the derivative of the segment's RK4 steps themselves,
-    to rounding, and the states are the plain run's bit for bit.
+    The states come from one ControlSystem.state_run call; the first outside
+    |x|_inf <= BLOWUP_BOUND raises DomainEscapeError at its step's time.
+    With with_fundamental=True the run is recorded for differentiation: it
+    keeps the four stage states of every step, and on first use of
+    Trajectory.fundamental each segment k gets its tangent block
+    [P_k^T; S_k^T], P_k the state transition and S_k the sensitivity to u_k,
+    both restarted from [I; 0] at the segment's start.  All m blocks advance
+    together through rk4_step on the linearizations at the recorded stages,
+    so the block is the derivative of the segment's RK4 steps themselves, to
+    rounding, and the states are the plain run's bit for bit.
     """
     x0 = _shaped(x0, (system.n,), "x0")
     if signal.segments > 0 and signal.d != system.d:
@@ -180,25 +226,19 @@ def integrate(
     if substeps < 1:
         raise ConfigError("substeps must be >= 1")
 
-    m, n = signal.segments, system.n
+    n, bps = system.n, signal.breakpoints.tolist()
     stages = [] if with_fundamental else None  # every stage state's coordinates, in order
-    rows, escaped = system.state_run(x0.tolist(), signal.breakpoints.tolist(),
-                                     signal.values.tolist(), substeps, BLOWUP_BOUND, stages)
-    states, bps = np.array(rows).reshape(-1, n), signal.breakpoints
-    steps = np.arange(1, substeps + 1) * (np.diff(bps) / substeps)[:, None]  # (j + 1) h per segment
-    times = np.concatenate([[0.0], (bps[:-1, None] + steps).ravel()])
+    rows, escaped = system.state_run(x0.tolist(), bps, signal.values.tolist(), substeps,
+                                     BLOWUP_BOUND, stages)
+    states = np.array(rows).reshape(-1, n)
     if escaped:
-        t = float(times[len(states) - 1])
+        # the time of step i >= 1, as Trajectory.times forms it: (j + 1) h into segment k
+        k, j = divmod(len(states) - 2, substeps)
+        t = bps[k] + (j + 1) * ((bps[k + 1] - bps[k]) / substeps) if len(states) > 1 else 0.0
         raise DomainEscapeError(f"trajectory left |x|_inf <= {BLOWUP_BOUND:g} at t={t:.6g}",
                                 t=t, state=states[-1])
-    times[-1] = signal.total_time  # exact final time
-    fund = X = tangents = None
-    if with_fundamental:
-        X = np.array(stages, dtype=float).reshape(-1, n)
-        fund, tangents = (_tangent_blocks(system, signal, substeps, X) if m
-                          else (np.empty((0, n + system.d, n)), []))
-    return Trajectory(times=times, states=states, signal=signal, substeps=substeps,
-                      fundamental=fund, stages=X, tangents=tangents)
+    return Trajectory(states=states, signal=signal, substeps=substeps, system=system,
+                      recorded=stages)
 
 
 def endpoint(system, x0, signal, substeps=DEFAULT_SUBSTEPS):
@@ -316,6 +356,7 @@ def differential(
     x0,
     signal: ControlSignal,
     substeps: int = DEFAULT_SUBSTEPS,
+    trajectory: Trajectory | None = None,
 ) -> EndpointDifferential:
     """The exact Jacobian of the RK4 endpoint map in the segment values.
 
@@ -323,17 +364,29 @@ def differential(
     the transition from the segment's end to T.  One backward sweep over the
     tangent blocks of integrate(with_fundamental=True) forms them:
     [P_k^T; S_k^T] Psi_k^T stacks Psi_{k-1}^T on segment k's columns,
-    transposed.
+    transposed.  trajectory, when given, is that recorded run, already made,
+    and nothing is integrated; ConfigError when it is not a recorded run of
+    system from x0 along signal at substeps.
     """
     if signal.segments == 0:
         raise ConfigError("differential needs a signal with at least one segment")
-    traj = integrate(system, x0, signal, substeps=substeps, with_fundamental=True)
+    if trajectory is None:
+        traj = integrate(system, x0, signal, substeps=substeps, with_fundamental=True)
+    else:
+        traj, x0 = trajectory, _shaped(x0, (system.n,), "x0")
+        same_signal = traj.signal is signal or (
+            np.array_equal(traj.signal.breakpoints, signal.breakpoints)
+            and np.array_equal(traj.signal.values, signal.values))
+        if not (traj.system is system and traj.recorded is not None and same_signal
+                and traj.substeps == substeps and traj.states[0].tolist() == x0.tolist()):
+            raise ConfigError("trajectory is not the recorded run of this system, x0, "
+                              "signal and substeps")
     m, d, n = signal.segments, signal.d, system.n
 
-    rows = np.empty((m, d, n))  # rows[k] = (Psi_k S_k)^T
+    rows, F = np.empty((m, d, n)), traj.fundamental  # rows[k] = (Psi_k S_k)^T
     psi_t = [np.eye(n)]  # Psi_{m-1}^T, Psi_{m-2}^T, ...
     for k in range(m - 1, -1, -1):
-        G = traj.fundamental[k] @ psi_t[-1]
+        G = F[k] @ psi_t[-1]
         rows[k] = G[n:]
         psi_t.append(G[:n])
 

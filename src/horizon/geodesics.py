@@ -13,7 +13,14 @@ iteration repeated bit for bit, so the library needs no scipy), with the
 no-curvature KKT block as left preconditioner, then takes a line search on
 the residual norm.
 Stages (a) and (c) damp their steps with the halving line search
-endpoint._backtrack, and each ends when no damped step helps.  Stage (c)
+endpoint._backtrack, and each ends when no damped step helps.  A trial pays
+only for its verdict.  Every control is integrated once (_Workspace): a
+trial is one state run, recorded for differentiation, and the accepted
+trial's run is the next iterate's.  A feasibilization trial is judged on
+its endpoint.  A KKT trial whose endpoint residual alone already fails the
+merit test is rejected before its tangent pass (exactly: the merit is at
+least 1/2 |r2|^2); only the others form a differential and the merit, and
+the stationarity norms are formed for accepted residuals alone.  Stage (c)
 converges to critical points of any index, which matters because on
 compact-fiber problems most of the ladder consists of saddles; pure descent
 would collapse every seed onto the lowest cluster.
@@ -21,20 +28,27 @@ would collapse every seed onto the lowest cluster.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .endpoint import (EndpointDifferential, _backtrack, _shaped, differential,
-                       endpoint as _endpoint, regular_value_test)
+from .endpoint import (EndpointDifferential, Trajectory, _backtrack, _shaped, differential,
+                       regular_value_test)
 from .errors import ConfigError, ConvergenceError, HorizonError
 from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
                       energy_of_values, gradient_density)
 from .systems import ControlSystem, displacement
+
+# the endpoint module (in the package namespace `endpoint` is the function of
+# that name); state runs look up _ep.integrate at each call, so that a layer
+# tracer wrapping endpoint.integrate sees them
+_ep = importlib.import_module(".endpoint", __package__)
 
 __all__ = [
     "GeodesicOptions",
@@ -121,7 +135,8 @@ class GeodesicRecord:
     # feas_log: endpoint residual per feasibilization step; kkt_log:
     # (stationarity, endpoint residual) per KKT iteration; gmres: per KKT GMRES
     # solve, its forcing term rtol, its matvecs and gmres's info (> 0: the
-    # budget ran out).  Not part of to_dict.
+    # budget ran out); work: the solve's state runs, tangent passes and KKT
+    # trials rejected on their endpoint alone.  Not part of to_dict.
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -172,34 +187,84 @@ def _hess_density_blocks(U, p, mode):
 # -- stationarity -------------------------------------------------------------
 
 
+def _same(U, V):
+    """U and V hold the same values, bit for bit (the cache's key test)."""
+    return U is V or (U.shape == V.shape and U.tobytes() == V.tobytes())
+
+
 class _Workspace:
-    """Cached differential of F, and quantities derived from it, at the current U."""
+    """The solver's evaluations of F at its controls U, each run once.
+
+    run(U) is the state run at U, recorded for differentiation; assemble(U)
+    the EndpointDifferential, on that run when it is at hand.  Each keeps
+    its last entry: every trial point of a line search is a run, and the
+    accepted one is the last run, so the next iterate differentiates it
+    without integrating again, while the iterate's differential outlives a
+    search that accepts nothing.  work counts the state runs and tangent
+    passes made, and the KKT trials rejected on their endpoint alone.
+    """
 
     def __init__(self, system, x0, u: ControlSignal, substeps):
         self.system = system
         self.x0 = x0
-        self.bps = u.breakpoints
+        self.signal = u
         self.substeps = substeps
         self.h = u.durations
         self.h_dof = np.repeat(self.h, u.d)
-        self._cache_U = None
+        self.work = {"state_runs": 0, "tangent_passes": 0, "endpoint_rejects": 0}
+        self._traj = self._diff = None
 
-    def assemble(self, U):
-        """The EndpointDifferential at U, re-assembled only when U changes."""
-        if self._cache_U is None or not np.array_equal(U, self._cache_U):
-            sig = ControlSignal(self.bps, U)
-            self._diff = differential(self.system, self.x0, sig, substeps=self.substeps)
-            self._cache_U = U.copy()
+    def run(self, U) -> Trajectory:
+        """The recorded state run at U (DomainEscapeError where it blows up)."""
+        if self._traj is None or not _same(U, self._traj.signal.values):
+            sig = self.signal.with_values(U)
+            self._traj = _ep.integrate(self.system, self.x0, sig, self.substeps,
+                                       with_fundamental=True)
+            self.work["state_runs"] += 1
+        return self._traj
+
+    def assemble(self, U) -> EndpointDifferential:
+        """The EndpointDifferential at U, assembled once per control."""
+        if self._diff is None or not _same(U, self._diff.signal.values):
+            traj = self.run(U)
+            self._diff = differential(self.system, self.x0, traj.signal, self.substeps,
+                                      trajectory=traj)
+            self.work["tangent_passes"] += 1
         return self._diff
 
 
-class _Residual(NamedTuple):
-    R1: np.ndarray  # h-weighted stationarity density, flattened
-    r2: np.ndarray  # F - y in wrapped coordinates
-    stat: float  # L^q norm of the stationarity density
-    scale: float  # max(1, L^q norm of the energy gradient)
-    merit: float  # 1/2 (R1 . R1 / h + r2 . r2), the line-search merit
-    diff: EndpointDifferential  # the differential at the residual's control
+class _Residual:
+    """The KKT residual at (U, lam); stat and scale are formed on first use."""
+
+    def __init__(self, R1, r2, merit, diff, dens, g, h, q):
+        self.R1 = R1  # h-weighted stationarity density, flattened
+        self.r2 = r2  # F - y in wrapped coordinates
+        self.merit = merit  # 1/2 (R1 . R1 / h + r2 . r2), the line-search merit
+        self.diff = diff  # the differential at the residual's control
+        self._dens, self._g, self._h, self._q = dens, g, h, q
+
+    @cached_property
+    def stat(self) -> float:
+        """L^q norm of the stationarity density."""
+        return _lp_norm_of_values(self._dens, self._h, self._q)
+
+    @cached_property
+    def scale(self) -> float:
+        """max(1, L^q norm of the energy gradient)."""
+        return max(1.0, _lp_norm_of_values(self._g, self._h, self._q))
+
+
+def _endpoint_gap(ws, U, y):
+    """r2 = F(U) - y in wrapped coordinates, from U's run (as _kkt_residual forms it)."""
+    return -displacement(ws.system, ws.run(U).endpoint, y)
+
+
+def _fails_on_endpoint(r2, bound) -> bool:
+    """True when a residual with endpoint gap r2 has merit > bound, read
+    from r2 alone: 1/2 r2 . r2 > bound.  Exact in floating point: the merit
+    is 1/2 (a + r2 . r2) with a = sum (R1_i / h_i) R1_i >= 0, and rounding is
+    monotone, so it is at least 1/2 r2 . r2 as computed.  False says nothing."""
+    return 0.5 * np.dot(r2, r2) > bound
 
 
 def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
@@ -207,11 +272,9 @@ def _kkt_residual(ws, U, lam, y, opts) -> _Residual:
     g = gradient_density(U, opts.p, opts.mode)
     dens = g - np.einsum("j,kjd->kd", lam, diff.w_bar)
     r2 = -displacement(ws.system, diff.endpoint, y)
-    stat_q = _lp_norm_of_values(dens, ws.h, opts.q)
-    scale = max(1.0, _lp_norm_of_values(g, ws.h, opts.q))
     R1 = (ws.h[:, None] * dens).ravel()
     merit = 0.5 * (np.dot(R1 / ws.h_dof, R1) + np.dot(r2, r2))
-    return _Residual(R1, r2, stat_q, scale, merit, diff)
+    return _Residual(R1, r2, merit, diff, dens, g, ws.h, opts.q)
 
 
 def _converged(res: _Residual, opts) -> bool:
@@ -259,8 +322,7 @@ def _feasibilize(ws, U, y, opts, log):
 
         def trial(alpha):
             cand = U + alpha * v
-            F = _endpoint(ws.system, ws.x0, ControlSignal(ws.bps, cand), substeps=ws.substeps)
-            return cand, np.linalg.norm(displacement(ws.system, F, y))
+            return cand, np.linalg.norm(_endpoint_gap(ws, cand, y))
 
         found = _backtrack(trial, lambda alpha, c: c[1] < (1.0 - 1e-4 * alpha) * rn)
         if found is None:
@@ -435,12 +497,18 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         step, info = gmres(op, -R, rtol=rtol, maxiter=GMRES_RESTARTS, M=M)
         gmres_log.append({"rtol": rtol, "matvecs": matvecs, "info": int(info)})
 
-        def trial(alpha):
+        def bound(alpha):  # the largest merit the line search accepts at alpha
+            return (1.0 - 1e-4 * alpha) * res.merit
+
+        def trial(alpha):  # one that fails on its endpoint alone forms no differential
             Uc = U + alpha * step[:md].reshape(U.shape)
+            if _fails_on_endpoint(_endpoint_gap(ws, Uc, y), bound(alpha)):
+                ws.work["endpoint_rejects"] += 1
+                return None
             lc = lam + alpha * step[md:]
             return Uc, lc, _kkt_residual(ws, Uc, lc, y, opts)
 
-        found = _backtrack(trial, lambda alpha, c: c[2].merit <= (1.0 - 1e-4 * alpha) * res.merit)
+        found = _backtrack(trial, lambda alpha, c: c[2].merit <= bound(alpha))
         if found is None:
             break  # no damped step reduced the merit
         U, lam, res = found
@@ -481,18 +549,21 @@ def solve_critical(
 
     ws = _Workspace(system, x, u_init, opts.substeps_for(system))
     U = u_init.values.copy()
-    diagnostics = {"feas_log": [], "kkt_log": [], "gmres": []}
+    diagnostics = {"feas_log": [], "kkt_log": [], "gmres": [], "work": ws.work}
 
     U = _feasibilize(ws, U, y, opts, diagnostics["feas_log"])
 
     lam = _lambda_least_squares(ws, U, opts)
-    U, lam, res, iters = _solve_kkt_newton(
-        ws, U, lam, y, opts, diagnostics["kkt_log"], diagnostics["gmres"])
+    if regular_value_test(ws.assemble(U)).regular:
+        U, lam, res, iters = _solve_kkt_newton(
+            ws, U, lam, y, opts, diagnostics["kkt_log"], diagnostics["gmres"])
+    else:  # without full-rank constraints the KKT system has no Newton step
+        res, iters = _kkt_residual(ws, U, lam, y, opts), 0
     converged = _converged(res, opts)
     rank_warning = not regular_value_test(res.diff).regular  # at the control returned
     end_res = float(np.linalg.norm(res.r2))
     record = GeodesicRecord(
-        control=ControlSignal(ws.bps, U),
+        control=ws.signal.with_values(U),
         lam=lam,
         p=opts.p,
         mode=opts.mode,

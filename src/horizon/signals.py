@@ -81,6 +81,24 @@ class ControlSignal:
     def durations(self) -> np.ndarray:
         return np.diff(self.breakpoints)
 
+    def with_values(self, values) -> "ControlSignal":
+        """The signal on these breakpoints with other values of the same shape.
+
+        The breakpoints were validated with this signal and are shared, so only
+        the values' shape and finiteness are checked (ConfigError as in the
+        constructor); like the constructor, it makes the values read-only.
+        """
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != self.values.shape:
+            raise ConfigError(f"values must have shape {self.values.shape}, got {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ConfigError("signal contains non-finite entries")
+        vals.setflags(write=False)
+        sig = object.__new__(ControlSignal)
+        object.__setattr__(sig, "breakpoints", self.breakpoints)
+        object.__setattr__(sig, "values", vals)
+        return sig
+
     def value_at(self, t: float) -> np.ndarray:
         """Right-continuous evaluation; t == total_time returns the last value."""
         if self.segments == 0:

@@ -929,3 +929,86 @@ def test_one_step_is_not_exact_where_slope_split_says_not(name, x0, u):
     assert not system.slope_split.exact
     gaps = _one_vs_eight_substeps(system, np.array(x0), u, np.linspace(1.0, -0.5, system.n))
     assert min(gaps) > 1e-4
+
+
+# -- a recorded run, differentiated later ---------------------------------------
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "agrachev_lee(3)", "martinet", "unicycle", "grushin"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), substeps=st.integers(1, 3))
+def test_differential_of_a_recorded_run_is_the_differential(name, seed, m, substeps):
+    system = catalog_load(name)
+    rng = np.random.default_rng(seed)
+    u = random_signal(rng, system.d, m=m)
+    x0 = 0.5 * rng.normal(size=system.n)
+    lam = rng.normal(size=system.n)
+    run = integrate(system, x0, u, substeps=substeps, with_fundamental=True)
+    given_run = differential(system, x0, u, substeps, trajectory=run)
+    fresh = differential(system, x0, u, substeps)
+    assert given_run.trajectory is run
+    for a, b in ((given_run.matrix, fresh.matrix), (given_run.w_bar, fresh.w_bar),
+                 (np.stack(given_run.transitions), np.stack(fresh.transitions)),
+                 (given_run.hessian(lam), fresh.hessian(lam))):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_differential_refuses_a_run_of_other_inputs():
+    heis = catalog_load("heisenberg")
+    u = random_signal(np.random.default_rng(5), 2, m=3)
+    x0 = np.array([0.1, -0.2, 0.3])
+    run = integrate(heis, x0, u, substeps=2, with_fundamental=True)
+    other_u = ControlSignal(u.breakpoints, u.values + 1.0)
+    other_grid = ControlSignal(np.array([0.0, 0.2, 0.6, 1.0]), u.values)
+    for args in ((heis, x0 + 1.0, u, 2), (heis, x0, other_u, 2), (heis, x0, other_grid, 2),
+                 (heis, x0, u, 3), (ControlSystem("heis2", heis.fields), x0, u, 2)):
+        with pytest.raises(ConfigError, match="not the recorded run"):
+            differential(*args, trajectory=run)
+    plain = integrate(heis, x0, u, substeps=2)
+    with pytest.raises(ConfigError, match="not the recorded run"):
+        differential(heis, x0, u, 2, trajectory=plain)
+
+
+def test_blocks_are_formed_on_first_use_only(monkeypatch):
+    # a recorded run forms no tangent block until one is read, then once
+    heis = catalog_load("heisenberg")
+    u = random_signal(np.random.default_rng(2), 2, m=4)
+    module = importlib.import_module("horizon.endpoint")
+    real, calls = module._tangent_blocks, []
+    monkeypatch.setattr(module, "_tangent_blocks", lambda *a: calls.append(1) or real(*a))
+    run = integrate(heis, np.zeros(3), u, substeps=2, with_fundamental=True)
+    assert calls == []
+    assert run.tangents is not None and run.fundamental.shape == (4, 5, 3)
+    differential(heis, np.zeros(3), u, 2, trajectory=run)
+    assert calls == [1]
+    assert integrate(heis, np.zeros(3), u, substeps=2).fundamental is None
+
+
+def _grid_times(u, substeps):
+    # the step grid as one numpy expression: (j + 1) h after each segment's start
+    bps = u.breakpoints
+    steps = np.arange(1, substeps + 1) * (np.diff(bps) / substeps)[:, None]
+    return np.concatenate([[0.0], (bps[:-1, None] + steps).ravel()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=_escaping_runs(), substeps=st.integers(1, 4))
+@example(run=_LATER_SEGMENT, substeps=2)
+@example(run=_LAST_STEP, substeps=3)
+def test_times_and_escape_times_are_the_vectorized_grid(run, substeps):
+    # the escape's t is the grid time of the step the state run stopped at;
+    # a run that stays in bounds has the grid with the exact final time last
+    system, x0, u = run
+    grid = _grid_times(u, substeps)
+    try:
+        with np.errstate(all="ignore"):
+            times = integrate(system, x0, u, substeps).times
+    except DomainEscapeError as exc:
+        with np.errstate(all="ignore"):
+            rows, escaped = system.state_run(list(map(float, x0)), u.breakpoints.tolist(),
+                                             u.values.tolist(), substeps, BLOWUP_BOUND, None)
+        assert escaped
+        assert np.float64(exc.t).tobytes() == grid[len(rows) // system.n - 1].tobytes()
+    else:
+        grid[-1] = u.total_time
+        assert times.tobytes() == grid.tobytes()

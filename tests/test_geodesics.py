@@ -1,5 +1,7 @@
+import importlib
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from horizon.errors import ConfigError, ConvergenceError
 from horizon.geodesics import (
     RIDGE,
     GeodesicOptions,
+    _fails_on_endpoint,
     _feasibilize,
+    _kkt_residual,
     _lambda_least_squares,
     _Workspace,
     coincidence_check,
@@ -484,3 +488,121 @@ def test_default_substeps_follow_slope_split():
     heis = catalog_load("heisenberg")
     rec = solve_critical(heis, np.zeros(3), [0.0, 0.0, 0.5], p=2.0, u_init=circle_control(1, m=16))
     assert rec.substeps == 1
+
+
+def _radial_system():
+    # fields x_i e_i: at x = 0 the state stays put and the differential is 0
+    fields = []
+    for i in range(2):
+        comps = [[] for _ in range(2)]
+        comps[i] = [{"coef": 1.0, "exponents": [int(j == i) for j in range(2)]}]
+        fields.append(polynomial_field(comps, 2))
+    return ControlSystem("radial2", fields)
+
+
+def test_singular_feasibilized_control_skips_the_kkt_phase():
+    # with A = 0 the KKT system has no Newton step: the solve returns the
+    # feasibilized control, not converged and warned, without a GMRES solve
+    # or a line search, so no floating-point warning is raised
+    u0 = ControlSignal(np.linspace(0.0, 1.0, 5), np.ones((4, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = solve_critical(_radial_system(), [0.0, 0.0], [1.0, 0.0], u_init=u0,
+                             opts=GeodesicOptions(raise_on_failure=False))
+    assert rec.diagnostics["gmres"] == []
+    assert rec.diagnostics["kkt_log"] == []
+    assert rec.rank_warning and not rec.converged
+    assert rec.iterations == 0
+    assert np.array_equal(rec.control.values, u0.values)
+    assert rec.endpoint_residual == 1.0
+
+
+# agrachev_lee(3) toward (0, -0.1) from the benchmark floor's seed 6: a solve
+# that fails, with KKT trials rejected on their endpoint alone
+def _floor_solve():
+    system = catalog_load("agrachev_lee(3)")
+    seed = generate_seeds(3, 16, 24, system.d, 1.0)[6]
+    opts = GeodesicOptions(raise_on_failure=False, feas_iter=60, max_iter=60)
+    return lambda: solve_critical(system, np.zeros(2), [0.0, -0.1], u_init=ControlSignal(
+        np.linspace(0.0, 1.0, 25), seed), opts=opts, seed_index=6), system
+
+
+def test_work_counters_count_the_runs_and_passes_made(monkeypatch):
+    solve, system = _floor_solve()
+    endpoint_module = importlib.import_module("horizon.endpoint")
+    runs, passes, rejects = [], [], []
+    real_run, real_blocks = system.state_run, endpoint_module._tangent_blocks
+    real_fails = geodesics._fails_on_endpoint
+
+    def run(z, bps, U, *rest):
+        runs.append(json.dumps(U))
+        return real_run(z, bps, U, *rest)
+
+    def blocks(*args):
+        passes.append(1)
+        return real_blocks(*args)
+
+    def fails(*args):
+        rejects.append(real_fails(*args))
+        return rejects[-1]
+
+    monkeypatch.setattr(system, "state_run", run)
+    monkeypatch.setattr(endpoint_module, "_tangent_blocks", blocks)
+    monkeypatch.setattr(geodesics, "_fails_on_endpoint", fails)
+    rec = solve()
+    assert rec.diagnostics["work"] == {"state_runs": len(runs), "tangent_passes": len(passes),
+                                       "endpoint_rejects": sum(rejects)}
+    assert len(set(runs)) == len(runs)  # no control is integrated twice
+    assert sum(rejects) > 0 and len(passes) < len(runs)
+
+
+def test_trials_rejected_on_their_endpoint_fail_the_full_merit_test(monkeypatch):
+    # with the endpoint test consulted but never obeyed, every KKT trial forms
+    # its merit; each the endpoint test rejects must fail the merit test, and
+    # the solve must be the one that obeys it, bit for bit
+    solve, _ = _floor_solve()
+    obeyed = solve()
+    real_fails, real_backtrack = geodesics._fails_on_endpoint, geodesics._backtrack
+    endpoint_verdicts, merit_verdicts = [], []
+
+    def consulted(*args):
+        endpoint_verdicts.append(real_fails(*args))
+        return False
+
+    def backtrack(trial, accept):
+        def judged(alpha, cand):
+            verdict = accept(alpha, cand)
+            if len(cand) == 3:  # a KKT trial's (U, lam, residual)
+                merit_verdicts.append(verdict)
+            return verdict
+
+        return real_backtrack(trial, judged)
+
+    monkeypatch.setattr(geodesics, "_fails_on_endpoint", consulted)
+    monkeypatch.setattr(geodesics, "_backtrack", backtrack)
+    full = solve()
+    assert len(endpoint_verdicts) == len(merit_verdicts)
+    assert sum(endpoint_verdicts) == obeyed.diagnostics["work"]["endpoint_rejects"] > 0
+    assert not any(e and m for e, m in zip(endpoint_verdicts, merit_verdicts))
+    assert json.dumps(full.to_dict()) == json.dumps(obeyed.to_dict())
+    assert full.diagnostics["kkt_log"] == obeyed.diagnostics["kkt_log"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["heisenberg", "agrachev_lee(3)", "unicycle"]),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8), fit=st.booleans())
+def test_endpoint_test_rejects_only_what_the_merit_rejects(name, seed, m, fit):
+    # at the bound equal to a residual's merit the endpoint test never
+    # rejects, and just below 1/2 |r2|^2 it always does, with the merit above;
+    # a least-squares multiplier makes the stationarity term small
+    system = catalog_load(name)
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(m, system.d))
+    opts = GeodesicOptions()
+    ws = _Workspace(system, np.zeros(system.n), ControlSignal(np.linspace(0.0, 1.0, m + 1), U),
+                    opts.substeps_for(system))
+    lam = _lambda_least_squares(ws, U, opts) if fit else rng.normal(size=system.n)
+    res = _kkt_residual(ws, U, lam, rng.normal(size=system.n), opts)
+    assert not _fails_on_endpoint(res.r2, res.merit)
+    below = np.nextafter(0.5 * np.dot(res.r2, res.r2), -np.inf)
+    assert _fails_on_endpoint(res.r2, below) and res.merit > below

@@ -113,3 +113,23 @@ def test_steers_and_a_lift_reach_every_steer_lift_layer():
     finally:
         tracer.close()
     assert [name for name in SteerLift.traced_layers if spans.get(name, [0])[0] < 1] == []
+
+
+def test_tracer_sees_every_state_run_and_differential_of_a_solve():
+    # the solver's state runs go through endpoint.integrate and its
+    # differentials through geodesics.differential, the names the tracer
+    # wraps, so its counts are the solve's own
+    al3 = horizon.catalog_load("agrachev_lee(3)")
+    seed = horizon.geodesics.generate_seeds(3, 16, 24, al3.d, 1.0)[6]
+    u = horizon.ControlSignal(np.linspace(0.0, 1.0, 25), seed)
+    opts = horizon.GeodesicOptions(raise_on_failure=False, feas_iter=60, max_iter=60)
+    tracer = Tracer(horizon)
+    try:
+        rec = horizon.solve_critical(al3, np.zeros(2), np.array([0.0, -0.1]), u_init=u,
+                                     opts=opts, seed_index=6)
+        spans = tracer.summary()["spans"]
+    finally:
+        tracer.close()
+    work = rec.diagnostics["work"]
+    assert spans["endpoint.integrate"][0] == work["state_runs"]
+    assert spans["endpoint.differential"][0] == work["tangent_passes"] < work["state_runs"]

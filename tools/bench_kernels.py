@@ -32,7 +32,10 @@ take turns, in ABBA order over the repeats.  The result gives, per kernel
 and side, the median and quartiles in milliseconds, the ratio of the
 medians, the share of repeats in which the change was faster, the work per
 call (the substeps, the RK4 state steps, for ``hessian`` how often one call
-evaluates the second-derivative stack, for ``gmres`` its matvecs and info,
+evaluates the second-derivative stack, for ``solve_critical`` its KKT
+iterations and, where the side's records carry ``diagnostics["work"]``, its
+state runs, tangent passes and KKT trials rejected on their endpoint alone,
+for ``gmres`` its matvecs and info,
 for a steer its flow substeps, its ``ControlSystem.field_values`` calls,
 which are the driftless chart flows' RK4 stages, and its state runs' RK4
 steps), and how far the two sides' outputs differ (the state run's at the
@@ -190,7 +193,8 @@ def kernels(h, shape, kkt):
         "solve_critical": (solve, np.array([rec.energy]),
                            {"substeps": s, "rk4_steps": solve_steps,
                             "kkt_iterations": rec.iterations, "converged": bool(rec.converged),
-                            "feasibilization_steps": len(rec.diagnostics.get("feas_log", []))}),
+                            "feasibilization_steps": len(rec.diagnostics.get("feas_log", [])),
+                            **rec.diagnostics.get("work", {})}),
     }
     A, b, kwargs = kkt
     out["gmres"] = (lambda: h.geodesics.gmres(A, b, **kwargs), *counted_gmres(h, kkt))
