@@ -40,7 +40,7 @@ from .steering import (
     cross_section,
     cross_section_drift,
 )
-from .systems import RANK_TOL, catalog_load, catalog_names, system_from_json
+from .systems import RANK_TOL, _as_state, catalog_load, catalog_names, system_from_json
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -50,14 +50,9 @@ def _parse_vector(text: str) -> np.ndarray:
             vals = json.loads(text)
         else:
             vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-        out = np.asarray(vals, dtype=float)
+        return np.asarray(vals, dtype=float)  # a state: its command checks it (_as_state)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"cannot parse vector {text!r}: {exc}") from exc
-    if out.ndim != 1 or out.size == 0:
-        raise ConfigError(f"vector {text!r} must be a flat, nonempty list")
-    if not np.all(np.isfinite(out)):
-        raise ConfigError(f"vector {text!r} has non-finite entries")
-    return out
 
 
 def _load_system(spec: str):
@@ -89,14 +84,6 @@ def _read_target_path(path_str: str) -> TargetPath:
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad path JSON ({path_str}): {exc}") from exc
     return TargetPath(samples, targets)
-
-
-def _check_state(system, vec, label) -> np.ndarray:
-    if vec.size != system.n:
-        raise ConfigError(
-            f"{label} has {vec.size} entries but {system.name} has state dimension {system.n}"
-        )
-    return vec
 
 
 def _chart_params(args, system) -> EnergyParams:
@@ -145,7 +132,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_endpoint(args) -> int:
     system = _load_system(args.system)
-    x = _check_state(system, _parse_vector(args.x), "--x")
+    x = _as_state(system, _parse_vector(args.x), "--x")
     u = _read_signal(args.control)
     traj = integrate(system, x, u, substeps=args.substeps)
     doc = json.dumps(
@@ -163,7 +150,7 @@ def cmd_endpoint(args) -> int:
 
 def cmd_jacobian(args) -> int:
     system = _load_system(args.system)
-    x = _check_state(system, _parse_vector(args.x), "--x")
+    x = _as_state(system, _parse_vector(args.x), "--x")
     u = _read_signal(args.control)
     diff = differential(system, x, u, substeps=args.substeps)
     report = regular_value_test(diff)
@@ -193,8 +180,8 @@ def cmd_jacobian(args) -> int:
 
 def cmd_steer(args) -> int:
     system = _load_system(args.system)
-    x = _check_state(system, _parse_vector(args.x), "--x")
-    y = _check_state(system, _parse_vector(args.y), "--y")
+    x = _as_state(system, _parse_vector(args.x), "--x")
+    y = _as_state(system, _parse_vector(args.y), "--y")
     params = _chart_params(args, system)
     if system.is_driftless:
         plan = cross_section(
@@ -211,7 +198,7 @@ def cmd_steer(args) -> int:
 
 def cmd_lift(args) -> int:
     system = _load_system(args.system)
-    x0 = _check_state(system, _parse_vector(args.x0), "--x0")
+    x0 = _as_state(system, _parse_vector(args.x0), "--x0")
     path = _read_target_path(args.path)
     u0 = _read_signal(args.anchor_control) if args.anchor_control else zero_signal(system.d)
     params = _chart_params(args, system)
@@ -238,8 +225,8 @@ def cmd_lift(args) -> int:
 
 def cmd_geodesics(args) -> int:
     system = _load_system(args.system)
-    x = _check_state(system, _parse_vector(args.x), "--x")
-    y = _check_state(system, _parse_vector(args.y), "--y")
+    x = _as_state(system, _parse_vector(args.x), "--x")
+    y = _as_state(system, _parse_vector(args.y), "--y")
     check_admissibility(system, x, args.p)
     opts = GeodesicOptions(
         p=args.p, substeps=args.substeps, stat_tol=args.stat_tol, end_tol=args.end_tol
@@ -291,7 +278,8 @@ _FLAGS = {
                                      "(default: midpoint of valid range)"),
     "--substeps": dict(type=int, help="integrator substeps per segment (default %(default)s)"),
     "--seed": dict(type=int, default=0, help="rng seed for multistart"),
-    "--workers": dict(type=int, default=1, help="parallel workers (default 1)"),
+    "--workers": dict(type=int, default=1, help="multistart worker threads; the report is the "
+                                                "same for every count (default 1)"),
     "--steer-tol": dict(type=float, default=1e-9),
     "--lift-tol": dict(type=float, default=1e-8),
     "--stat-tol": dict(type=float, default=1e-6),

@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DomainEscapeError, SingularFiberError
-from .signals import ControlSignal
-from .systems import RANK_TOL, ControlSystem, _with_controls
+from .signals import ControlSignal, _as_count
+from .systems import RANK_TOL, ControlSystem, _as_state, _with_controls
 
 __all__ = [
     "Trajectory",
@@ -220,11 +220,10 @@ def integrate(
     so the block is the derivative of the segment's RK4 steps themselves, to
     rounding, and the states are the plain run's bit for bit.
     """
-    x0 = _shaped(x0, (system.n,), "x0")
+    x0 = _as_state(system, x0, "x0", finite=False)  # a non-finite x0 escapes at t = 0
     if signal.segments > 0 and signal.d != system.d:
         raise ConfigError(f"signal has d={signal.d}, system expects {system.d}")
-    if substeps < 1:
-        raise ConfigError("substeps must be >= 1")
+    _as_count(substeps, "substeps", 1)
 
     n, bps = system.n, signal.breakpoints.tolist()
     stages = [] if with_fundamental else None  # every stage state's coordinates, in order
@@ -266,7 +265,7 @@ class EndpointDifferential:
     trajectory: Trajectory
     matrix: np.ndarray
     w_bar: np.ndarray
-    transitions: list | None = None  # Psi_k^T per segment k, from differential's sweep
+    transitions: np.ndarray  # (m, n, n): Psi_k^T per segment k, from differential's sweep
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -316,7 +315,7 @@ class EndpointDifferential:
         # RK4's weights b and offsets a.  Adjoints start from mu / 2: H + H^T at the end
         # doubles Q's x and u blocks, and the (x, u) block, set above H's diagonal, is 2 Q_xu
         b, a = (1 / 6, 1 / 3, 1 / 3, 1 / 6), (0.5, 0.5, 1.0, 0.0)
-        ybar, h = 0.5 * (np.stack(self.transitions) @ lam), (sig.durations / self.substeps)[:, None]
+        ybar, h = 0.5 * (self.transitions @ lam), (sig.durations / self.substeps)[:, None]
         nu = np.empty((m, per, 1, n))
         for j in range(per - 4, -1, -4):  # each step from the last; ybar: its end's adjoint
             g, start = 0.0, ybar  # g: A^T nu of the later stage; start: the step start's adjoint
@@ -373,7 +372,7 @@ def differential(
     if trajectory is None:
         traj = integrate(system, x0, signal, substeps=substeps, with_fundamental=True)
     else:
-        traj, x0 = trajectory, _shaped(x0, (system.n,), "x0")
+        traj, x0 = trajectory, _as_state(system, x0, "x0", finite=False)
         same_signal = traj.signal is signal or (
             np.array_equal(traj.signal.breakpoints, signal.breakpoints)
             and np.array_equal(traj.signal.values, signal.values))
@@ -384,11 +383,12 @@ def differential(
     m, d, n = signal.segments, signal.d, system.n
 
     rows, F = np.empty((m, d, n)), traj.fundamental  # rows[k] = (Psi_k S_k)^T
-    psi_t = [np.eye(n)]  # Psi_{m-1}^T, Psi_{m-2}^T, ...
+    transitions, psi_t = np.empty((m, n, n)), np.eye(n)  # psi_t: Psi_k^T, from k = m - 1 down
     for k in range(m - 1, -1, -1):
-        G = F[k] @ psi_t[-1]
+        transitions[k] = psi_t
+        G = F[k] @ psi_t
         rows[k] = G[n:]
-        psi_t.append(G[:n])
+        psi_t = G[:n]
 
     matrix = rows.reshape(m * d, n).T
     w_bar = np.transpose(rows, (0, 2, 1)) / signal.durations[:, None, None]  # (m, n, d)
@@ -401,7 +401,7 @@ def differential(
         trajectory=traj,
         matrix=matrix,
         w_bar=w_bar,
-        transitions=psi_t[-2::-1],
+        transitions=transitions,
     )
 
 

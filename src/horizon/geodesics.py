@@ -41,9 +41,9 @@ import numpy as np
 from .endpoint import (EndpointDifferential, Trajectory, _backtrack, _shaped, differential,
                        regular_value_test)
 from .errors import ConfigError, ConvergenceError, HorizonError
-from .signals import (ControlSignal, _abs_power, _lp_norm_of_values, conjugate_exponent,
-                      energy_of_values, gradient_density)
-from .systems import ControlSystem, displacement
+from .signals import (ControlSignal, _abs_power, _as_count, _as_tolerance, _lp_norm_of_values,
+                      conjugate_exponent, energy_of_values, gradient_density)
+from .systems import ControlSystem, _as_state, displacement
 
 # the endpoint module (in the package namespace `endpoint` is the function of
 # that name); state runs look up _ep.integrate at each call, so that a layer
@@ -92,19 +92,18 @@ class GeodesicOptions:
 
     def __post_init__(self):
         conjugate_exponent(self.p)
-        for name, count, least in (("substeps", self.substeps, 1), ("max_iter", self.max_iter, 0),
-                                   ("feas_iter", self.feas_iter, 0)):
-            if count is not None and not count >= least:
-                raise ConfigError(f"{name} must be at least {least}, got {count}")
-        for name, tol in (("end_tol", self.end_tol), ("stat_tol", self.stat_tol)):
-            if not 0.0 < tol < np.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {tol}")
+        if self.substeps is not None:
+            _as_count(self.substeps, "substeps", 1)
+        _as_count(self.max_iter, "max_iter", 0)
+        _as_count(self.feas_iter, "feas_iter", 0)
+        _as_tolerance(self.end_tol, "end_tol")
+        _as_tolerance(self.stat_tol, "stat_tol")
         if self.mode not in ("vector", "component"):
             raise ConfigError(f"unknown energy mode {self.mode!r}")
 
     @property
     def q(self) -> float:
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
     def substeps_for(self, system: ControlSystem) -> int:
         """The substeps a solve on system takes: substeps as given, else 1
@@ -288,6 +287,7 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
     its L^q distance to the p-energy gradient density, on substeps RK4 steps
     per segment (by default the solver's, GeodesicOptions.substeps_for).
     """
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     lam = _shaped(lam, (system.n,), "lam")
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
@@ -544,8 +544,7 @@ def solve_critical(
     opts = _options(p, opts)
     if u_init is None:
         raise ConfigError("solve_critical needs an initial control signal")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
 
     ws = _Workspace(system, x, u_init, opts.substeps_for(system))
     U = u_init.values.copy()
@@ -699,10 +698,8 @@ def multistart(
     opts combine as in solve_critical.
     """
     for name, count in (("n_seeds", n_seeds), ("m_seed", m_seed), ("workers", workers)):
-        if count < 1:
-            raise ConfigError(f"{name} must be at least 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+        _as_count(count, name, 1)
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     opts = _options(p, opts)
     run_opts = replace(opts, raise_on_failure=False)
 
@@ -816,6 +813,7 @@ def coincidence_check(
     """
     if not record.converged:
         raise ConfigError("coincidence_check needs a converged record")
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     u = record.control
     c = float(np.sum(record.speed_profile * u.durations) / np.sum(u.durations))
     if c == 0.0:

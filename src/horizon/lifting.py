@@ -16,9 +16,9 @@ import numpy as np
 
 from .endpoint import DEFAULT_SUBSTEPS, endpoint as _endpoint
 from .errors import ChartRadiusError, ConfigError, ConvergenceError
-from .signals import ControlSignal, EnergyParams, concatenate_rescaled
+from .signals import ControlSignal, EnergyParams, _as_tolerance, concatenate_rescaled
 from .steering import check_admissibility, cross_section, cross_section_drift
-from .systems import ControlSystem, displacement
+from .systems import ControlSystem, _as_state, displacement
 
 __all__ = ["TargetPath", "LiftResult", "lift_path", "continuity_report"]
 
@@ -117,11 +117,10 @@ def lift_path(
     """
     if params is None:
         params = EnergyParams()
-    if not 0.0 < lift_tol < np.inf:
-        raise ConfigError(f"lift_tol must be positive and finite, got {lift_tol}")
-    x0 = np.asarray(x0, dtype=float)
-    if path.targets.shape[1] != system.n:
-        raise ConfigError(f"path targets need {system.n} entries, got {path.targets.shape[1]}")
+    _as_tolerance(lift_tol, "lift_tol")
+    _as_tolerance(steer_tol, "steer_tol")  # also where no sample needs a steer
+    x0 = _as_state(system, x0, "x0")
+    _as_state(system, path.targets[0], "path targets")  # TargetPath gave all rows its shape
     if u0.segments == 0:
         # promote the empty signal to the zero control on [0, 1]; same
         # element of L^p, but concatenation needs an actual unit interval

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -103,8 +104,8 @@ class ControlSignal:
         """Right-continuous evaluation; t == total_time returns the last value."""
         if self.segments == 0:
             raise ConfigError("zero-length signal has no values")
-        if t < 0.0 or t > self.total_time:
-            raise ConfigError(f"t={t} outside [0, {self.total_time}]")
+        if not (isinstance(t, Real) and 0.0 <= t <= self.total_time):
+            raise ConfigError(f"t must be a number in [0, {self.total_time}], got {t!r}")
         k = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
         k = min(k, self.segments - 1)
         return self.values[k]
@@ -185,15 +186,29 @@ def constant_signal(value, duration: float) -> ControlSignal:
 
 
 def conjugate_exponent(p: float) -> float:
-    """q = p/(p-1).  Raises ConfigError unless p is finite, exceeds 1 and
+    """q = p/(p-1).  Raises ConfigError unless p is a finite number, exceeds 1 and
     leaves q above 1 in floating point; at q == 1 the L^q norms that
     measure stationarity degenerate."""
-    q = p / (p - 1.0) if 1.0 < p < np.inf else 1.0
+    q = p / (p - 1.0) if isinstance(p, Real) and 1.0 < p < np.inf else 1.0
     if not q > 1.0:
         raise ConfigError(
             f"p must be finite and exceed 1 so that p/(p-1) > 1 in floating point, got {p}"
         )
     return q
+
+
+def _as_count(value, name: str, least: int):
+    """value, an integer of at least least, or a ConfigError that names it."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise ConfigError(f"{name} must be at least {least} and an integer, got {value!r}")
+    return value
+
+
+def _as_tolerance(value, name: str):
+    """value, a positive finite number, or a ConfigError that names it."""
+    if not (isinstance(value, Real) and 0.0 < value < np.inf):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -213,7 +228,7 @@ class EnergyParams:
 
     @property
     def q(self) -> float:
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
 
 
 def energy(u: ControlSignal, p: float, mode: str = "component") -> float:
@@ -311,7 +326,7 @@ def flow_segment(r, j: int, params: EnergyParams) -> ControlSignal:
     beta < p/(p-1).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if not 1 <= j <= len(r):
+    if not 1 <= _as_count(j, "j", 1) <= len(r):
         raise ConfigError(f"index j={j} outside 1..{len(r)}")
     beta = params.beta
     rj = float(r[j - 1])

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endpoint import _backtrack, _shaped, differential, endpoint as _endpoint, rk4_step
+from .endpoint import _backtrack, differential, endpoint as _endpoint, rk4_step
 from .errors import (
     AdmissibilityError,
     ChartRadiusError,
@@ -48,8 +48,9 @@ from .errors import (
     NotBracketGeneratingError,
     UnsupportedStepError,
 )
-from .signals import ControlSignal, EnergyParams, zero_signal
-from .systems import BracketWord, ControlSystem, bracket_frame, displacement
+from .signals import (ControlSignal, EnergyParams, _as_count, _as_tolerance, conjugate_exponent,
+                      zero_signal)
+from .systems import BracketWord, ControlSystem, _as_state, bracket_frame, displacement
 
 __all__ = [
     "ChartFactor",
@@ -275,10 +276,9 @@ def build_chart(
     takes 1 where one step is exact on every field a factor uses
     (ControlSystem.field_flow_exact), and DEFAULT_FLOW_SUBSTEPS elsewhere.
     """
-    x = _state_argument(system, x, "x")
-    if flow_substeps is not None and not (
-            isinstance(flow_substeps, (int, np.integer)) and flow_substeps >= 1):
-        raise ConfigError(f"flow_substeps must be an integer of at least 1, got {flow_substeps!r}")
+    x = _as_state(system, x, "x")
+    if flow_substeps is not None:
+        _as_count(flow_substeps, "flow_substeps", 1)
     if params is None:
         params = EnergyParams()
     words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
@@ -299,15 +299,6 @@ def build_chart(
     )
 
 
-def _state_argument(system: ControlSystem, v, name: str) -> np.ndarray:
-    """v as a state of system: shape (n,) and finite entries, or a ConfigError
-    that names the argument."""
-    v = _shaped(v, (system.n,), name)
-    if not np.isfinite(v).all():
-        raise ConfigError(f"{name} must be finite, got {v.tolist()!r}")
-    return v
-
-
 def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = None):
     """Damped Newton inversion of the chart's composed flow.
 
@@ -323,10 +314,10 @@ def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = N
     Raises ChartRadiusError when the target resists, which callers treat as
     "outside the working radius": re-anchor closer and retry.
     """
-    y = np.asarray(y, dtype=float)
+    y = _as_state(chart.system, y, "y")
     target_disp = displacement(chart.system, chart.base, y)
     tol, stop = 1e-10 * (1.0 + float(np.linalg.norm(target_disp))), "tol"
-    if steer_tol is not None and steer_tol < tol:
+    if steer_tol is not None and _as_tolerance(steer_tol, "steer_tol") < tol:
         tol, stop = steer_tol, "steer_tol"
 
     phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
@@ -405,8 +396,7 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     last compose reached is checked as it is; a driftless plan is
     integrated once, since the flow product matches it only to rounding.
     """
-    if not 0.0 < steer_tol < np.inf:
-        raise ConfigError(f"steer_tol must be positive and finite, got {steer_tol}")
+    _as_tolerance(steer_tol, "steer_tol")
     system, x = chart.system, chart.base
     disp = displacement(system, x, y)
     if np.linalg.norm(disp) == 0.0:
@@ -454,10 +444,8 @@ def cross_section(
     exactly.
     """
     if not system.is_driftless:
-        raise ConfigError(
-            "cross_section requires a driftless system; use cross_section_drift"
-        )
-    x, y = _state_argument(system, x, "x"), _state_argument(system, y, "y")
+        raise ConfigError("cross_section requires a driftless system; use cross_section_drift")
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     chart = build_chart(system, x, params, flow_substeps=flow_substeps)
     return _steer_on_chart(chart, y, steer_tol)
 
@@ -475,11 +463,12 @@ def _step_bound(system: ControlSystem, x, p: float | None = None):
 
     sigma is the step of the frame built to depth 6 with the drift allowed
     inside words; driftless systems give (None, inf).  With p, raises
-    ConfigError unless p > 1 and AdmissibilityError unless p is below the
-    bound.
+    ConfigError unless conjugate_exponent takes it, and AdmissibilityError
+    unless p is below the bound.
     """
-    if p is not None and not p > 1.0:
-        raise ConfigError(f"p must exceed 1, got {p}")
+    x = _as_state(system, x, "x")
+    if p is not None:
+        conjugate_exponent(p)
     if system.is_driftless:
         return None, float("inf")
     _, step = bracket_frame(system, x, max_depth=6)
@@ -537,7 +526,7 @@ def cross_section_drift(
     """
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
-    x, y = _state_argument(system, x, "x"), _state_argument(system, y, "y")
+    x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     if alpha is not None and not np.isfinite(alpha):
         raise ConfigError(f"alpha must be finite, got {alpha}")
     sigma_step, _ = _step_bound(system, x, p)

@@ -32,6 +32,7 @@ from .errors import (
     NotBracketGeneratingError,
     UnsupportedRepresentationError,
 )
+from .signals import _as_count
 
 __all__ = [
     "SymbolicField",
@@ -509,9 +510,8 @@ def bracket_frame(
     may contain the drift unless controlled_only.  Returns (words, step)
     with step the maximal selected word length.
     """
-    point = np.asarray(point, dtype=float)
-    if point.shape != (system.n,):
-        raise ConfigError(f"point must have shape ({system.n},)")
+    point = _as_state(system, point, "point")
+    _as_count(max_depth, "max_depth", 1)
     with_drift = not (system.is_driftless or controlled_only)
     selected_words = []
     selected_vecs = []
@@ -601,9 +601,7 @@ def catalog_load(name: str) -> ControlSystem:
         )
     m = _AGRACHEV_RE.match(key)
     if m:
-        k = int(m.group(1))
-        if k < 3:
-            raise ConfigError(f"agrachev_lee needs k >= 3, got {k}")
+        k = _as_count(int(m.group(1)), "agrachev_lee's k", 3)
         x = state_symbols(2)
         return ControlSystem(
             f"agrachev_lee({k})",
@@ -638,8 +636,8 @@ def system_from_json(text: str) -> ControlSystem:
         fields_spec = obj["fields"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"system JSON missing required keys: {exc}") from exc
-    if n < 1 or d < 1:
-        raise ConfigError("n and d must be positive")
+    _as_count(n, "n", 1)
+    _as_count(d, "d", 1)
     if not isinstance(fields_spec, list) or len(fields_spec) != d:
         raise ConfigError(f"'fields' must list exactly d={d} fields")
     fields = [polynomial_field(fs, n) for fs in fields_spec]
@@ -683,9 +681,21 @@ def system_to_json(system: ControlSystem) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _as_state(system: ControlSystem, v, name: str, finite: bool = True) -> np.ndarray:
+    """v as a state of system: a float array of shape (n,), with finite entries
+    unless finite=False, or a ConfigError that names the argument and n."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (system.n,):
+        raise ConfigError(f"{name} must have shape ({system.n},), got {v.shape}: "
+                          f"{system.name} has state dimension {system.n}")
+    if finite and not np.isfinite(v).all():
+        raise ConfigError(f"{name} must be finite, got {v.tolist()!r}")
+    return v
+
+
 def displacement(system: ControlSystem, a, b) -> np.ndarray:
-    """b - a with periodic coordinates wrapped into (-pi, pi]."""
-    delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    """b - a for states a, b of shape (n,), periodic coordinates wrapped into (-pi, pi]."""
+    delta = _as_state(system, b, "b", finite=False) - _as_state(system, a, "a", finite=False)
     for i, per in enumerate(system.periodic):
         if per:
             delta[i] = (delta[i] + np.pi) % (2.0 * np.pi) - np.pi

@@ -732,7 +732,7 @@ def _differential_with_ratio(rng, ratio, n=3, m=6, d=2):
     scaled = left @ np.diag(np.geomspace(1.0, ratio, n)) @ right.T
     matrix = scaled * np.repeat(np.sqrt(sig.durations), d)
     w_bar = matrix.reshape(n, m, d).transpose(1, 0, 2) / sig.durations[:, None, None]
-    return EndpointDifferential(None, None, sig, 1, None, matrix, w_bar)
+    return EndpointDifferential(None, None, sig, 1, None, matrix, w_bar, transitions=None)
 
 
 @pytest.mark.parametrize("ratio", [3e-9, 6e-9, 9e-9, 1.1e-8, 1.5e-8])
