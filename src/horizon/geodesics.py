@@ -41,8 +41,8 @@ import numpy as np
 from .endpoint import (EndpointDifferential, Trajectory, _backtrack, _shaped, differential,
                        regular_value_test)
 from .errors import ConfigError, ConvergenceError, HorizonError
-from .signals import (ControlSignal, _abs_power, _as_count, _as_tolerance, _lp_norm_of_values,
-                      conjugate_exponent, energy_of_values, gradient_density)
+from .signals import (ControlSignal, _as_count, _as_tolerance, _lp_norm_of_values, _speeds,
+                      conjugate_exponent, energy_of_values, gradient_density, hessian_density)
 from .systems import ControlSystem, _as_state, displacement
 
 # the endpoint module (in the package namespace `endpoint` is the function of
@@ -98,8 +98,7 @@ class GeodesicOptions:
         _as_count(self.feas_iter, "feas_iter", 0)
         _as_tolerance(self.end_tol, "end_tol")
         _as_tolerance(self.stat_tol, "stat_tol")
-        if self.mode not in ("vector", "component"):
-            raise ConfigError(f"unknown energy mode {self.mode!r}")
+        _speeds(np.zeros((0, 1)), self.mode)  # refuses an unknown mode
 
     @property
     def q(self) -> float:
@@ -167,28 +166,7 @@ class GeodesicRecord:
         }
 
 
-# -- densities of the energy and its derivatives ------------------------------
-
-
-def _hess_density_blocks(U, p, mode):
-    """Second derivative of the energy density at each row of U: (m, d, d)."""
-    m, d = U.shape
-    if mode == "component":
-        blocks = np.zeros((m, d, d))
-        blocks[:, range(d), range(d)] = p * (p - 1.0) * _abs_power(U, p - 2.0)
-        return blocks
-    speeds = np.linalg.norm(U, axis=1)
-    s2, s4 = _abs_power(speeds, p - 2.0), _abs_power(speeds, p - 4.0)
-    return (p * s2[:, None, None] * np.eye(d)
-            + p * (p - 2.0) * s4[:, None, None] * U[:, :, None] * U[:, None, :])
-
-
 # -- stationarity -------------------------------------------------------------
-
-
-def _same(U, V):
-    """U and V hold the same values, bit for bit (the cache's key test)."""
-    return U is V or (U.shape == V.shape and U.tobytes() == V.tobytes())
 
 
 class _Workspace:
@@ -196,11 +174,11 @@ class _Workspace:
 
     run(U) is the state run at U, recorded for differentiation; assemble(U)
     the EndpointDifferential, on that run when it is at hand.  Each keeps
-    its last entry: every trial point of a line search is a run, and the
-    accepted one is the last run, so the next iterate differentiates it
-    without integrating again, while the iterate's differential outlives a
-    search that accepts nothing.  work counts the state runs and tangent
-    passes made, and the KKT trials rejected on their endpoint alone.
+    its last entry, keyed on the array U itself: every trial point of a
+    line search is a run, and the accepted one is the last run, so the next
+    iterate differentiates it without integrating again, while the iterate's
+    differential outlives a search that accepts nothing.  work counts state
+    runs, tangent passes and KKT trials rejected on their endpoint alone.
     """
 
     def __init__(self, system, x0, u: ControlSignal, substeps):
@@ -215,7 +193,7 @@ class _Workspace:
 
     def run(self, U) -> Trajectory:
         """The recorded state run at U (DomainEscapeError where it blows up)."""
-        if self._traj is None or not _same(U, self._traj.signal.values):
+        if self._traj is None or U is not self._traj.signal.values:
             sig = self.signal.with_values(U)
             self._traj = _ep.integrate(self.system, self.x0, sig, self.substeps,
                                        with_fundamental=True)
@@ -224,7 +202,7 @@ class _Workspace:
 
     def assemble(self, U) -> EndpointDifferential:
         """The EndpointDifferential at U, assembled once per control."""
-        if self._diff is None or not _same(U, self._diff.signal.values):
+        if self._diff is None or U is not self._diff.signal.values:
             traj = self.run(U)
             self._diff = differential(self.system, self.x0, traj.signal, self.substeps,
                                       trajectory=traj)
@@ -289,9 +267,9 @@ def lagrange_residual(system, x, y, u: ControlSignal, lam, p, mode="vector", sub
     """
     x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     lam = _shaped(lam, (system.n,), "lam")
+    opts = GeodesicOptions(p=p, mode=mode, substeps=substeps)
     if u.segments == 0:
         return 0.0 if np.allclose(lam, 0.0) else float("inf")
-    opts = GeodesicOptions(p=p, mode=mode, substeps=substeps)
     ws = _Workspace(system, x, u, opts.substeps_for(system))
     return _kkt_residual(ws, u.values, lam, y, opts).stat
 
@@ -468,7 +446,7 @@ def _solve_kkt_newton(ws, U, lam, y, opts, log, gmres_log):
         A = diff.matrix
         # the Lagrangian's Hessian in U: the energy's, block diagonal, minus
         # the exact curvature of lam . F
-        blocks = ws.h[:, None, None] * _hess_density_blocks(U, opts.p, opts.mode)
+        blocks = ws.h[:, None, None] * hessian_density(U, opts.p, opts.mode)
         L = -diff.hessian(lam)
         L.reshape(m, d, m, d)[range(m), :, range(m)] += blocks
         Hdiag = np.diagonal(blocks, axis1=1, axis2=2).ravel()
@@ -829,7 +807,7 @@ def coincidence_check(
     eta = record.lam / (record.p * c ** (record.p - 2.0))
     lam2 = 2.0 * eta
     res2 = lagrange_residual(system, x, y, u, lam2, 2.0, "vector", record.substeps)
-    g2 = 2.0 * np.linalg.norm(u.values, axis=1)
+    g2 = gradient_density(u.values, 2.0, "vector")
     scale2 = max(1.0, _lp_norm_of_values(g2, u.durations, 2.0))
     return CoincidenceReport(
         eta=eta,

@@ -24,6 +24,7 @@ __all__ = [
     "energy_gradient",
     "energy_of_values",
     "gradient_density",
+    "hessian_density",
     "dual_map",
     "flow_segment",
     "concatenate_rescaled",
@@ -198,8 +199,8 @@ def conjugate_exponent(p: float) -> float:
 
 
 def _as_count(value, name: str, least: int):
-    """value, an integer of at least least, or a ConfigError that names it."""
-    if not (isinstance(value, Integral) and value >= least):
+    """value, an integer (not a bool) of at least least, or a ConfigError that names it."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
         raise ConfigError(f"{name} must be at least {least} and an integer, got {value!r}")
     return value
 
@@ -241,31 +242,60 @@ def energy(u: ControlSignal, p: float, mode: str = "component") -> float:
     default-mode energy(rec.control, rec.p).
     """
     conjugate_exponent(p)
-    if u.segments == 0:
-        return 0.0
     return energy_of_values(u.values, u.durations, p, mode)
 
 
 def energy_gradient(u: ControlSignal, p: float, mode: str = "component") -> ControlSignal:
-    """Derivative of the p-energy, as a dual (L^q) signal on the same grid.
-
-    component mode: p * u |u|^(p-2) entrywise; vector mode: p |u|_2^(p-2) u.
-    Zero entries map to zero (the exponent is never evaluated at 0).  Pass
-    rec.mode to match a geodesic record ("vector" by default, as in energy).
+    """Derivative of the p-energy, as a dual (L^q) signal on the same grid:
+    gradient_density, p s^(p-2) u for the mode's speeds s (0 where u = 0).
+    Pass rec.mode to match a geodesic record ("vector" by default, as in energy).
     """
     conjugate_exponent(p)
-    if u.segments == 0:
-        return u
-    return ControlSignal(u.breakpoints, gradient_density(u.values, p, mode))
+    return u.with_values(gradient_density(u.values, p, mode))
+
+
+def _speeds(values: np.ndarray, mode: str) -> np.ndarray:
+    """The speeds s of the segment values (m, d), whose energy is sum_k h_k sum s^p:
+    the entry magnitudes |u_ki| (mode "component", (m, d)) or each row's
+    2-norm (mode "vector", (m, 1)).  The mode decides nothing else."""
+    if mode == "component":
+        return np.abs(values)
+    if mode == "vector":
+        return np.linalg.norm(values, axis=1, keepdims=True)
+    raise ConfigError(f"mode must be 'vector' or 'component', got {mode!r}")
 
 
 def energy_of_values(values: np.ndarray, h: np.ndarray, p: float, mode: str) -> float:
     """p-energy of the segment values (m, d) held for the durations h (m,)."""
-    if mode == "component":
-        return float(np.sum(h[:, None] * np.abs(values) ** p))
-    if mode == "vector":
-        return float(np.sum(h * np.linalg.norm(values, axis=1) ** p))
-    raise ConfigError(f"unknown energy mode {mode!r}")
+    return float(np.sum(h[:, None] * _speeds(values, mode) ** p))
+
+
+def gradient_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
+    """Energy gradient density of the segment values (m, d): p s^(p-2) u."""
+    return p * _abs_power(_speeds(values, mode), p - 2.0) * values
+
+
+def hessian_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
+    """Second derivative of the energy density at each row of values, (m, d, d):
+    diagonal p (p-1) s^(p-2) with a speed per entry (component mode, or d = 1),
+    else p s^(p-2) I + p (p-2) s^(p-4) u u^T."""
+    s = _speeds(values, mode)
+    m, d = values.shape
+    if s.shape[1] == d:
+        blocks = np.zeros((m, d, d))
+        blocks[:, range(d), range(d)] = p * (p - 1.0) * _abs_power(s, p - 2.0)
+        return blocks
+    s = s[:, :, None]
+    return (p * _abs_power(s, p - 2.0) * np.eye(d)
+            + p * (p - 2.0) * _abs_power(s, p - 4.0) * values[:, :, None] * values[:, None, :])
+
+
+def _abs_power(a: np.ndarray, e: float) -> np.ndarray:
+    """|a|^e with 0^0 := 1 and 0^e := 0 for every other exponent, negative ones too."""
+    out = np.full(np.shape(a), 1.0 if e == 0.0 else 0.0)
+    nz = a != 0.0
+    out[nz] = np.abs(a[nz]) ** e
+    return out
 
 
 def _lp_norm_of_values(values: np.ndarray, h: np.ndarray, p: float) -> float:
@@ -284,24 +314,6 @@ def _lp_norm_of_values(values: np.ndarray, h: np.ndarray, p: float) -> float:
     return peak * float(np.sum(h[:, None] * (a / peak) ** p)) ** (1.0 / p)
 
 
-def gradient_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
-    """Energy gradient density of the segment values (m, d), row by row."""
-    if mode == "component":
-        return p * values * _abs_power(values, p - 2.0)
-    if mode == "vector":
-        speeds = np.linalg.norm(values, axis=1)
-        return p * _abs_power(speeds, p - 2.0)[:, None] * values
-    raise ConfigError(f"unknown energy mode {mode!r}")
-
-
-def _abs_power(a: np.ndarray, e: float) -> np.ndarray:
-    """|a|^e with 0^e := 0 even for negative exponents."""
-    out = np.zeros_like(a, dtype=float)
-    nz = a != 0.0
-    out[nz] = np.abs(a[nz]) ** e
-    return out
-
-
 def dual_map(z: ControlSignal, p: float) -> ControlSignal:
     """Inverse of u -> u|u|^(p-2): maps an L^q dual signal back to L^p.
 
@@ -309,11 +321,7 @@ def dual_map(z: ControlSignal, p: float) -> ControlSignal:
     dual_map(energy_gradient(u, p)/p, p) == u exactly for p > 1.
     """
     conjugate_exponent(p)
-    if z.segments == 0:
-        return z
-    e = (2.0 - p) / (p - 1.0)
-    vals = z.values * _abs_power(np.abs(z.values), e)
-    return ControlSignal(z.breakpoints, vals)
+    return z.with_values(z.values * _abs_power(z.values, (2.0 - p) / (p - 1.0)))
 
 
 def flow_segment(r, j: int, params: EnergyParams) -> ControlSignal:

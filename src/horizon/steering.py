@@ -35,6 +35,7 @@ re-anchor or subdivide.
 from __future__ import annotations
 
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from .errors import (
     AdmissibilityError,
     ChartRadiusError,
     ConfigError,
+    DomainEscapeError,
     NotBracketGeneratingError,
     UnsupportedStepError,
 )
@@ -308,9 +310,10 @@ def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = N
     composes per step).  Each step is damped by the shared halving line
     search (endpoint._backtrack), which takes the first damping that
     strictly lowers the residual and rejects one whose composed flow raises
-    DomainEscapeError; Newton ends when no damping helps.  It stops at
-    |compose(phi) - y| <= min(1e-10 (1 + |d|), steer_tol) for the
-    displacement d.  Returns phi and the state compose(phi) reached.
+    DomainEscapeError; Newton ends when no damping helps or a start or
+    Jacobian flow escapes.  It stops at |compose(phi) - y| <=
+    min(1e-10 (1 + |d|), steer_tol) for the displacement d.  Returns phi and
+    the state compose(phi) reached.
     Raises ChartRadiusError when the target resists, which callers treat as
     "outside the working radius": re-anchor closer and retry.
     """
@@ -321,26 +324,28 @@ def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = N
         tol, stop = steer_tol, "steer_tol"
 
     phi = np.linalg.lstsq(chart.frame_matrix(), target_disp, rcond=None)[0]
-    reached = chart.compose(phi)
-    best = np.linalg.norm(reached - y)
-    for _ in range(60):
-        if best <= tol:
-            break
-        J = chart.jacobian(phi)
-        try:
-            step = np.linalg.solve(J, y - reached)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, y - reached, rcond=None)[0]
+    best = np.inf
+    with suppress(DomainEscapeError):  # an escaping flow ends Newton as a stall does
+        reached = chart.compose(phi)
+        best = np.linalg.norm(reached - y)
+        for _ in range(60):
+            if best <= tol:
+                break
+            J = chart.jacobian(phi)
+            try:
+                step = np.linalg.solve(J, y - reached)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(J, y - reached, rcond=None)[0]
 
-        def trial(damping):
-            cand = phi + damping * step
-            state = chart.compose(cand)
-            return cand, state, np.linalg.norm(state - y)
+            def trial(damping):
+                cand = phi + damping * step
+                state = chart.compose(cand)
+                return cand, state, np.linalg.norm(state - y)
 
-        found = _backtrack(trial, lambda damping, c: c[2] < best)
-        if found is None:
-            break  # no damping lowered the residual
-        phi, reached, best = found
+            found = _backtrack(trial, lambda damping, c: c[2] < best)
+            if found is None:
+                break  # no damping lowered the residual
+            phi, reached, best = found
     if best <= tol:
         return phi, reached
     raise ChartRadiusError(
@@ -391,10 +396,11 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     """Plan from the chart's base to y, shared by both cross sections.
 
     One chart solve, then one check of the plan through chart.plan_endpoint;
-    a checked residual above steer_tol raises ChartRadiusError.  A drift
-    chart's compose is plan_endpoint of the plan, so the state the solve's
-    last compose reached is checked as it is; a driftless plan is
-    integrated once, since the flow product matches it only to rounding.
+    a checked residual above steer_tol, or an escaping check, raises
+    ChartRadiusError.  A drift chart's compose is plan_endpoint of the plan,
+    so the state the solve's last compose reached is checked as it is; a
+    driftless plan is integrated once, since the flow product matches it
+    only to rounding.
     """
     _as_tolerance(steer_tol, "steer_tol")
     system, x = chart.system, chart.base
@@ -406,7 +412,10 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
         phi, reached = solve_chart_coordinates(chart, x + disp, steer_tol)
         sig = chart.plan_signal(phi)
         if chart.alpha is None:
-            reached = chart.plan_endpoint(sig)
+            try:
+                reached = chart.plan_endpoint(sig)
+            except DomainEscapeError as exc:
+                raise ChartRadiusError(f"plan check escaped: {exc}") from exc
         res = float(np.linalg.norm(displacement(system, reached, y)))
         if res > steer_tol:
             raise ChartRadiusError(

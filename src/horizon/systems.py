@@ -617,6 +617,12 @@ def catalog_load(name: str) -> ControlSystem:
 # -- JSON schema -------------------------------------------------------------
 
 
+def _json_count(value, name: str) -> int:
+    """A count read from JSON, written 3 or 3.0; _as_count's rule otherwise."""
+    integral = isinstance(value, float) and value.is_integer()
+    return _as_count(int(value) if integral else value, name, 1)
+
+
 def system_from_json(text: str) -> ControlSystem:
     """Parse {"name", "n", "d", "drift", "fields", "periodic"}.
 
@@ -631,13 +637,10 @@ def system_from_json(text: str) -> ControlSystem:
     if not isinstance(obj, dict):
         raise ConfigError("system JSON must be an object")
     try:
-        n = int(obj["n"])
-        d = int(obj["d"])
+        n, d = _json_count(obj["n"], "n"), _json_count(obj["d"], "d")
         fields_spec = obj["fields"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except KeyError as exc:
         raise ConfigError(f"system JSON missing required keys: {exc}") from exc
-    _as_count(n, "n", 1)
-    _as_count(d, "d", 1)
     if not isinstance(fields_spec, list) or len(fields_spec) != d:
         raise ConfigError(f"'fields' must list exactly d={d} fields")
     fields = [polynomial_field(fs, n) for fs in fields_spec]

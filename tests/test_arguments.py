@@ -4,8 +4,9 @@ A state is an array of shape (n,) with finite entries (the run entries
 integrate, endpoint and differential check the shape alone: a non-finite
 start escapes at t = 0); a count is an integer of at least its least value;
 a tolerance is positive and finite; p is what conjugate_exponent accepts;
-a signal time is a number in [0, T].  A bad argument is a ConfigError whose
-message starts with the argument's name.
+a signal time is a number in [0, T]; an energy mode is "vector" or
+"component".  A bad argument is a ConfigError whose message starts with the
+argument's name.
 """
 
 import json
@@ -53,6 +54,7 @@ from horizon import (
     zero_signal,
 )
 from horizon.cli import main
+from horizon.signals import energy_of_values, gradient_density, hessian_density
 from horizon.steering import solve_chart_coordinates
 
 HEIS = catalog_load("heisenberg")
@@ -119,12 +121,19 @@ ENTRIES = {
     "multistart": lambda x=X, y=Y, p=None, n_seeds=1, m_seed=4, workers=1: multistart(
         HEIS, x, y, p, n_seeds=n_seeds, m_seed=m_seed, workers=workers,
         opts=None if p else _SOLVE),
-    "lagrange_residual": lambda x=X, y=Y, p=2.0, substeps=None: lagrange_residual(
-        HEIS, x, y, U, np.zeros(3), p, substeps=substeps),
+    "lagrange_residual": lambda x=X, y=Y, p=2.0, substeps=None, mode="vector": lagrange_residual(
+        HEIS, x, y, U, np.zeros(3), p, mode, substeps),
+    "lagrange_residual(empty)": lambda mode="vector": lagrange_residual(
+        HEIS, X, Y, zero_signal(2), np.zeros(3), 2.0, mode),
     "coincidence_check": lambda x=X, y=Y: coincidence_check(converged_record(), HEIS, x, y),
     "EnergyParams": lambda p=2.0: EnergyParams(p=p),
-    "energy": lambda p=2.0: energy(U, p),
-    "energy_gradient": lambda p=2.0: energy_gradient(U, p),
+    "energy": lambda p=2.0, mode="component": energy(U, p, mode),
+    "energy_gradient": lambda p=2.0, mode="component": energy_gradient(U, p, mode),
+    "energy(empty)": lambda mode="component": energy(zero_signal(2), 2.0, mode),
+    "energy_gradient(empty)": lambda mode="component": energy_gradient(zero_signal(2), 2.0, mode),
+    "energy_of_values": lambda mode="vector": energy_of_values(U.values, U.durations, 2.0, mode),
+    "gradient_density": lambda mode="vector": gradient_density(U.values, 2.0, mode),
+    "hessian_density": lambda mode="vector": hessian_density(U.values, 2.0, mode),
     "dual_map": lambda p=2.0: dual_map(U, p),
     "flow_segment": lambda j=1: flow_segment([0.2, 0.3], j, EnergyParams()),
     "ControlSignal.value_at": lambda t=0.5: U.value_at(t),
@@ -142,9 +151,10 @@ def bad_states(n):
             [np.nan] + [0.0] * (n - 1), [0.0] * (n - 1) + [np.inf]]
 
 
-BAD_COUNTS = {1: [0, -1, 1.5, 2.0, "2"], 0: [-1, 2.5]}  # least value -> bad values
+BAD_COUNTS = {1: [0, -1, 1.5, 2.0, "2", True], 0: [-1, 2.5, False]}  # least value -> bad values
 BAD_TOLERANCES = [0.0, -1e-9, np.inf, np.nan, "1e-9"]
 BAD_P = [1.0, 0.5, np.inf, np.nan, 1e308, "2"]
+BAD_MODES = ["Vector", "components", "", None, 2]
 
 STATES = {
     "integrate": ["x0"], "endpoint": ["x0"], "differential": ["x0"],
@@ -170,6 +180,9 @@ TOLERANCES = {
     "cross_section_drift": ["steer_tol"], "lift_path": ["lift_tol", "steer_tol"],
     "GeodesicOptions": ["end_tol", "stat_tol"],
 }
+MODES = ["GeodesicOptions", "energy", "energy_gradient", "energy(empty)", "energy_gradient(empty)",
+         "energy_of_values", "gradient_density", "hessian_density", "lagrange_residual",
+         "lagrange_residual(empty)"]
 EXPONENTS = ["check_admissibility", "cross_section_drift", "GeodesicOptions", "solve_critical",
              "multistart", "lagrange_residual", "EnergyParams", "energy", "energy_gradient",
              "dual_map"]
@@ -180,6 +193,7 @@ CASES = (
     + [(e, a, v) for e, args in COUNTS.items() for a, least in args for v in BAD_COUNTS[least]]
     + [(e, a, v) for e, args in TOLERANCES.items() for a in args for v in BAD_TOLERANCES]
     + [(e, "p", v) for e in EXPONENTS for v in BAD_P]
+    + [(e, "mode", v) for e in MODES for v in BAD_MODES]
     + [("ControlSignal.value_at", "t", v) for v in (np.nan, -0.1, 1.5, "0.5", None)]
 )
 
@@ -198,6 +212,20 @@ def test_the_counts_of_a_system_follow_the_count_rule(key):
         system_from_json(json.dumps(doc))
     with pytest.raises(ConfigError, match="^agrachev_lee's k must be at least 3"):
         catalog_load("agrachev_lee(2)")
+
+
+@pytest.mark.parametrize("key", ["n", "d"])
+def test_a_system_count_is_an_integer_written_as_one(key):
+    doc = json.loads(system_to_json(HEIS))
+    count = doc[key]
+    for bad in (count + 0.7, str(count), True, None, [count]):
+        doc[key] = bad
+        with pytest.raises(ConfigError, match=rf"^{key} must be at least 1 and an integer"):
+            system_from_json(json.dumps(doc))
+    for good in (count, float(count)):  # 3 and 3.0 are the same count
+        doc[key] = good
+        system = system_from_json(json.dumps(doc))
+        assert (system.n, system.d) == (HEIS.n, HEIS.d)
 
 
 def test_every_entry_runs_on_its_defaults():

@@ -17,6 +17,7 @@ from horizon import (
     flow_segment,
     zero_signal,
 )
+from horizon.signals import gradient_density, hessian_density
 
 
 def random_signal(rng, d=2, m=5, total=1.0):
@@ -118,6 +119,32 @@ def test_energy_gradient_matches_fd():
                     fd = (jp - jm) / (2 * eps)
                     # gradient is a density; the FD sees it through the duration
                     assert np.isclose(grad.values[k, i] * h[k], fd, rtol=1e-5)
+
+
+@pytest.mark.parametrize("mode", ["component", "vector"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_hessian_density_is_the_derivative_of_the_gradient_density(mode, p):
+    # a central difference of the gradient density, column by column; for
+    # p >= 2 the values hold a zero row and a zero entry, where at p = 2 the
+    # second derivative is 2 on the diagonal (0^0 = 1)
+    rng = np.random.default_rng(7)
+    U = rng.normal(size=(4, 3))
+    if p >= 2.0:
+        U[1] = 0.0
+        U[2, 0] = 0.0
+    blocks = hessian_density(U, p, mode)
+    eps = 1e-6
+    for k in range(4):
+        for i in range(3):
+            up, um = U.copy(), U.copy()
+            up[k, i] += eps
+            um[k, i] -= eps
+            fd = (gradient_density(up, p, mode) - gradient_density(um, p, mode)) / (2 * eps)
+            assert np.allclose(np.delete(fd, k, axis=0), 0.0)  # block diagonal
+            assert np.allclose(blocks[k, :, i], fd[k], rtol=1e-6, atol=1e-5)
+    if p == 2.0:
+        assert np.array_equal(blocks[1], 2.0 * np.eye(3))
+        assert blocks[2, 0, 0] == 2.0
 
 
 def test_dual_map_inverts_gradient_density():

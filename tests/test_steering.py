@@ -301,6 +301,26 @@ def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
     assert np.linalg.norm(compose(phi) - y) <= 1e-10 * (1.0 + np.linalg.norm(y))
 
 
+def test_a_steer_whose_jacobian_escapes_is_refused():
+    # Newton accepts the start, but the Jacobian's integration of the laid-out
+    # plan leaves the 1e6 state bound (at t = 317): a refusal, not a failure
+    x = [2.9667836273267948e-06, 0.7158438515433346, 0.06652728116922192]
+    y = [0.0359861182320848, 0.6717147001649596, 0.13278424380718418]
+    with pytest.raises(ChartRadiusError, match="stalled"):
+        cross_section(catalog_load("martinet"), x, y)
+
+
+def test_a_plan_whose_check_escapes_is_refused():
+    chart = build_chart(catalog_load("heisenberg"), np.zeros(3))
+
+    def escaping(sig):
+        raise DomainEscapeError("trajectory left the state bound", t=0.5)
+
+    chart.verify_endpoint = escaping
+    with pytest.raises(ChartRadiusError, match="^plan check escaped"):
+        steering._steer_on_chart(chart, np.array([0.0, 0.0, 0.01]), 1e-9)
+
+
 @pytest.mark.parametrize("name, y", [
     ("heisenberg", [0.071, -0.093, 0.046]),  # 4.3e-12 with a central-difference Jacobian
     ("unicycle", [0.28, 0.15, -0.1]),  # 9.7e-11 under the 1e-10 (1 + |d|) stop alone
