@@ -16,7 +16,7 @@ import numpy as np
 
 from .endpoint import DEFAULT_SUBSTEPS, endpoint as _endpoint
 from .errors import ChartRadiusError, ConfigError, ConvergenceError
-from .signals import ControlSignal, EnergyParams, _as_tolerance, concatenate_rescaled
+from .signals import ControlSignal, EnergyParams, _as_real, _as_tolerance, concatenate_rescaled
 from .steering import check_admissibility, cross_section, cross_section_drift
 from .systems import ControlSystem, _as_state, displacement
 
@@ -127,10 +127,11 @@ def lift_path(
         u0 = ControlSignal(np.array([0.0, 1.0]), np.zeros((1, system.d)))
     elif abs(u0.total_time - 1.0) > 1e-12:
         raise ConfigError("anchor control must live on [0, 1]")
-    if system.is_driftless:
-        if alpha is not None:
+    if alpha is not None:
+        _as_real(alpha, "alpha")
+        if system.is_driftless:
             raise ConfigError(f"alpha is a drift-chart exponent; {system.name} has no drift")
-    else:
+    if not system.is_driftless:
         check_admissibility(system, path.targets[0], params.p)
     max_reanchors = 4 * max(path.K, 1)
     reanchors = 0
@@ -146,16 +147,13 @@ def lift_path(
             return u_new, _endpoint(system, x0, u_new, substeps=substeps)
 
         # with drift, time compression skews the anchor's drift exposure, so
-        # the chart solves against the composed endpoint
-        def composed(plan_sig):
-            w = concatenate_rescaled(u, plan_sig, plan_sig.total_time)  # u itself for an empty plan
-            return _endpoint(system, x0, w, substeps=substeps)
-
+        # the chart steers the plan appended to its anchor (x0, u), which it
+        # runs and differentiates as one control
         plan = cross_section_drift(
             system, end, y, p=params.p, alpha=alpha, steer_tol=steer_tol,
-            flow_substeps=substeps, verify_endpoint=composed,
+            flow_substeps=substeps, anchor=(x0, u),
         )
-        # the drift chart's plan reached composed(plan.sigma): this control
+        # the drift chart's plan reached the appended control's endpoint: this control
         return concatenate_rescaled(u, plan.sigma, plan.T), plan.reached
 
     def reanchor():  # the one place that counts and checks re-anchors
@@ -182,7 +180,8 @@ def lift_path(
 
     anchor_u = u0
     anchor_end = _endpoint(system, x0, u0, substeps=substeps)
-    first_res = float(np.linalg.norm(displacement(system, anchor_end, path.targets[0])))
+    with np.errstate(over="ignore"):  # a far first sample's norm overflows to inf, refused below
+        first_res = float(np.linalg.norm(displacement(system, anchor_end, path.targets[0])))
     if first_res > lift_tol:
         raise ConfigError(
             f"anchor control misses the first path sample by {first_res:.3e} "

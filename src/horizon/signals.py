@@ -212,6 +212,13 @@ def _as_tolerance(value, name: str):
     return value
 
 
+def _as_real(value, name: str, nonnegative: bool = False):
+    """value, a finite number (and nonnegative if asked), or a ConfigError that names it."""
+    if not (isinstance(value, Real) and abs(value) < np.inf and (value >= 0.0 or not nonnegative)):
+        raise ConfigError(f"{name} must be {'nonnegative and ' * nonnegative}finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EnergyParams:
     """Integrability exponent p and reparametrization exponent beta.
@@ -224,7 +231,7 @@ class EnergyParams:
 
     def __post_init__(self):
         q = conjugate_exponent(self.p)
-        if not 0.0 < self.beta < q:
+        if not 0.0 < _as_real(self.beta, "beta") < q:
             raise ConfigError(f"beta must lie in (0, p/(p-1)) = (0, {q}), got {self.beta}")
 
     @property
@@ -364,8 +371,7 @@ def concatenate_rescaled(u: ControlSignal, v: ControlSignal, T: float) -> Contro
     """
     if u.d != v.d:
         raise ConfigError("signal dimensions differ")
-    if not 0.0 <= T < np.inf:
-        raise ConfigError(f"T must be nonnegative and finite, got {T}")
+    _as_real(T, "T", nonnegative=True)
     if abs(u.total_time - 1.0) > 1e-12:
         raise ConfigError("first signal must live on [0, 1]")
     if T == 0.0:

@@ -8,11 +8,10 @@ coordinate phi_k.  One damped Newton inversion of the composed flow then
 yields controls steering the base point to a nearby target, with exact
 per-factor L^p norms that shrink as the target approaches the base.
 
-Newton's Jacobian depends on the chart kind.  Without drift it is exact: a
-segment's RK4 steps see its duration and value only through their product,
-the factor's coefficient, so one endpoint differential of the laid-out plan
-gives every column (SteeringChart.jacobian).  With drift the durations enter
-the map on their own, so drift charts keep central differences of compose.
+Newton's Jacobian is exact on every chart (SteeringChart.jacobian): RK4
+sees a segment only through its weights h (1, u), so one differential on the
+system with its drift as a controlled field gives the derivative in every
+weight, and phi moves each factor's weights in closed form.
 
 A chart's flows take chart.flow_substeps RK4 steps per factor: the factor
 product, and the laid-out plan's integration and differential (one segment
@@ -24,17 +23,17 @@ field of the catalog), and DEFAULT_FLOW_SUBSTEPS elsewhere.  A plan records
 the count it was solved and checked on (SteeringPlan.substeps).
 
 Each steer checks once the state its plan reaches (integrated from the base,
-or the chart's verify_endpoint), and steer_tol is the largest residual that
-check accepts; Newton stops no later than steer_tol, so a plan it accepts
-passes the check up to the rounding between the flow product and the plan's
-integration.  The working radius of a chart is empirical: callers get a
-ChartRadiusError when Newton stalls or the check fails, and should then
-re-anchor or subdivide.
+or appended to a drift chart's anchor control), and steer_tol is the largest
+residual that check accepts; Newton stops no later than steer_tol, so a plan
+it accepts passes the check up to the rounding between the flow product and
+the plan's integration.  The working radius of a chart is empirical:
+callers get a ChartRadiusError when Newton stalls or the check fails, and
+should then re-anchor or subdivide.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import json
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +49,8 @@ from .errors import (
     NotBracketGeneratingError,
     UnsupportedStepError,
 )
-from .signals import (ControlSignal, EnergyParams, _as_count, _as_tolerance, conjugate_exponent,
-                      zero_signal)
+from .signals import (ControlSignal, EnergyParams, _as_count, _as_real, _as_tolerance,
+                      concatenate_rescaled, conjugate_exponent, zero_signal)
 from .systems import BracketWord, ControlSystem, _as_state, bracket_frame, displacement
 
 __all__ = [
@@ -96,14 +95,10 @@ def _expand_positions(nu: int):
 
 
 def _word_factors(k: int, word: BracketWord):
+    # position m of the recursion acts with the (nu-m)-th leaf: the innermost
+    # right leaf enters first, the outermost last
     nu = word.length
-    leaves = word.leaves
-    out = []
-    for m, s in _expand_positions(nu):
-        # position m of the recursion acts with the (nu-m)-th leaf: the
-        # innermost right leaf enters first, the outermost last
-        out.append(ChartFactor(k, leaves[nu - m], s, m == 1))
-    return out
+    return [ChartFactor(k, word.leaves[nu - m], s, m == 1) for m, s in _expand_positions(nu)]
 
 
 def _factor_coefficient(phi_k: float, nu: int, factor: ChartFactor) -> float:
@@ -124,8 +119,9 @@ class SteeringChart:
     params: EnergyParams
     alpha: float | None = None  # set for drift charts
     flow_substeps: int = DEFAULT_FLOW_SUBSTEPS
-    # plan signal -> reached state; None integrates the plan from the base
-    verify_endpoint: Callable | None = None
+    # (x0, u) with u on [0, 1] reaching the base from x0: a drift chart's plan
+    # then runs appended to u (concatenate_rescaled) from x0; None runs it from the base
+    anchor: tuple | None = None
 
     @property
     def factor_count(self) -> int:
@@ -148,8 +144,8 @@ class SteeringChart:
     def compose(self, phi) -> np.ndarray:
         """Endpoint of the factor product applied to the base point.
 
-        Driftless charts run pure single-field flows; drift charts evaluate
-        the realized plan through plan_endpoint, so the drift acts throughout.
+        Driftless charts run pure single-field flows; drift charts run the
+        laid-out plan through plan_endpoint, so the drift acts throughout.
         """
         if self.alpha is not None:
             return self.plan_endpoint(self.plan_signal(phi))
@@ -172,10 +168,15 @@ class SteeringChart:
         """
         return self._layout(phi)[0]
 
+    @property
+    def _expo(self) -> float:
+        # a factor with coefficient c lays out a segment of duration |c|^_expo
+        return self.params.beta if self.alpha is None else 2.0 * self.alpha
+
     def _layout(self, phi):
         # (plan signal, index into factors of each of its segments): the one
         # place that decides which factors become segments
-        expo = self.params.beta if self.alpha is None else 2.0 * self.alpha
+        expo, tiny = self._expo, np.finfo(float).tiny
         coeffs = self.coefficients(phi)
         durations = []
         values = []
@@ -183,11 +184,9 @@ class SteeringChart:
         d = self.system.d
         t = 0.0
         for j, (f, c) in enumerate(zip(self.factors, coeffs)):
-            if c == 0.0:
-                continue
             dur = abs(c) ** expo
-            if t + dur <= t or dur < np.finfo(float).tiny:
-                continue  # invisible: cannot advance the clock, or |c|^(-expo) overflows
+            if t + dur <= t or dur < tiny:
+                continue  # c = 0, or invisible: cannot advance the clock, or |c|^(-expo) overflows
             t += dur
             row = np.zeros(d)
             row[f.field_index - 1] = c * abs(c) ** (-expo)
@@ -200,51 +199,52 @@ class SteeringChart:
         return ControlSignal(bps, np.vstack(values)), seg_factors
 
     def jacobian(self, phi) -> np.ndarray:
-        """Newton's Jacobian dF/dphi of compose at phi.
+        """Newton's Jacobian dF/dphi of compose at phi, exact on every chart.
 
-        Driftless: exact, from one differential of plan_signal(phi).  A
-        segment's RK4 steps see its duration and value only through their
-        product c_j, so dF/dc_j is its w_bar column for field b_j, and
-        dc_j/dphi_k = c_j / (nu_k phi_k).  A word that lays out no segment
-        (phi_k = 0, where the root has no derivative, or factors too short
-        for the plan) takes its bracket field at the base (frame_matrix),
-        the leading-order derivative of the flow product.  Drift: central
-        differences of compose (2n flows), because the durations |c|^(2 alpha)
-        enter the map on their own and a lift's compose also rescales the
-        anchor control.
+        RK4 sees a segment only through its weights h (1, u), so one
+        differential on system._drift_controlled, of unit segments valued
+        (H/s, H u), gives dF/dw for every weight: column 0 the drift's.  H is
+        a duration before concatenate_rescaled divides the anchor's and the
+        plan's by s = 1 + T (s = 1 without an anchor).  phi moves factor j's
+        field weight c_j, dc_j/dphi_k = c_j / (nu_k phi_k), and through
+        H_j = |c_j|^expo its drift weight and s.  Without drift column 0 is 0.
+        A word that lays out no segment (phi_k = 0, or factors too short for
+        the plan) takes its bracket field at the base (frame_matrix), the
+        leading-order derivative of the flow product.
         """
         phi = np.asarray(phi, dtype=float)
-        n = len(phi)
-        if self.alpha is not None:
-            J = np.empty((self.system.n, n))
-            for k in range(n):
-                delta = 1e-6 * max(abs(phi[k]), 1e-2)
-                ep, em = phi.copy(), phi.copy()
-                ep[k] += delta
-                em[k] -= delta
-                J[:, k] = (self.compose(ep) - self.compose(em)) / (2.0 * delta)
-            return J
-        J = np.zeros((self.system.n, n))
+        J = np.zeros((self.system.n, len(phi)))
         sig, seg_factors = self._layout(phi)
-        laid = {self.factors[j].word_index for j in seg_factors}
-        lead = [k for k in range(n) if k not in laid]
+        # each laid-out factor's word index k, field index b and word length nu
+        k, b, nu = np.array([(f.word_index, f.field_index, self.words[f.word_index].length)
+                             for f in map(self.factors.__getitem__, seg_factors)]).reshape(-1, 3).T
+        lead = sorted(set(range(len(phi))) - set(k.tolist()))
         if lead:
             J[:, lead] = self.frame_matrix()[:, lead]
         if not seg_factors:
             return J
-        w_bar = differential(self.system, self.base, sig, substeps=self.flow_substeps).w_bar
-        coeffs = self.coefficients(phi)
-        for seg, j in enumerate(seg_factors):
-            f = self.factors[j]
-            k = f.word_index
-            J[:, k] += w_bar[seg, :, f.field_index - 1] * (coeffs[j] / (self.words[k].length * phi[k]))
+        s, x0, H, V = 1.0, self.base, sig.durations, sig.values
+        if self.anchor:  # the anchor's segments run first, and 1 + T divides every duration
+            (x0, u), s = self.anchor, 1.0 + sig.total_time
+            H, V = np.concatenate([u.durations, H]), np.vstack([u.values, V])
+        W = H[:, None] * V  # the field weights; a factor's is its coefficient c_j
+        unit = ControlSignal(np.arange(len(H) + 1.0), np.column_stack([H / s, W]))
+        D = differential(self.system._drift_controlled, x0, unit, substeps=self.flow_substeps)
+        D = D.matrix.reshape(self.system.n, len(H), self.system.d + 1)
+        drag = (D[:, :, 0] @ H)[:, None] / s**2 if self.anchor else 0.0  # -dF/ds
+        seg = np.arange(len(H) - sig.segments, len(H))
+        # c_j dF/dc_j: field weight c_j, and drift weight H_j / s with c_j dH_j/dc_j = expo H_j
+        dF = W[seg, b - 1] * D[:, seg, b] + self._expo * H[seg] * (D[:, seg, 0] / s - drag)
+        np.add.at(J.T, k, (dF / (nu * phi[k])).T)  # dc_j/dphi_k = c_j / (nu_k phi_k)
         return J
 
     def plan_endpoint(self, sig: ControlSignal) -> np.ndarray:
-        """State sig reaches: verify_endpoint(sig), or sig integrated from the base."""
-        if self.verify_endpoint is not None:
-            return self.verify_endpoint(sig)
-        return _endpoint(self.system, self.base, sig, substeps=self.flow_substeps)
+        """State sig reaches: appended to the anchor (x0, u) and run from x0, or from the base."""
+        if self.anchor is None:
+            return _endpoint(self.system, self.base, sig, substeps=self.flow_substeps)
+        x0, u = self.anchor
+        return _endpoint(self.system, x0, concatenate_rescaled(u, sig, sig.total_time),
+                         substeps=self.flow_substeps)
 
 
 def _field_value(x, system, field_index):
@@ -281,6 +281,8 @@ def build_chart(
     x = _as_state(system, x, "x")
     if flow_substeps is not None:
         _as_count(flow_substeps, "flow_substeps", 1)
+    if alpha is not None:
+        _as_real(alpha, "alpha")
     if params is None:
         params = EnergyParams()
     words, _ = bracket_frame(system, x, max_depth, controlled_only=True)
@@ -305,12 +307,11 @@ def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = N
     """Damped Newton inversion of the chart's composed flow.
 
     Starts from the frame coordinates of the displacement (the leading-order
-    answer), with chart.jacobian: exact on driftless charts (one endpoint
-    differential per step), central differences on drift charts (2n
-    composes per step).  Each step is damped by the shared halving line
-    search (endpoint._backtrack), which takes the first damping that
-    strictly lowers the residual and rejects one whose composed flow raises
-    DomainEscapeError; Newton ends when no damping helps or a start or
+    answer), with chart.jacobian, exact on every chart (one endpoint
+    differential per step, and no compose).  Each step is damped by the
+    shared halving line search (endpoint._backtrack), which takes the first
+    damping that strictly lowers the residual and rejects one whose composed
+    flow raises DomainEscapeError; Newton ends when no damping helps or a start or
     Jacobian flow escapes.  It stops at |compose(phi) - y| <=
     min(1e-10 (1 + |d|), steer_tol) for the displacement d.  Returns phi and
     the state compose(phi) reached.
@@ -319,7 +320,11 @@ def solve_chart_coordinates(chart: SteeringChart, y, steer_tol: float | None = N
     """
     y = _as_state(chart.system, y, "y")
     target_disp = displacement(chart.system, chart.base, y)
-    tol, stop = 1e-10 * (1.0 + float(np.linalg.norm(target_disp))), "tol"
+    with np.errstate(over="ignore"):  # a far target's norm overflows to inf, refused here
+        dist = float(np.linalg.norm(target_disp))
+    if dist == np.inf:
+        raise ChartRadiusError("target's distance overflows: outside the chart's working radius")
+    tol, stop = 1e-10 * (1.0 + dist), "tol"
     if steer_tol is not None and _as_tolerance(steer_tol, "steer_tol") < tol:
         tol, stop = steer_tol, "steer_tol"
 
@@ -375,21 +380,11 @@ class SteeringPlan:
     reached: np.ndarray | None = None
 
     def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {
-                "phi": self.phi.tolist(),
-                "T": self.T,
-                "sigma": {
-                    "breakpoints": self.sigma.breakpoints.tolist(),
-                    "values": self.sigma.values.tolist(),
-                },
-                "residual": self.residual,
-                "factor_count": self.factor_count,
-            },
-            sort_keys=True,
-        )
+        sigma = {"breakpoints": self.sigma.breakpoints.tolist(),
+                 "values": self.sigma.values.tolist()}
+        return json.dumps({"phi": self.phi.tolist(), "T": self.T, "sigma": sigma,
+                           "residual": self.residual, "factor_count": self.factor_count},
+                          sort_keys=True)
 
 
 def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
@@ -405,7 +400,9 @@ def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     _as_tolerance(steer_tol, "steer_tol")
     system, x = chart.system, chart.base
     disp = displacement(system, x, y)
-    if np.linalg.norm(disp) == 0.0:
+    with np.errstate(over="ignore"):  # a far target's norm overflows to inf, refused by the solve
+        still = np.linalg.norm(disp) == 0.0
+    if still:
         phi, sig, reached, res = np.zeros(system.n), zero_signal(system.d), x, 0.0
     else:
         # steer to the wrap-nearest representative of the target
@@ -462,16 +459,12 @@ def cross_section(
 # -- drift admissibility ------------------------------------------------------
 
 
-def _format_bound(step: int) -> str:
-    fr = Fraction(step, step - 1)
-    return f"{fr.numerator}/{fr.denominator}"
-
-
 def _step_bound(system: ControlSystem, x, p: float | None = None):
     """(sigma, sigma/(sigma-1)) for the drift bracket frame at x.
 
     sigma is the step of the frame built to depth 6 with the drift allowed
-    inside words; driftless systems give (None, inf).  With p, raises
+    inside words; driftless systems give (None, inf), and sigma = 1 (the
+    controlled fields span at x) gives (1, inf).  With p, raises
     ConfigError unless conjugate_exponent takes it, and AdmissibilityError
     unless p is below the bound.
     """
@@ -481,11 +474,11 @@ def _step_bound(system: ControlSystem, x, p: float | None = None):
     if system.is_driftless:
         return None, float("inf")
     _, step = bracket_frame(system, x, max_depth=6)
-    bound = step / (step - 1.0)
+    bound = step / (step - 1.0) if step > 1 else float("inf")  # step 1: no bound, as without drift
     if p is not None and p >= bound:
         raise AdmissibilityError(
             f"p={p:g} is not admissible for {system.name} at this point: "
-            f"the step-{step} bracket structure requires p < {_format_bound(step)} "
+            f"the step-{step} bracket structure requires p < {Fraction(step, step - 1)} "
             f"(= {bound:g})"
         )
     return step, bound
@@ -496,7 +489,7 @@ def critical_exponent(system: ControlSystem, x) -> float:
 
     Driftless systems return inf (all p in (1, inf) are admissible); with
     drift, sigma is the step of the bracket frame at x with the drift allowed
-    inside words.
+    inside words, and sigma = 1 returns inf as well.
     """
     return _step_bound(system, x)[1]
 
@@ -514,7 +507,7 @@ def cross_section_drift(
     alpha: float | None = None,
     steer_tol: float = 1e-9,
     flow_substeps: int | None = None,
-    verify_endpoint=None,
+    anchor=None,
 ) -> SteeringPlan:
     """Steering with drift: factor segments of duration |c|^(2 alpha).
 
@@ -526,18 +519,19 @@ def cross_section_drift(
     steer_tol is the largest distance between the plan's reached state and
     y that is accepted; a larger one raises ChartRadiusError.
 
-    verify_endpoint, when given, is a callable mapping a candidate plan
-    signal to the reached state; the chart carries it, so Newton and the
-    check both use that map instead of plain integration from x.  Lifting
-    passes the composed (concatenated) endpoint here, because time
-    compression does not commute with the drift term, so the standalone plan
-    endpoint and the in-context endpoint differ at order T * drift.
+    anchor, when given, is (x0, u): a control u on [0, 1] that reaches x
+    from x0.  The plan is then appended to it, and the state reached is
+    endpoint(x0, concatenate_rescaled(u, plan, T)) on the chart's flow
+    substeps; the chart carries the anchor, so Newton, its exact Jacobian
+    and the check all use that map.  Lifting passes its anchor control here,
+    because time compression does not commute with the drift term: the
+    standalone plan endpoint and the appended one differ at order T * drift.
     """
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")
     x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
-    if alpha is not None and not np.isfinite(alpha):
-        raise ConfigError(f"alpha must be finite, got {alpha}")
+    if alpha is not None:
+        _as_real(alpha, "alpha")
     sigma_step, _ = _step_bound(system, x, p)
 
     alpha_hi = p / (2.0 * (p - 1.0))
@@ -547,7 +541,7 @@ def cross_section_drift(
     if not (alpha_lo < alpha < alpha_hi):
         raise AdmissibilityError(
             f"alpha={alpha:g} outside the admissible interval "
-            f"({alpha_lo:g}, {alpha_hi:g}) for p={p:g} (bound {_format_bound(sigma_step)})"
+            f"({alpha_lo:g}, {alpha_hi:g}) for p={p:g} (step {sigma_step})"
         )
 
     try:
@@ -559,5 +553,5 @@ def cross_section_drift(
             f"{system.name}: drift steering is implemented for controlled frames of "
             f"step <= 2 only ({exc})"
         ) from exc
-    chart.verify_endpoint = verify_endpoint
+    chart.anchor = anchor
     return _steer_on_chart(chart, y, steer_tol)

@@ -129,16 +129,8 @@ class SymbolicField:
     def _values(self):
         return _LambdifiedStack(self.coords, self.exprs, (self.n,))
 
-    @cached_property
-    def _jacobians(self):
-        ex = [sp.diff(e, c) for e in self.exprs for c in self.coords]
-        return _LambdifiedStack(self.coords, ex, (self.n, self.n))
-
     def value(self, x):
         return self._values(np.asarray(x, dtype=float))
-
-    def jacobian(self, x):
-        return self._jacobians(np.asarray(x, dtype=float))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.exprs)
@@ -295,6 +287,13 @@ class ControlSystem:
         if not any(e != 0 for e in exprs):
             return None
         return _LambdifiedStack(coords, exprs, (self.d + 1, self.n, self.n, self.n))
+
+    @cached_property
+    def _drift_controlled(self) -> "ControlSystem":
+        # the same fields with the drift moved in as controlled field 1, and no
+        # drift: a segment of duration 1 and values (h, h u) takes the RK4 steps
+        # of duration h and values u here, so its differential is dF/d(h, h u)
+        return ControlSystem(self.name, [self.drift] + self.fields, periodic=self.periodic)
 
     def field_values(self, x) -> np.ndarray:
         """(d+1, n) stack: row 0 drift, rows 1..d controlled fields at x."""

@@ -3,9 +3,10 @@
 A state is an array of shape (n,) with finite entries (the run entries
 integrate, endpoint and differential check the shape alone: a non-finite
 start escapes at t = 0); a count is an integer of at least its least value;
-a tolerance is positive and finite; p is what conjugate_exponent accepts;
-a signal time is a number in [0, T]; an energy mode is "vector" or
-"component".  A bad argument is a ConfigError whose message starts with the
+a tolerance is positive and finite; a real number (an exponent alpha or
+beta, a horizon T) is finite, and T nonnegative; p is what
+conjugate_exponent accepts; a signal time is a number in [0, T]; an energy
+mode is "vector" or "component".  A bad argument is a ConfigError whose message starts with the
 argument's name.
 """
 
@@ -32,6 +33,7 @@ from horizon import (
     build_chart,
     catalog_load,
     check_admissibility,
+    concatenate_rescaled,
     coincidence_check,
     critical_exponent,
     cross_section,
@@ -80,15 +82,15 @@ def converged_record():
     return solve_critical(HEIS, X, Y, u_init=u)
 
 
-def _lift(x0=X, lift_tol=1e-8, steer_tol=1e-9, substeps=4):
-    # one sample: no steer runs, so lift_path must check steer_tol itself
+def _lift(x0=X, lift_tol=1e-8, steer_tol=1e-9, substeps=4, alpha=None):
+    # one sample: no steer runs, so lift_path must check steer_tol and alpha itself
     path = TargetPath(np.array([0.0]), np.array([X]))
     return lift_path(HEIS, x0, zero_signal(2), path, lift_tol=lift_tol, steer_tol=steer_tol,
-                     substeps=substeps)
+                     substeps=substeps, alpha=alpha)
 
 
-def _steer_drift(x=X, y=(0.01, 0.0, 0.0), p=1.5, steer_tol=1e-9, flow_substeps=None):
-    return cross_section_drift(heis_with_drift(), x, y, p=p, steer_tol=steer_tol,
+def _steer_drift(x=X, y=(0.01, 0.0, 0.0), p=1.5, steer_tol=1e-9, flow_substeps=None, alpha=None):
+    return cross_section_drift(heis_with_drift(), x, y, p=p, alpha=alpha, steer_tol=steer_tol,
                                flow_substeps=flow_substeps)
 
 
@@ -105,8 +107,8 @@ ENTRIES = {
         HEIS, x0, U, 2, trajectory=integrate(HEIS, X, U, 2, with_fundamental=True)),
     "displacement": lambda a=X, b=Y: displacement(HEIS, a, b),
     "bracket_frame": lambda point=X, max_depth=4: bracket_frame(HEIS, point, max_depth),
-    "build_chart": lambda x=X, max_depth=4, flow_substeps=None: build_chart(
-        HEIS, x, max_depth=max_depth, flow_substeps=flow_substeps),
+    "build_chart": lambda x=X, max_depth=4, flow_substeps=None, alpha=None: build_chart(
+        HEIS, x, max_depth=max_depth, alpha=alpha, flow_substeps=flow_substeps),
     "solve_chart_coordinates": lambda y=(0.0, 0.0, 0.01), steer_tol=None: solve_chart_coordinates(
         build_chart(HEIS, X), y, steer_tol),
     "cross_section": lambda x=X, y=(0.0, 0.0, 0.01), steer_tol=1e-9, flow_substeps=None: (
@@ -126,7 +128,7 @@ ENTRIES = {
     "lagrange_residual(empty)": lambda mode="vector": lagrange_residual(
         HEIS, X, Y, zero_signal(2), np.zeros(3), 2.0, mode),
     "coincidence_check": lambda x=X, y=Y: coincidence_check(converged_record(), HEIS, x, y),
-    "EnergyParams": lambda p=2.0: EnergyParams(p=p),
+    "EnergyParams": lambda p=2.0, beta=1.0: EnergyParams(p=p, beta=beta),
     "energy": lambda p=2.0, mode="component": energy(U, p, mode),
     "energy_gradient": lambda p=2.0, mode="component": energy_gradient(U, p, mode),
     "energy(empty)": lambda mode="component": energy(zero_signal(2), 2.0, mode),
@@ -137,6 +139,7 @@ ENTRIES = {
     "dual_map": lambda p=2.0: dual_map(U, p),
     "flow_segment": lambda j=1: flow_segment([0.2, 0.3], j, EnergyParams()),
     "ControlSignal.value_at": lambda t=0.5: U.value_at(t),
+    "concatenate_rescaled": lambda T=0.5: concatenate_rescaled(U, U, T),
 }
 
 # entries whose states are checked for shape alone: the runs, and displacement
@@ -155,6 +158,7 @@ BAD_COUNTS = {1: [0, -1, 1.5, 2.0, "2", True], 0: [-1, 2.5, False]}  # least val
 BAD_TOLERANCES = [0.0, -1e-9, np.inf, np.nan, "1e-9"]
 BAD_P = [1.0, 0.5, np.inf, np.nan, 1e308, "2"]
 BAD_MODES = ["Vector", "components", "", None, 2]
+BAD_REALS = [np.nan, np.inf, -np.inf, "1.0", [1.0]]
 
 STATES = {
     "integrate": ["x0"], "endpoint": ["x0"], "differential": ["x0"],
@@ -183,6 +187,10 @@ TOLERANCES = {
 MODES = ["GeodesicOptions", "energy", "energy_gradient", "energy(empty)", "energy_gradient(empty)",
          "energy_of_values", "gradient_density", "hessian_density", "lagrange_residual",
          "lagrange_residual(empty)"]
+REALS = {
+    "build_chart": ["alpha"], "cross_section_drift": ["alpha"], "lift_path": ["alpha"],
+    "EnergyParams": ["beta"], "concatenate_rescaled": ["T"],
+}
 EXPONENTS = ["check_admissibility", "cross_section_drift", "GeodesicOptions", "solve_critical",
              "multistart", "lagrange_residual", "EnergyParams", "energy", "energy_gradient",
              "dual_map"]
@@ -192,6 +200,7 @@ CASES = (
      for v in bad_states(DIMENSION[e])[:4 if e in SHAPE_ONLY else 6]]
     + [(e, a, v) for e, args in COUNTS.items() for a, least in args for v in BAD_COUNTS[least]]
     + [(e, a, v) for e, args in TOLERANCES.items() for a in args for v in BAD_TOLERANCES]
+    + [(e, a, v) for e, args in REALS.items() for a in args for v in BAD_REALS]
     + [(e, "p", v) for e in EXPONENTS for v in BAD_P]
     + [(e, "mode", v) for e in MODES for v in BAD_MODES]
     + [("ControlSignal.value_at", "t", v) for v in (np.nan, -0.1, 1.5, "0.5", None)]

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizon.cli import _CHART_SUBSTEPS, _COMMANDS, _SOLVER_SUBSTEPS, build_parser, main
@@ -448,6 +448,7 @@ def test_fuzz_signal_file(payload):
 @given(JSON_VALUES | st.fixed_dictionaries(
     {"samples": JSON_VALUES | NUMBER_LISTS,
      "targets": JSON_VALUES | st.lists(NUMBER_LISTS, max_size=3)}))
+@example({"samples": [0.0], "targets": [[0.0, 0.0, 1.3407807929942597e+154]]})  # |x| overflows
 def test_fuzz_path_file(payload):
     assert _fuzz_exit_code("path", payload) in (0, 2, 3, 4, 5)
 
@@ -458,6 +459,33 @@ def test_fuzz_path_file(payload):
     optional={"drift": JSON_VALUES, "periodic": JSON_VALUES, "name": JSON_VALUES}))
 def test_fuzz_system_file(payload):
     assert _fuzz_exit_code("system", payload) in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("command, code", [("lift", 2), ("steer", 4)])
+def test_a_target_whose_distance_overflows_is_refused(command, code, capsys, tmp_path):
+    # |target| overflows to inf: the lift's first sample is missed by inf
+    # (exit 2), the steer's target lies outside the chart (exit 4); no warning
+    far = [0.0, 0.0, 1.3407807929942597e+154]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"samples": [0.0], "targets": [far]}))
+    flags = {"lift": ["--x0", "0,0,0", "--path", str(path)],
+             "steer": ["--x", "0,0,0", "--y", ",".join(map(repr, far))]}[command]
+    code_, out, err = run(capsys, command, "--system", "heisenberg", *flags)
+    assert code_ == code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("geodesics", ["--n-seeds", "2", "--m-seed", "4"]),
+    ("steer", ["--p", "1.5"]),
+])
+def test_a_drift_frame_of_step_one_runs(command, flags, capsys):
+    # agrachev_lee(3) at x0 != 0: the controlled fields span, every p > 1 is
+    # admissible, and the sigma/(sigma - 1) bound must not divide by zero
+    code, out, err = run(capsys, command, "--system", "agrachev_lee(3)", "--x", "0.5,0.1",
+                         "--y", "0.51,0.1", *flags)
+    assert code == 0 and err == ""
+    json.loads(out)
 
 
 # -- option table ---------------------------------------------------------------

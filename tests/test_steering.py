@@ -10,6 +10,7 @@ from horizon import (
     AdmissibilityError,
     ChartRadiusError,
     ConfigError,
+    ControlSignal,
     ControlSystem,
     DomainEscapeError,
     EnergyParams,
@@ -17,8 +18,11 @@ from horizon import (
     SymbolicField,
     UnsupportedStepError,
     catalog_load,
+    concatenate_rescaled,
     displacement,
+    TargetPath,
     endpoint,
+    lift_path,
     state_symbols,
     system_from_json,
 )
@@ -137,6 +141,19 @@ def test_critical_exponents():
     assert critical_exponent(catalog_load("martinet"), np.zeros(3)) == float("inf")
     assert np.isclose(critical_exponent(catalog_load("agrachev_lee(3)"), np.zeros(2)), 1.5)
     assert np.isclose(critical_exponent(heis_with_drift(), np.zeros(3)), 2.0)
+
+
+def test_a_drift_frame_of_step_one_admits_every_p():
+    # agrachev_lee(3) away from x0 = 0: the controlled fields span, the frame
+    # has step 1, and the bound sigma/(sigma - 1) is inf, as without drift
+    al3, x = catalog_load("agrachev_lee(3)"), np.array([0.5, 0.1])
+    assert critical_exponent(al3, x) == float("inf")
+    assert check_admissibility(al3, x, 3.0) == float("inf")
+    assert cross_section_drift(al3, x, [0.51, 0.1], p=1.5).residual <= 1e-9
+    u0 = ControlSignal(np.array([0.0, 1.0]), np.zeros((1, 2)))
+    start = endpoint(al3, x, u0, substeps=8)
+    path = TargetPath.from_function(lambda s: start + s * np.array([0.01, -0.005]), [0.0, 0.5, 1.0])
+    assert lift_path(al3, x, u0, path, EnergyParams(p=3.0), substeps=8).residuals.max() <= 1e-8
 
 
 def test_admissibility_gate():
@@ -265,19 +282,21 @@ def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
         assert "steer_tol" in capsys.readouterr().err
 
 
-def test_drift_chart_solves_against_its_verify_endpoint():
-    # the chart carries the map a plan is judged by, and Newton inverts that
-    # map: an endpoint shifted by c is met exactly, so the plain plan misses
-    # y by c
+def test_drift_chart_solves_against_its_anchor():
+    # the chart carries the anchor (x0, u) its plan is appended to, and Newton
+    # inverts that composed map: the plan meets y appended to u, and run from
+    # u's endpoint alone it misses y, since appending rescales u's drift time
     hd = heis_with_drift()
-    x, y = np.zeros(3), np.array([0.05, 0.02, 0.01])
-    shift = np.array([1e-3, 0.0, -2e-3])
-    plan = cross_section_drift(
-        hd, x, y, p=1.5, verify_endpoint=lambda sig: endpoint(hd, x, sig, substeps=16) + shift
-    )
-    assert plan.residual <= 1e-9
-    plain = endpoint(hd, x, plan.sigma, substeps=16)
-    assert np.linalg.norm(plain + shift - y) <= 1e-9
+    x0 = np.array([0.1, -0.05, 0.0])
+    u = ControlSignal(np.array([0.0, 0.5, 1.0]), np.array([[0.4, -0.2], [0.3, 0.5]]))
+    end = endpoint(hd, x0, u, substeps=16)
+    y = end + np.array([0.02, -0.01, 0.01])
+    plan = cross_section_drift(hd, end, y, p=1.5, flow_substeps=16, anchor=(x0, u))
+    composed = endpoint(hd, x0, concatenate_rescaled(u, plan.sigma, plan.T), substeps=16)
+    np.testing.assert_array_equal(plan.reached, composed)
+    assert plan.residual == float(np.linalg.norm(composed - y)) <= 1e-9
+    alone = endpoint(hd, end, plan.sigma, substeps=16)
+    assert np.linalg.norm(alone - y) > 1e-4
 
 
 def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
@@ -287,7 +306,7 @@ def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
     x, y = np.zeros(3), np.array([0.05, 0.02, 0.01])
     chart = build_chart(hd, x, EnergyParams(p=1.5), max_depth=2, alpha=1.25)
     compose, calls = chart.compose, []
-    first_trial = 2 * hd.n + 2  # after the start's residual and the Jacobian's 2n columns
+    first_trial = 2  # after the start's residual; the exact Jacobian runs no compose
 
     def escaping_once(phi):
         calls.append(phi)
@@ -311,12 +330,13 @@ def test_a_steer_whose_jacobian_escapes_is_refused():
 
 
 def test_a_plan_whose_check_escapes_is_refused():
+    # a driftless solve runs the flow product; only the check runs the plan
     chart = build_chart(catalog_load("heisenberg"), np.zeros(3))
 
     def escaping(sig):
         raise DomainEscapeError("trajectory left the state bound", t=0.5)
 
-    chart.verify_endpoint = escaping
+    chart.plan_endpoint = escaping
     with pytest.raises(ChartRadiusError, match="^plan check escaped"):
         steering._steer_on_chart(chart, np.array([0.0, 0.0, 0.01]), 1e-9)
 
@@ -366,6 +386,31 @@ def test_driftless_chart_jacobian_is_exact(name):
         phi = _nonzero_phi(rng, system.n)
         fd = _richardson_chart_jacobian(chart, phi)
         assert np.abs(chart.jacobian(phi) - fd).max() <= 1e-10 * np.abs(fd).max()
+
+
+_DRIFT_BASES = {"heis_drift": (np.zeros(3), 0.2), "agrachev_lee(3)": (np.array([0.5, 0.1]), 0.05)}
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["standalone", "anchored"])
+@pytest.mark.parametrize("name", sorted(_DRIFT_BASES))
+def test_drift_chart_jacobian_is_exact(name, anchored):
+    # the segments' drift weights, and with an anchor (x0, u) the rescaling
+    # 1 + T of every segment, enter through the same one differential
+    # central differences of compose (step 1e-6 |phi_k|) missed by up to 1.5e-6 anchored
+    system = heis_with_drift() if name == "heis_drift" else catalog_load(name)
+    centre, spread = _DRIFT_BASES[name]
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        base, anchor = centre + spread * rng.normal(size=system.n), None
+        if anchored:
+            u = ControlSignal(np.array([0.0, 0.4, 1.0]), 0.2 * rng.normal(size=(2, system.d)))
+            anchor, base = (base, u), endpoint(system, base, u, substeps=4)
+        chart = build_chart(system, base, EnergyParams(p=1.4), max_depth=2, alpha=1.2,
+                            flow_substeps=4)
+        chart.anchor = anchor
+        phi = _nonzero_phi(rng, system.n)
+        fd = _richardson_chart_jacobian(chart, phi)
+        assert np.abs(chart.jacobian(phi) - fd).max() <= 1e-9 * np.abs(fd).max()
 
 
 def _linear_terms(n):

