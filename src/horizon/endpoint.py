@@ -265,7 +265,7 @@ class EndpointDifferential:
     trajectory: Trajectory
     matrix: np.ndarray
     w_bar: np.ndarray
-    transitions: np.ndarray  # (m, n, n): Psi_k^T per segment k, from differential's sweep
+    transitions: np.ndarray  # (m, n, n): Psi_k^T per segment k, from differential's scan
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -360,12 +360,13 @@ def differential(
     """The exact Jacobian of the RK4 endpoint map in the segment values.
 
     Segment k's columns are Psi_k S_k, where Psi_k = P_{m-1} ... P_{k+1} is
-    the transition from the segment's end to T.  One backward sweep over the
-    tangent blocks of integrate(with_fundamental=True) forms them:
-    [P_k^T; S_k^T] Psi_k^T stacks Psi_{k-1}^T on segment k's columns,
-    transposed.  trajectory, when given, is that recorded run, already made,
-    and nothing is integrated; ConfigError when it is not a recorded run of
-    system from x0 along signal at substeps.
+    the transition from the segment's end to T (P_k, S_k: the tangent blocks
+    of integrate(with_fundamental=True)).  A doubling scan forms all Psi_k^T:
+    seeded with P_{k+1}^T (I for k = m - 1), step s = 1, 2, 4, ... < m takes
+    each times the one s segments later, log2(m) batched matmuls, and one
+    more forms the rows S_k^T Psi_k^T.  trajectory, when given, is that
+    recorded run, already made, and nothing is integrated; ConfigError when
+    it is not a recorded run of system from x0 along signal at substeps.
     """
     if signal.segments == 0:
         raise ConfigError("differential needs a signal with at least one segment")
@@ -380,15 +381,11 @@ def differential(
                 and traj.substeps == substeps and traj.states[0].tolist() == x0.tolist()):
             raise ConfigError("trajectory is not the recorded run of this system, x0, "
                               "signal and substeps")
-    m, d, n = signal.segments, signal.d, system.n
-
-    rows, F = np.empty((m, d, n)), traj.fundamental  # rows[k] = (Psi_k S_k)^T
-    transitions, psi_t = np.empty((m, n, n)), np.eye(n)  # psi_t: Psi_k^T, from k = m - 1 down
-    for k in range(m - 1, -1, -1):
-        transitions[k] = psi_t
-        G = F[k] @ psi_t
-        rows[k] = G[n:]
-        psi_t = G[:n]
+    m, d, n, F = signal.segments, signal.d, system.n, traj.fundamental  # F[k] = [P_k^T; S_k^T]
+    transitions = np.concatenate([F[1:, :n], np.eye(n)[None]])  # P_{k+1}^T, I for k = m - 1
+    for s in [2 ** j for j in range((m - 1).bit_length())]:  # 1, 2, 4, ... < m: Psi_k^T after
+        transitions[:m - s] = transitions[:m - s] @ transitions[s:]  # P_{k+1}^T ... P_{k+2s}^T
+    rows = F[:, n:] @ transitions  # rows[k] = (Psi_k S_k)^T
 
     matrix = rows.reshape(m * d, n).T
     w_bar = np.transpose(rows, (0, 2, 1)) / signal.durations[:, None, None]  # (m, n, d)

@@ -267,8 +267,12 @@ def _speeds(values: np.ndarray, mode: str) -> np.ndarray:
     2-norm (mode "vector", (m, 1)).  The mode decides nothing else."""
     if mode == "component":
         return np.abs(values)
-    if mode == "vector":
-        return np.linalg.norm(values, axis=1, keepdims=True)
+    if mode == "vector":  # hypot's scaled 2-norm in the rows whose plain one under- or overflows
+        with np.errstate(over="ignore"):  # (a row of zeros, or with an inf, gets the same)
+            s = np.linalg.norm(values, axis=1, keepdims=True)
+            fix = (s < 2.0 ** -511) | np.isinf(s)  # below, the sum of squares is subnormal
+            return (np.where(fix, np.hypot.reduce(values, 1, keepdims=True, initial=0.0), s)
+                    if fix.any() else s)
     raise ConfigError(f"mode must be 'vector' or 'component', got {mode!r}")
 
 
@@ -285,7 +289,7 @@ def gradient_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
 def hessian_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
     """Second derivative of the energy density at each row of values, (m, d, d):
     diagonal p (p-1) s^(p-2) with a speed per entry (component mode, or d = 1),
-    else p s^(p-2) I + p (p-2) s^(p-4) u u^T."""
+    else p s^(p-2) (I + (p-2) e e^T) for the unit row e = u/s, free of s^(p-4)'s overflow."""
     s = _speeds(values, mode)
     m, d = values.shape
     if s.shape[1] == d:
@@ -293,8 +297,8 @@ def hessian_density(values: np.ndarray, p: float, mode: str) -> np.ndarray:
         blocks[:, range(d), range(d)] = p * (p - 1.0) * _abs_power(s, p - 2.0)
         return blocks
     s = s[:, :, None]
-    return (p * _abs_power(s, p - 2.0) * np.eye(d)
-            + p * (p - 2.0) * _abs_power(s, p - 4.0) * values[:, :, None] * values[:, None, :])
+    e = np.divide(values[:, :, None], s, out=np.zeros((m, d, 1)), where=s > 0.0)  # u / s, or 0
+    return p * _abs_power(s, p - 2.0) * (np.eye(d) + (p - 2.0) * e * e.transpose(0, 2, 1))
 
 
 def _abs_power(a: np.ndarray, e: float) -> np.ndarray:

@@ -85,7 +85,9 @@ class _LambdifiedStack:
     once more on numpy float64 scalars, whose inf/nan the blow-up check
     relies on; and on numpy scalars from the start for a stack with a
     fractional power, which gives a Python float a complex value at a
-    negative base.
+    negative base.  The namespace holds only the numpy names the printer
+    prints (sin, pi, ...): lambdify's "numpy" would star-import numpy and
+    load its lazy submodules (f2py, testing, ~200 modules in all) unused.
     """
 
     def __init__(self, coords, exprs, shape):
@@ -94,7 +96,7 @@ class _LambdifiedStack:
         # the settings lambdify gives its own numpy printer
         self.printer = _ProductPrinter({"fully_qualified_modules": False, "inline": True,
                                         "allow_unknown_functions": True})
-        self._fn = sp.lambdify(coords, self.exprs, "numpy", printer=self.printer)
+        self._fn = sp.lambdify(coords, self.exprs, [{}], printer=self.printer)
         self._floats = all(p.exp.is_integer for e in self.exprs for p in e.atoms(sp.Pow))
 
     def __call__(self, x):
@@ -368,7 +370,7 @@ class ControlSystem:
         names = {str(c): i for i, c in enumerate(coords)}
         coord = re.compile(r"(?<![\w.])(" + "|".join(map(re.escape, names)) + r")(?!\w)")
         texts = [stack.printer.doprint(e) for e in stack.exprs]
-        scope = dict(stack._fn.__globals__)  # the stack's functions
+        scope = dict(stack._fn.__globals__, float64=np.float64)  # the stack's functions
         fixed, moving, on_fixed, _ = self.slope_split  # fixed slopes are formed once per segment
         # the four stage points; a fixed component's third, a + (h/2) k, is its second
         pts = [[f"{'b' if c == 'c' and i in fixed else c}{i}" for i in range(n)] for c in "abce"]

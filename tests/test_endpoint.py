@@ -230,6 +230,50 @@ def _short_signal(draw, d, max_m=4):
     return ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]), np.array(values))
 
 
+def _scan_system(name):
+    if name == "poly_drift":
+        return system_from_json(_POLY_WITH_DRIFT)
+    return heis_with_drift() if name == "heis_drift" else catalog_load(name)
+
+
+_SCAN_SYSTEMS = [name.replace("(k)", "(3)") for name in catalog_names()] + [
+    "agrachev_lee(4)", "heis_drift", "poly_drift"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=st.one_of(st.sampled_from(_SCAN_SYSTEMS).map(_scan_system),
+                        _small_polynomial_system()),
+       m=st.integers(1, 80), seed=st.integers(0, 2**32 - 1), substeps=st.integers(1, 2))
+@example(system=_scan_system("heisenberg"), m=1, seed=0, substeps=1)
+@example(system=_scan_system("agrachev_lee(3)"), m=2, seed=1, substeps=1)
+@example(system=_scan_system("heis_drift"), m=3, seed=2, substeps=2)
+@example(system=_scan_system("unicycle"), m=64, seed=3, substeps=1)
+@example(system=_scan_system("poly_drift"), m=65, seed=4, substeps=1)
+@example(system=_scan_system("agrachev_lee(4)"), m=80, seed=5, substeps=2)
+def test_transitions_match_the_segment_by_segment_sweep(system, m, seed, substeps):
+    # differential's doubling scan against the sequential sweep written out
+    # here: Psi_{m-1}^T = I, Psi_{k-1}^T = P_k^T Psi_k^T, and segment k's rows
+    # S_k^T Psi_k^T, from the same tangent blocks [P_k^T; S_k^T].  The
+    # catalog's tangent blocks mostly commute, the random polynomial
+    # systems' do not, so those pin the order of the products
+    rng = np.random.default_rng(seed)
+    u = random_signal(rng, system.d, m=m)
+    x0 = 0.3 * rng.normal(size=system.n)
+    try:
+        diff = differential(system, x0, u, substeps)
+    except DomainEscapeError:
+        assume(False)
+    F, n = diff.trajectory.fundamental, system.n
+    transitions, rows, psi_t = np.empty((m, n, n)), np.empty((m, system.d, n)), np.eye(n)
+    for k in range(m - 1, -1, -1):
+        transitions[k], rows[k] = psi_t, F[k, n:] @ psi_t
+        psi_t = F[k, :n] @ psi_t
+    columns = diff.matrix.T.reshape(m, system.d, n)  # segment k's columns, transposed
+    for k in range(m):  # each segment's transition and rows, relative to their own size
+        assert np.abs(diff.transitions[k] - transitions[k]).max() <= 1e-13 * np.abs(transitions[k]).max()
+        assert np.abs(columns[k] - rows[k]).max() <= 1e-13 * np.abs(rows[k]).max()
+
+
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), system=_small_polynomial_system(), substeps=st.sampled_from([1, 2, 4]))
 def test_random_polynomial_differential_is_exact(data, system, substeps):

@@ -5,7 +5,8 @@ imports, and every private module-level function or class must be
 referenced somewhere in the package.  Deleting the last caller of a helper
 then fails here instead of leaving dead code behind.  No module imports
 scipy, and the package runs in an interpreter that refuses to load it: scipy
-is a test dependency only.
+is a test dependency only.  Using the package loads none of numpy's lazy
+submodules that it never reads (numpy.f2py, numpy.testing and unittest).
 """
 
 import ast
@@ -148,5 +149,42 @@ def test_the_package_runs_without_scipy():
     # interpreter whose imports of scipy fail
     out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+_WITHOUT_NUMPY_EXTRAS = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from horizon import (ControlSignal, TargetPath, catalog_load, catalog_names, cross_section,
+                         cross_section_drift, differential, endpoint, lift_path, multistart)
+
+    for name in (n.replace("(k)", "(3)") for n in catalog_names()):
+        system = catalog_load(name)
+        x = np.full(system.n, 0.1)
+        y = x + 0.01 * np.arange(1, system.n + 1) / system.n
+        multistart(system, x, y, p=2.0, n_seeds=1, rng_seed=3, m_seed=8)
+        if system.is_driftless:
+            cross_section(system, x, y)
+        else:
+            cross_section_drift(system, x, y, p=1.5)
+        u0 = ControlSignal(np.array([0.0, 1.0]), np.zeros((1, system.d)))
+        x1 = endpoint(system, x, u0)
+        path = TargetPath.from_function(lambda s: x1 + 0.02 * s, np.linspace(0.0, 1.0, 3))
+        lift_path(system, x, u0, path)
+        u = ControlSignal(np.linspace(0.0, 1.0, 5), np.full((4, system.d), 0.3))
+        differential(system, x, u, substeps=2).hessian(np.ones(system.n))
+    print(sorted(m for m in ("numpy.f2py", "numpy.testing", "unittest") if m in sys.modules))
+""")
+
+
+def test_the_package_loads_no_numpy_module_it_never_reads():
+    # a multistart, a steer, a lift and a differential with its Hessian on
+    # every catalog system compile every field stack; each compiles against
+    # the numpy names it prints, not a star import of numpy, which would
+    # load numpy.f2py, numpy.testing and unittest with it
+    out = subprocess.run([sys.executable, "-W", "error", "-c", _WITHOUT_NUMPY_EXTRAS],
+                         capture_output=True, text=True, timeout=300,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

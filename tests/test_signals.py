@@ -17,7 +17,7 @@ from horizon import (
     flow_segment,
     zero_signal,
 )
-from horizon.signals import gradient_density, hessian_density
+from horizon.signals import _speeds, gradient_density, hessian_density
 
 
 def random_signal(rng, d=2, m=5, total=1.0):
@@ -145,6 +145,46 @@ def test_hessian_density_is_the_derivative_of_the_gradient_density(mode, p):
     if p == 2.0:
         assert np.array_equal(blocks[1], 2.0 * np.eye(3))
         assert blocks[2, 0, 0] == 2.0
+
+
+_ENTRY = st.just(0.0) | st.floats(0.125, 8.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.integers(1, 3).flatmap(lambda d: st.lists(st.lists(_ENTRY, min_size=d, max_size=d),
+                                                            min_size=1, max_size=3)),
+       p=st.floats(1.05, 6.0), k=st.integers(-600, 600),
+       mode=st.sampled_from(["vector", "component"]))
+def test_densities_scale_as_powers_of_the_speed(values, p, k, mode):
+    # the gradient density is homogeneous of degree p - 1 in the values and
+    # the Hessian density of degree p - 2.  Scaling by c = 2^k is exact, so
+    # wherever the scaled densities should be finite normal numbers they are
+    # c^(p-1) and c^(p-2) times the unscaled ones: no speed under- or
+    # overflows on the way, as the plain 2-norm of a row does from about
+    # 1e-154 down and 1e154 up.  (Entries that overflow may warn.)
+    v, c = np.array(values), np.float64(2.0) ** k
+    tiny = np.finfo(float).tiny
+    for density, degree in ((gradient_density, p - 1.0), (hessian_density, p - 2.0)):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            want, got = c ** degree * density(v, p, mode), density(c * v, p, mode)
+            gap = np.abs(got - want)
+        normal = np.isfinite(want) & (np.abs(want) >= tiny)
+        assert np.all(gap[normal] <= 1e-12 * np.abs(want)[normal]), (density, want, got)
+
+
+def test_vector_speeds_neither_underflow_nor_overflow():
+    # rows whose squares under- or overflow, without a warning (an error in
+    # this suite); rows of zeros and rows with an inf keep 0 and inf
+    rows = np.array([[1e-200, 1e-200], [3e200, -4e200], [0.0, -0.0], [np.inf, 1.0], [3.0, 4.0]])
+    speeds = _speeds(rows, "vector")[:, 0]
+    assert np.allclose(speeds, [np.sqrt(2.0) * 1e-200, 5e200, 0.0, np.inf, 5.0], rtol=1e-15, atol=0.0)
+    assert speeds[2:].tolist() == [0.0, np.inf, 5.0]  # the plain norm's, bit for bit
+    block = hessian_density(rows[:1], 1.5, "vector")[0]  # about 1e100 I, not 0
+    s = np.sqrt(2.0) * 1e-200
+    want = 1.5 * s ** -0.5 * np.eye(2) - 0.75 * s ** -0.5 * np.full((2, 2), 0.5)
+    assert np.allclose(block, want, rtol=1e-14, atol=0.0)
+    assert np.allclose(gradient_density(rows[1:2], 1.5, "vector"),
+                       1.5 * (5e200) ** -0.5 * rows[1:2], rtol=1e-14, atol=0.0)
 
 
 def test_dual_map_inverts_gradient_density():

@@ -45,8 +45,11 @@ a controlled field, which the chart Jacobian's differential runs on), its
 differ (the state run's at the signal's breakpoints, a steer's chart
 coordinates).  A cold-import probe
 then starts a fresh interpreter per side and sample, in the same ABBA
-order, and reports how long ``import horizon`` took, the interpreter's peak
-resident memory and whether any scipy module was loaded.  Without --base the checkout is compared with itself, which
+order, and reports how long ``import horizon`` took, how long the first use
+after it took (``catalog_load("unicycle")`` and its first ``field_values``
+and ``field_jacobians``, which compile its field stacks), the interpreter's
+peak resident memory after both, whether any scipy module was loaded and
+whether ``numpy.f2py`` was.  Without --base the checkout is compared with itself, which
 shows the noise floor.  BLAS runs on one thread and the process pins itself
 to one CPU where the platform allows it.
 """
@@ -329,19 +332,25 @@ import json, sys, time
 sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
 import horizon
-t = time.perf_counter() - t0
+t1 = time.perf_counter()
+system = horizon.catalog_load("unicycle")
+system.field_values([0.1, -0.2, 0.3])
+system.field_jacobians([0.1, -0.2, 0.3])
+t2 = time.perf_counter()
 try:
     with open("/proc/self/status") as f:
         hwm = next(int(line.split()[1]) / 1024 for line in f if line.startswith("VmHWM"))
 except (OSError, StopIteration):
     hwm = None
-print(json.dumps({"import_s": t, "peak_rss_mb": hwm,
-                  "scipy_loaded": any(m.split(".")[0] == "scipy" for m in sys.modules)}))
+print(json.dumps({"import_s": t1 - t0, "first_use_s": t2 - t1, "peak_rss_mb": hwm,
+                  "scipy_loaded": any(m.split(".")[0] == "scipy" for m in sys.modules),
+                  "f2py_loaded": "numpy.f2py" in sys.modules}))
 """
 
 
 def cold_import(roots, repeats):
-    """Per side: `import horizon` in a fresh interpreter, repeats times in ABBA order."""
+    """Per side: `import horizon` and its first use in a fresh interpreter,
+    repeats times in ABBA order."""
     runs = {side: [] for side in roots}
     for r in range(repeats):
         for side in (("base", "change") if r % 2 == 0 else ("change", "base")):
@@ -350,15 +359,20 @@ def cold_import(roots, repeats):
             runs[side].append(json.loads(out.stdout))
     result = {}
     for side, rs in runs.items():
-        q1, med, q3 = np.percentile([1e3 * r["import_s"] for r in rs], [25, 50, 75])
-        result[side] = {"median_ms": round(float(med), 1), "q1_ms": round(float(q1), 1),
-                        "q3_ms": round(float(q3), 1),
-                        "peak_rss_mb": (None if rs[0]["peak_rss_mb"] is None else
+        result[side] = {"peak_rss_mb": (None if rs[0]["peak_rss_mb"] is None else
                                         round(float(np.median([r["peak_rss_mb"] for r in rs])), 1)),
-                        "scipy_loaded": any(r["scipy_loaded"] for r in rs)}
-    result["ratio"] = round(result["change"]["median_ms"] / result["base"]["median_ms"], 4)
-    faster = sum(c["import_s"] < b["import_s"] for b, c in zip(runs["base"], runs["change"]))
-    result["change_faster"] = f"{faster}/{repeats}"
+                        "scipy_loaded": any(r["scipy_loaded"] for r in rs),
+                        "f2py_loaded": any(r["f2py_loaded"] for r in rs)}
+        for key, prefix in (("import_s", ""), ("first_use_s", "first_use_")):
+            q1, med, q3 = np.percentile([1e3 * r[key] for r in rs], [25, 50, 75])
+            result[side].update({f"{prefix}median_ms": round(float(med), 1),
+                                 f"{prefix}q1_ms": round(float(q1), 1),
+                                 f"{prefix}q3_ms": round(float(q3), 1)})
+    for key, prefix in (("import_s", ""), ("first_use_s", "first_use_")):
+        result[f"{prefix}ratio"] = round(result["change"][f"{prefix}median_ms"]
+                                         / result["base"][f"{prefix}median_ms"], 4)
+        faster = sum(c[key] < b[key] for b, c in zip(runs["base"], runs["change"]))
+        result[f"{prefix}change_faster"] = f"{faster}/{repeats}"
     return result
 
 
