@@ -4,8 +4,10 @@ Given a control u0 reaching the first sample of a path, every later sample
 is reached by appending a steering correction: the chart at the current
 anchor endpoint produces a short plan sigma_k of duration T_k, and the new
 control is the rescaled concatenation of the anchor control with sigma_k,
-living again on [0, 1].  The p-norm of the correction shrinks with the
-sample spacing, so consecutive controls stay close in L^p.
+living again on [0, 1]; the chart carries the anchor control, so the state
+its one check reached is the new control's endpoint.  The p-norm of the
+correction shrinks with the sample spacing, so consecutive controls stay
+close in L^p.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ class LiftResult:
     controls: list
     residuals: np.ndarray
     params: EnergyParams
+    substeps: int  # the RK4 steps per segment every control was solved and checked on
     reanchor_events: list = field(default_factory=list)
     alpha: float | None = None
 
@@ -106,7 +109,9 @@ def lift_path(
     alpha, their chart duration exponent, is refused on driftless systems.
 
     Every later sample first takes one steer from the fixed anchor, so
-    consecutive controls differ by one shrinking correction.  When the chart
+    consecutive controls differ by one shrinking correction; the chart
+    solves and checks the composed control from x0 on these substeps
+    (LiftResult.substeps), and only u0 is integrated here.  When the chart
     refuses, the lift re-anchors at the previous sample's control and reaches
     the sample from there, bisecting into midpoint stepping stones whenever a
     hop is refused; if that control is the anchor, it bisects from the anchor
@@ -137,23 +142,10 @@ def lift_path(
     reanchors = 0
 
     def hop(u, end, y):
-        """Steer end -> y once; the composed control and its endpoint."""
-        # the plan must be solved on the same per-segment grid the lift
-        # will integrate it with, or the check sees the discretization gap
-        if system.is_driftless:
-            plan = cross_section(system, end, y, params, steer_tol=steer_tol,
-                                 flow_substeps=substeps)
-            u_new = concatenate_rescaled(u, plan.sigma, plan.T)
-            return u_new, _endpoint(system, x0, u_new, substeps=substeps)
-
-        # with drift, time compression skews the anchor's drift exposure, so
-        # the chart steers the plan appended to its anchor (x0, u), which it
-        # runs and differentiates as one control
-        plan = cross_section_drift(
-            system, end, y, p=params.p, alpha=alpha, steer_tol=steer_tol,
-            flow_substeps=substeps, anchor=(x0, u),
-        )
-        # the drift chart's plan reached the appended control's endpoint: this control
+        """Steer end -> y once; the composed control and the endpoint its chart checked."""
+        kw = dict(steer_tol=steer_tol, flow_substeps=substeps, anchor=(x0, u))
+        plan = (cross_section(system, end, y, params, **kw) if system.is_driftless
+                else cross_section_drift(system, end, y, p=params.p, alpha=alpha, **kw))
         return concatenate_rescaled(u, plan.sigma, plan.T), plan.reached
 
     def reanchor():  # the one place that counts and checks re-anchors
@@ -215,7 +207,7 @@ def lift_path(
         residuals.append(res_k)
 
     return LiftResult(path=path, controls=controls, residuals=np.array(residuals),
-                      params=params, reanchor_events=events, alpha=alpha)
+                      params=params, substeps=substeps, reanchor_events=events, alpha=alpha)
 
 
 def continuity_report(result: LiftResult) -> dict:

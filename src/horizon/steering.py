@@ -23,7 +23,7 @@ field of the catalog), and DEFAULT_FLOW_SUBSTEPS elsewhere.  A plan records
 the count it was solved and checked on (SteeringPlan.substeps).
 
 Each steer checks once the state its plan reaches (integrated from the base,
-or appended to a drift chart's anchor control), and steer_tol is the largest
+or appended to the chart's anchor control), and steer_tol is the largest
 residual that check accepts; Newton stops no later than steer_tol, so a plan
 it accepts passes the check up to the rounding between the flow product and
 the plan's integration.  The working radius of a chart is empirical:
@@ -119,8 +119,8 @@ class SteeringChart:
     params: EnergyParams
     alpha: float | None = None  # set for drift charts
     flow_substeps: int = DEFAULT_FLOW_SUBSTEPS
-    # (x0, u) with u on [0, 1] reaching the base from x0: a drift chart's plan
-    # then runs appended to u (concatenate_rescaled) from x0; None runs it from the base
+    # (x0, u) with u on [0, 1] reaching the base from x0: the plan then runs
+    # appended to u (concatenate_rescaled) from x0; None runs it from the base
     anchor: tuple | None = None
 
     @property
@@ -390,12 +390,12 @@ class SteeringPlan:
 def _steer_on_chart(chart: SteeringChart, y, steer_tol) -> SteeringPlan:
     """Plan from the chart's base to y, shared by both cross sections.
 
-    One chart solve, then one check of the plan through chart.plan_endpoint;
-    a checked residual above steer_tol, or an escaping check, raises
-    ChartRadiusError.  A drift chart's compose is plan_endpoint of the plan,
-    so the state the solve's last compose reached is checked as it is; a
-    driftless plan is integrated once, since the flow product matches it
-    only to rounding.
+    One chart solve, then one check of the plan through chart.plan_endpoint
+    (from the base, or appended to the chart's anchor); a checked residual
+    above steer_tol, or an escaping check, raises ChartRadiusError.  A drift
+    chart's compose is plan_endpoint of the plan, so the state the solve's
+    last compose reached is checked as it is; a driftless plan is
+    integrated once, since the flow product matches it only to rounding.
     """
     _as_tolerance(steer_tol, "steer_tol")
     system, x = chart.system, chart.base
@@ -439,13 +439,15 @@ def cross_section(
     params: EnergyParams | None = None,
     steer_tol: float = 1e-9,
     flow_substeps: int | None = None,
+    anchor=None,
 ) -> SteeringPlan:
     """Steer a driftless system from x to y; returns the realized plan.
 
     Solves the chart coordinates against the factor flow product, lays the
-    plan, and integrates it from x once, all on the chart's flow_substeps
-    (build_chart's rule): steer_tol is the largest distance between that
-    endpoint and y that is accepted, and a larger one raises
+    plan, and integrates it once, all on the chart's flow_substeps
+    (build_chart's rule): from x, or appended to the anchor (x0, u) and run
+    from x0, as in cross_section_drift.  steer_tol is the largest distance
+    between that endpoint and y that is accepted, and a larger one raises
     ChartRadiusError.  Steering a point to itself returns the zero plan
     exactly.
     """
@@ -453,6 +455,7 @@ def cross_section(
         raise ConfigError("cross_section requires a driftless system; use cross_section_drift")
     x, y = _as_state(system, x, "x"), _as_state(system, y, "y")
     chart = build_chart(system, x, params, flow_substeps=flow_substeps)
+    chart.anchor = anchor
     return _steer_on_chart(chart, y, steer_tol)
 
 
@@ -523,9 +526,11 @@ def cross_section_drift(
     from x0.  The plan is then appended to it, and the state reached is
     endpoint(x0, concatenate_rescaled(u, plan, T)) on the chart's flow
     substeps; the chart carries the anchor, so Newton, its exact Jacobian
-    and the check all use that map.  Lifting passes its anchor control here,
-    because time compression does not commute with the drift term: the
-    standalone plan endpoint and the appended one differ at order T * drift.
+    and the check all use that map.  cross_section takes the same anchor,
+    and lifting passes its anchor control to both; with drift it matters to
+    the solve, because time compression does not commute with the drift
+    term: the standalone plan endpoint and the appended one differ at order
+    T * drift.
     """
     if system.is_driftless:
         raise ConfigError("system has no drift; use cross_section")

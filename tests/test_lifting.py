@@ -40,9 +40,30 @@ def test_lift_reaches_every_sample():
     res = lift_path(heis, np.zeros(3), zero_signal(2), path)
     assert res.residuals.max() <= 1e-6
     for k in [3, 7, 10]:
-        end = endpoint(heis, np.zeros(3), res.controls[k], substeps=64)
+        end = endpoint(heis, np.zeros(3), res.controls[k], substeps=res.substeps)
         assert np.linalg.norm(end - path.targets[k]) <= 1e-6
     assert all(abs(c.total_time - 1.0) < 1e-12 for c in res.controls)
+
+
+def test_a_driftless_lift_integrates_only_its_anchor(monkeypatch):
+    # every hop's chart checks the composed control itself, so the lift's
+    # own endpoint runs once, on u0, and each residual is its control's
+    import horizon.lifting as lifting
+
+    heis = catalog_load("heisenberg")
+    real, calls = lifting._endpoint, []
+
+    def counting(system, x, u, **kw):
+        calls.append(u)
+        return real(system, x, u, **kw)
+
+    monkeypatch.setattr(lifting, "_endpoint", counting)
+    path = arc_path(np.linspace(0.0, 1.0, 5))
+    res = lift_path(heis, np.zeros(3), zero_signal(2), path)
+    assert res.K == 4 and len(calls) == 1 and calls[0] is res.controls[0]
+    for k, u in enumerate(res.controls):
+        end = endpoint(heis, np.zeros(3), u, substeps=res.substeps)
+        assert res.residuals[k] == float(np.linalg.norm(displacement(heis, end, path.targets[k])))
 
 
 def test_anchor_mismatch_rejected():
@@ -217,7 +238,7 @@ def test_refused_hop_from_the_previous_control_bisects_from_it(monkeypatch):
     monkeypatch.setattr(lifting, "cross_section", refusing)
     path = TargetPath(np.array([0.0, 1.0, 2.0]), np.array([np.zeros(3), t1, t2]))
     res = lift_path(heis, np.zeros(3), zero_signal(2), path)
-    end1 = endpoint(heis, np.zeros(3), res.controls[1], substeps=64)
+    end1 = endpoint(heis, np.zeros(3), res.controls[1], substeps=res.substeps)
     mid = end1 + 0.5 * displacement(heis, end1, t2)
     steered = [target for _, target in calls]
     assert len(steered) == 5
@@ -321,7 +342,8 @@ def test_lift_residuals_are_the_controls_own_endpoints(a, b, K, refuse_first):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lifting, "cross_section", refusing)
         res = lift_path(heis, np.zeros(3), zero_signal(2), path, substeps=16)
+    assert res.substeps == 16
     for k, u in enumerate(res.controls):
-        end = endpoint(heis, np.zeros(3), u, substeps=16)
+        end = endpoint(heis, np.zeros(3), u, substeps=res.substeps)
         assert res.residuals[k] == float(np.linalg.norm(displacement(heis, end, path.targets[k])))
         assert u.breakpoints[0] == 0.0 and abs(u.total_time - 1.0) <= 1e-12

@@ -282,21 +282,30 @@ def test_checked_residual_above_steer_tol_is_refused(drift, capsys):
         assert "steer_tol" in capsys.readouterr().err
 
 
-def test_drift_chart_solves_against_its_anchor():
-    # the chart carries the anchor (x0, u) its plan is appended to, and Newton
-    # inverts that composed map: the plan meets y appended to u, and run from
-    # u's endpoint alone it misses y, since appending rescales u's drift time
-    hd = heis_with_drift()
+@pytest.mark.parametrize("drift", [False, True], ids=["driftless", "drift"])
+def test_chart_solves_against_its_anchor(drift):
+    # the chart carries the anchor (x0, u) its plan is appended to, and its
+    # one check runs that composed control: plan.reached is its endpoint.
+    # With drift Newton inverts the composed map, and the plan run from u's
+    # endpoint alone misses y, since appending rescales u's drift time;
+    # without drift rescaling commutes with the flow, so it reaches y too
+    system = heis_with_drift() if drift else catalog_load("heisenberg")
     x0 = np.array([0.1, -0.05, 0.0])
     u = ControlSignal(np.array([0.0, 0.5, 1.0]), np.array([[0.4, -0.2], [0.3, 0.5]]))
-    end = endpoint(hd, x0, u, substeps=16)
+    end = endpoint(system, x0, u, substeps=16)
     y = end + np.array([0.02, -0.01, 0.01])
-    plan = cross_section_drift(hd, end, y, p=1.5, flow_substeps=16, anchor=(x0, u))
-    composed = endpoint(hd, x0, concatenate_rescaled(u, plan.sigma, plan.T), substeps=16)
+    if drift:
+        plan = cross_section_drift(system, end, y, p=1.5, flow_substeps=16, anchor=(x0, u))
+    else:
+        plan = cross_section(system, end, y, flow_substeps=16, anchor=(x0, u))
+    composed = endpoint(system, x0, concatenate_rescaled(u, plan.sigma, plan.T), substeps=16)
     np.testing.assert_array_equal(plan.reached, composed)
     assert plan.residual == float(np.linalg.norm(composed - y)) <= 1e-9
-    alone = endpoint(hd, end, plan.sigma, substeps=16)
-    assert np.linalg.norm(alone - y) > 1e-4
+    alone = endpoint(system, end, plan.sigma, substeps=16)
+    if drift:
+        assert np.linalg.norm(alone - y) > 1e-4
+    else:
+        assert np.linalg.norm(alone - y) <= 1e-9
 
 
 def test_chart_newton_rejects_a_trial_step_that_escapes_the_domain():
